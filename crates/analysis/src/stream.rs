@@ -1,109 +1,15 @@
-//! The streaming fan-out driver: one record pass, every consumer fed.
+//! Stream-pass bookkeeping shared by every streaming driver.
 //!
-//! [`FanOut`] is itself a [`FlowSink`], so it plugs directly into the
-//! producers' chunked emission (`PreparedSim::run_traffic` in
-//! `cwa-simnet`). It applies the §2 flow filter **once** per record and
-//! forwards each match to every registered consumer — the streaming
-//! replacement for the five-plus full scans the batch pipeline used to
-//! make (filter, hourly series, two geolocation windows, persistence,
-//! outbreak).
-//!
-//! The driver keeps plain `u64` counts (records in, records matched,
-//! per-consumer deliveries); the caller publishes them to an
-//! observability registry if one is attached. For the flight recorder
-//! the driver can carry a [`cwa_obs::StageLog`]: per-record filter and
-//! per-consumer busy time is accumulated and flushed as coalesced trace
-//! spans at every producer checkpoint (export-hour boundary) — the
-//! record path never emits an event per record.
+//! A streaming study applies the §2 flow filter **once** per record
+//! chunk and hands each match to every analysis consumer. The driver
+//! keeps plain `u64` counts (records in, records matched, per-consumer
+//! deliveries) as a [`StreamCounts`]; the caller publishes them to an
+//! observability registry if one is attached. Sharded drivers keep one
+//! `StreamCounts` per shard and [`absorb`](StreamCounts::absorb) them in
+//! shard order, which yields exactly the counts of one pass over the
+//! combined stream.
 
-use std::sync::Arc;
-
-use cwa_netflow::flow::FlowRecord;
-use cwa_netflow::sink::{FlowChunk, FlowSink};
-use cwa_obs::{StageLog, TraceBuf, Tracer};
-
-use crate::filter::FlowFilter;
-
-/// One registered consumer with its delivery count.
-struct Consumer<'a> {
-    name: &'static str,
-    sink: &'a mut dyn FlowSink,
-    records: u64,
-}
-
-/// Filters the record stream once and fans each matching record out to
-/// every registered consumer, in registration order.
-pub struct FanOut<'a> {
-    filter: &'a FlowFilter,
-    consumers: Vec<Consumer<'a>>,
-    records_in: u64,
-    records_matched: u64,
-    trace: Option<StageLog>,
-    /// Reusable selection scratch for the chunked path.
-    selection: FlowChunk,
-}
-
-impl<'a> FanOut<'a> {
-    /// Creates a driver applying `filter` to the incoming stream.
-    pub fn new(filter: &'a FlowFilter) -> Self {
-        FanOut {
-            filter,
-            consumers: Vec::new(),
-            records_in: 0,
-            records_matched: 0,
-            trace: None,
-            selection: FlowChunk::default(),
-        }
-    }
-
-    /// Attaches flight-recorder stage timing, emitting onto `buf`. Call
-    /// *after* registering every consumer: the consumer names become the
-    /// per-stage trace span names. Observation-only — attaching a trace
-    /// never changes what consumers see.
-    pub fn attach_trace(&mut self, tracer: &Tracer, buf: Arc<TraceBuf>) {
-        let names: Vec<&str> = self.consumers.iter().map(|c| c.name).collect();
-        self.trace = Some(StageLog::new(tracer, buf, &names));
-    }
-
-    /// Registers a named consumer. Matching records are delivered in
-    /// registration order.
-    pub fn register(&mut self, name: &'static str, sink: &'a mut dyn FlowSink) {
-        self.consumers.push(Consumer {
-            name,
-            sink,
-            records: 0,
-        });
-    }
-
-    /// Total records seen (before filtering).
-    pub fn records_in(&self) -> u64 {
-        self.records_in
-    }
-
-    /// Records that passed the filter (each was delivered to every
-    /// consumer).
-    pub fn records_matched(&self) -> u64 {
-        self.records_matched
-    }
-
-    /// Per-consumer delivery counts, in registration order.
-    pub fn consumer_counts(&self) -> Vec<(&'static str, u64)> {
-        self.consumers.iter().map(|c| (c.name, c.records)).collect()
-    }
-
-    /// Snapshot of every driver counter as a mergeable value (the
-    /// per-shard form: each shard's driver contributes one snapshot,
-    /// merged totals equal a single driver over the combined stream).
-    pub fn counts(&self) -> StreamCounts {
-        StreamCounts {
-            records_in: self.records_in,
-            records_matched: self.records_matched,
-            consumers: self.consumer_counts(),
-        }
-    }
-}
-
-/// The fan-out driver's counters as plain mergeable data.
+/// One stream pass's counters as plain mergeable data.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StreamCounts {
     /// Total records seen (before filtering).
@@ -146,269 +52,40 @@ impl StreamCounts {
     }
 }
 
-impl FlowSink for FanOut<'_> {
-    fn observe(&mut self, rec: &FlowRecord) {
-        self.records_in += 1;
-        let Some(log) = &mut self.trace else {
-            // Untraced fast path: zero timing overhead.
-            if !self.filter.matches(rec) {
-                return;
-            }
-            self.records_matched += 1;
-            for c in &mut self.consumers {
-                c.sink.observe(rec);
-                c.records += 1;
-            }
-            return;
-        };
-        let mut t = log.now_ns();
-        let matched = self.filter.matches(rec);
-        let after_filter = log.now_ns();
-        log.add_filter(after_filter.saturating_sub(t));
-        if !matched {
-            return;
-        }
-        t = after_filter;
-        self.records_matched += 1;
-        for (i, c) in self.consumers.iter_mut().enumerate() {
-            c.sink.observe(rec);
-            c.records += 1;
-            let now = log.now_ns();
-            log.add_stage(i, now.saturating_sub(t));
-            t = now;
-        }
-    }
-
-    fn observe_chunk(&mut self, chunk: &FlowChunk) {
-        self.records_in += chunk.len() as u64;
-        let mut sel = std::mem::take(&mut self.selection);
-        match &mut self.trace {
-            None => {
-                // Untraced fast path: one columnar filter pass, one dyn
-                // call per consumer per chunk.
-                self.filter.select_into(chunk, &mut sel);
-                if !sel.is_empty() {
-                    self.records_matched += sel.len() as u64;
-                    for c in &mut self.consumers {
-                        c.sink.observe_chunk(&sel);
-                        c.records += sel.len() as u64;
-                    }
-                }
-            }
-            Some(log) => {
-                let mut t = log.now_ns();
-                self.filter.select_into(chunk, &mut sel);
-                let after_filter = log.now_ns();
-                log.add_filter(after_filter.saturating_sub(t));
-                if !sel.is_empty() {
-                    self.records_matched += sel.len() as u64;
-                    t = after_filter;
-                    for (i, c) in self.consumers.iter_mut().enumerate() {
-                        c.sink.observe_chunk(&sel);
-                        c.records += sel.len() as u64;
-                        let now = log.now_ns();
-                        log.add_stage(i, now.saturating_sub(t));
-                        t = now;
-                    }
-                }
-            }
-        }
-        self.selection = sel;
-    }
-
-    fn finish(&mut self) {
-        if let Some(log) = &mut self.trace {
-            log.flush();
-        }
-        for c in &mut self.consumers {
-            c.sink.finish();
-        }
-    }
-
-    fn checkpoint(&mut self) {
-        if let Some(log) = &mut self.trace {
-            log.flush();
-        }
-        for c in &mut self.consumers {
-            c.sink.checkpoint();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeseries::HourlySeries;
-    use cwa_netflow::flow::{FlowKey, Protocol};
-    use cwa_netflow::sink::CountingSink;
-    use std::net::Ipv4Addr;
 
-    fn cdn_rec(hour: u64) -> FlowRecord {
-        FlowRecord {
-            key: FlowKey {
-                src_ip: Ipv4Addr::new(81, 200, 16, 1),
-                dst_ip: Ipv4Addr::new(84, 0, 0, 1),
-                src_port: 443,
-                dst_port: 50_000,
-                protocol: Protocol::Tcp,
-            },
-            packets: 1,
-            bytes: 700,
-            first_ms: hour * 3_600_000,
-            last_ms: hour * 3_600_000 + 100,
-            tcp_flags: 0x18,
+    /// Counts one pass over `matched` flags would keep, with every
+    /// match delivered to each of `names`.
+    fn pass(names: &[&'static str], matched: &[bool]) -> StreamCounts {
+        let mut counts = StreamCounts::zeroed(names);
+        for &m in matched {
+            counts.records_in += 1;
+            if m {
+                counts.records_matched += 1;
+                for (_, count) in &mut counts.consumers {
+                    *count += 1;
+                }
+            }
         }
-    }
-
-    fn background_rec() -> FlowRecord {
-        let mut r = cdn_rec(0);
-        r.key.src_ip = Ipv4Addr::new(203, 0, 113, 9);
-        r
-    }
-
-    fn filter() -> FlowFilter {
-        FlowFilter::cwa(vec![(Ipv4Addr::new(81, 200, 16, 0), 22)])
-    }
-
-    #[test]
-    fn filters_once_and_fans_out_to_all() {
-        let f = filter();
-        let mut series = HourlySeries::new(24);
-        let mut count = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("timeseries", &mut series);
-        fan.register("count", &mut count);
-
-        fan.observe(&cdn_rec(0));
-        fan.observe(&background_rec());
-        fan.observe(&cdn_rec(3));
-        fan.finish();
-
-        assert_eq!(fan.records_in(), 3);
-        assert_eq!(fan.records_matched(), 2);
-        assert_eq!(fan.consumer_counts(), vec![("timeseries", 2), ("count", 2)]);
-        assert_eq!(series.total_flows(), 2);
-        assert_eq!(series.flows[3], 1);
-        assert_eq!(count.records, 2);
-        assert!(count.finished, "finish propagates to consumers");
+        counts
     }
 
     #[test]
     fn stream_counts_merge_like_one_driver() {
-        let f = filter();
-        // One driver over the full stream …
-        let mut all = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("count", &mut all);
-        fan.observe(&cdn_rec(0));
-        fan.observe(&background_rec());
-        fan.observe(&cdn_rec(3));
-        let single = fan.counts();
+        let names = ["timeseries", "count"];
+        let stream = [true, false, true, true, false];
+        // One pass over the full stream …
+        let single = pass(&names, &stream);
 
-        // … equals two drivers over a split of it, merged.
-        let mut part_a = CountingSink::default();
-        let mut fan_a = FanOut::new(&f);
-        fan_a.register("count", &mut part_a);
-        fan_a.observe(&cdn_rec(0));
-        fan_a.observe(&background_rec());
-        let mut part_b = CountingSink::default();
-        let mut fan_b = FanOut::new(&f);
-        fan_b.register("count", &mut part_b);
-        fan_b.observe(&cdn_rec(3));
-
-        let mut merged = StreamCounts::zeroed(&["count"]);
-        merged.absorb(&fan_a.counts());
-        merged.absorb(&fan_b.counts());
+        // … equals passes over a split of it, merged in order.
+        let mut merged = StreamCounts::zeroed(&names);
+        merged.absorb(&pass(&names, &stream[..2]));
+        merged.absorb(&pass(&names, &stream[2..]));
         assert_eq!(merged, single);
-        assert_eq!(merged.records_in, 3);
-        assert_eq!(merged.records_matched, 2);
-    }
-
-    #[test]
-    fn tracing_is_observation_only_and_flushes_at_checkpoint() {
-        let f = filter();
-        let mut series = HourlySeries::new(24);
-        let mut count = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("timeseries", &mut series);
-        fan.register("count", &mut count);
-        let tracer = Tracer::new();
-        fan.attach_trace(&tracer, tracer.thread(1, 2, "analysis"));
-
-        fan.observe(&cdn_rec(0));
-        fan.observe(&background_rec());
-        fan.observe(&cdn_rec(3));
-        fan.checkpoint();
-        fan.finish();
-
-        // Same counts as the untraced driver sees.
-        assert_eq!(fan.records_in(), 3);
-        assert_eq!(fan.records_matched(), 2);
-        assert_eq!(fan.consumer_counts(), vec![("timeseries", 2), ("count", 2)]);
-
-        let json = tracer.to_chrome_json();
-        for name in ["\"filter\"", "\"analyze\"", "\"timeseries\"", "\"count\""] {
-            assert!(json.contains(name), "missing {name} in {json}");
-        }
-    }
-
-    #[test]
-    fn chunked_observation_equals_per_record() {
-        let f = filter();
-        let records = [cdn_rec(0), background_rec(), cdn_rec(3), cdn_rec(5)];
-        let mut chunk = FlowChunk::default();
-        for r in &records {
-            chunk.push(r);
-        }
-
-        // Per-record reference driver.
-        let mut ref_series = HourlySeries::new(24);
-        let mut ref_count = CountingSink::default();
-        let mut ref_fan = FanOut::new(&f);
-        ref_fan.register("timeseries", &mut ref_series);
-        ref_fan.register("count", &mut ref_count);
-        for r in &records {
-            ref_fan.observe(r);
-        }
-        let ref_counts = ref_fan.counts();
-
-        // Chunked driver (untraced).
-        let mut series = HourlySeries::new(24);
-        let mut count = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("timeseries", &mut series);
-        fan.register("count", &mut count);
-        fan.observe_chunk(&chunk);
-        assert_eq!(fan.counts(), ref_counts);
-        assert_eq!(series, ref_series);
-        assert_eq!(count.records, ref_count.records);
-
-        // Chunked driver (traced): same counts, spans still named.
-        let mut series_t = HourlySeries::new(24);
-        let mut count_t = CountingSink::default();
-        let mut fan_t = FanOut::new(&f);
-        fan_t.register("timeseries", &mut series_t);
-        fan_t.register("count", &mut count_t);
-        let tracer = Tracer::new();
-        fan_t.attach_trace(&tracer, tracer.thread(1, 2, "analysis"));
-        fan_t.observe_chunk(&chunk);
-        fan_t.checkpoint();
-        assert_eq!(fan_t.counts(), ref_counts);
-        let json = tracer.to_chrome_json();
-        for name in ["\"filter\"", "\"timeseries\"", "\"count\""] {
-            assert!(json.contains(name), "missing {name}");
-        }
-    }
-
-    #[test]
-    fn empty_stream_is_well_formed() {
-        let f = filter();
-        let mut count = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("count", &mut count);
-        fan.finish();
-        assert_eq!(fan.records_in(), 0);
-        assert_eq!(fan.records_matched(), 0);
-        assert!(count.finished);
+        assert_eq!(merged.records_in, 5);
+        assert_eq!(merged.records_matched, 3);
+        assert_eq!(merged.consumers, vec![("timeseries", 3), ("count", 3)]);
     }
 }

@@ -26,14 +26,14 @@ use crate::report::StudyReport;
 /// Options for [`Study::run_live`](crate::Study::run_live).
 #[derive(Clone)]
 pub struct LiveOptions {
-    /// Vantage shards (1 = the serial driver). Pacing is a
-    /// serial-driver feature; sharded live runs replay at full speed
-    /// but still publish merged interim documents once per simulated
-    /// day (from day-boundary shard snapshots merged off the hot path).
+    /// Vantage shards (1 = inline on the caller's thread). One shard
+    /// publishes after every export hour; sharded runs publish merged
+    /// interim documents once per simulated day (from day-boundary
+    /// shard snapshots merged off the hot path).
     pub shards: usize,
     /// Simulated-time multiple of the wall clock: `N` replays one
-    /// export hour every `3600 / N` wall seconds. `None` replays as
-    /// fast as possible.
+    /// export hour every `3600 / N` wall seconds, at any shard count.
+    /// `None` replays as fast as possible.
     pub replay_speed: Option<f64>,
     /// Mailbox the rendered documents are published into (share it with
     /// the scrape server's `TelemetryState::live`). `None` disables

@@ -16,16 +16,16 @@ use cwa_analysis::filter::FlowFilter;
 use cwa_analysis::geoloc::{GeoDayAccumulator, GeoResult, GeolocationPipeline, IspInfo};
 use cwa_analysis::outbreak::{OutbreakAccumulator, OutbreakAnalysis};
 use cwa_analysis::persistence::PersistenceAnalysis;
-use cwa_analysis::stream::{FanOut, StreamCounts};
+use cwa_analysis::stream::StreamCounts;
 use cwa_analysis::timeseries::HourlySeries;
 use cwa_analysis::windowed::{WindowSnapshot, WindowedView};
 use cwa_epidemic::timeline::{JULY_24_DAY, MILESTONE_36H_HOUR};
 use cwa_epidemic::{AdoptionCurve, AdoptionModel, Scenario, Timeline};
-use cwa_geo::{AddressPlan, FederalState, GeoDb, Germany};
+use cwa_geo::{AddressPlan, FederalState, Germany};
 use cwa_netflow::flow::FlowRecord;
 use cwa_netflow::sink::{FlowChunk, FlowSink};
 use cwa_simnet::{
-    shard_keys, DnsStudy, IspSideEntry, PreparedSim, ShardKeyMode, SimConfig, SimOutput, Simulation,
+    DnsStudy, IspSideEntry, PreparedSim, ShardKeyMode, SimConfig, SimOutput, Simulation,
 };
 
 use crate::claims::{Cell, Claim, ClaimId};
@@ -209,10 +209,12 @@ fn analysis_isp_table(table: &HashMap<u32, IspSideEntry>) -> HashMap<u32, IspInf
 }
 
 /// Client-address → ISP resolver over the anonymized side table.
+/// `Copy` and `Send`, so every shard's consumers (and the live view's
+/// study and window tiers) share one table.
 fn isp_resolver(
     isp_table: &HashMap<u32, IspInfo>,
     prefix_len: u8,
-) -> impl Fn(std::net::Ipv4Addr) -> Option<u8> + '_ {
+) -> impl Fn(Ipv4Addr) -> Option<u8> + Copy + Send + Sync + '_ {
     move |client| {
         let net = cwa_geo::geodb::mask(client, prefix_len);
         isp_table.get(&net).map(|e| e.isp)
@@ -221,9 +223,9 @@ fn isp_resolver(
 
 /// Everything the analysis stages produce before claim evaluation. Both
 /// the batch path ([`Study::run`] / [`Study::analyze`]) and the
-/// streaming path ([`Study::run_streaming`]) fill this struct and hand
-/// it to the shared report assembly, which guarantees the two paths
-/// cannot diverge in how claims are derived.
+/// streaming driver ([`Study::drive`]) fill this struct and hand it to
+/// the shared report assembly, which guarantees the two paths cannot
+/// diverge in how claims are derived.
 struct AnalysisProducts {
     series: HourlySeries,
     geo_10day: GeoResult,
@@ -234,82 +236,144 @@ struct AnalysisProducts {
     total_records: u64,
 }
 
-/// The consumer names shared by the streaming and sharded paths (must
-/// stay in [`FanOut`] registration order so merged counts line up).
+/// The study consumers in the order a [`StudySink`] feeds them: the
+/// `analysis.stream.<name>.records` counter names and, on non-live
+/// runs, the per-consumer trace spans.
 const CONSUMER_NAMES: [&str; 4] = ["timeseries", "geoloc", "persistence", "outbreak"];
 
-/// One shard's private analysis chain: the §2 filter applied once, then
-/// fan-out into shard-local partial accumulators — a [`FanOut`] without
-/// the `&mut dyn` borrows, so the whole chain is `Send` and can live on
-/// a crossbeam worker. Each worker fills its own `ShardConsumers`; the
-/// main thread then merges the partials with the accumulators' `absorb`
-/// operations, which is exact because every accumulator is a
-/// commutative monoid over records.
-struct ShardConsumers<'w> {
-    filter: &'w FlowFilter,
+/// The four study consumers of a batch-equivalent run.
+struct StudyConsumers<'w, F> {
     series: HourlySeries,
     geo: GeoDayAccumulator<'w>,
     persistence: PersistenceAnalysis,
-    outbreak: OutbreakAccumulator<'w, Box<dyn Fn(Ipv4Addr) -> Option<u8> + Send + Sync + 'w>>,
-    counts: StreamCounts,
-    /// `sim.shard.<i>.records` — live per-shard record throughput.
-    records_counter: Option<Arc<Counter>>,
-    /// Flight-recorder stage timing onto this shard's "analysis" track,
-    /// flushed as coalesced filter/analyze spans at every export-hour
-    /// checkpoint.
-    trace: Option<StageLog>,
-    /// Reusable selection scratch for the chunked path.
-    selection: FlowChunk,
+    outbreak: OutbreakAccumulator<'w, F>,
 }
 
-impl FlowSink for ShardConsumers<'_> {
-    fn observe(&mut self, rec: &FlowRecord) {
-        self.counts.records_in += 1;
-        if let Some(counter) = &self.records_counter {
-            counter.add(1);
+/// The accumulator set one [`StudySink`] feeds. Every accumulator is a
+/// commutative monoid over records, so per-shard sets merge exactly
+/// with [`absorb`](Consumers::absorb).
+enum Consumers<'w, F> {
+    /// The four study consumers.
+    Study(Box<StudyConsumers<'w, F>>),
+    /// The live view: the same four consumers plus the sliding-window
+    /// tiers, advanced one hour per checkpoint.
+    Live(Box<WindowedView<'w, F>>),
+}
+
+impl<F> Consumers<'_, F>
+where
+    F: Fn(Ipv4Addr) -> Option<u8>,
+{
+    /// Trace-stage names, one per [`observe`](Consumers::observe) stage.
+    fn stages(&self) -> &'static [&'static str] {
+        match self {
+            Consumers::Study(_) => &CONSUMER_NAMES,
+            Consumers::Live(_) => &["windowed"],
         }
-        let Some(log) = &mut self.trace else {
-            // Untraced fast path: zero timing overhead.
-            if !self.filter.matches(rec) {
-                return;
+    }
+
+    /// Feeds the §2-selected rows to one stage.
+    fn observe(&mut self, stage: usize, sel: &FlowChunk) {
+        match self {
+            Consumers::Study(c) => match stage {
+                0 => c.series.observe_chunk(sel),
+                1 => c.geo.observe_chunk(sel),
+                2 => c.persistence.observe_chunk(sel),
+                _ => c.outbreak.observe_chunk(sel),
+            },
+            Consumers::Live(view) => view.observe_chunk(sel),
+        }
+    }
+
+    /// Merges another shard's partial state into this one.
+    fn absorb(&mut self, other: &Self) {
+        match (self, other) {
+            (Consumers::Study(c), Consumers::Study(o)) => {
+                c.series.absorb(&o.series);
+                c.geo.absorb(&o.geo);
+                c.persistence.absorb(&o.persistence);
+                c.outbreak.absorb(&o.outbreak);
             }
-            self.counts.records_matched += 1;
-            self.series.observe(rec);
-            self.geo.observe(rec);
-            self.persistence.observe(rec);
-            self.outbreak.observe(rec);
-            for (_, count) in &mut self.counts.consumers {
-                *count += 1;
-            }
-            return;
+            (Consumers::Live(view), Consumers::Live(o)) => view.absorb(o),
+            _ => unreachable!("every shard of a run feeds the same accumulator set"),
+        }
+    }
+
+    /// The report inputs of a finished stream.
+    fn into_products(self, days: u32, counts: &StreamCounts) -> AnalysisProducts {
+        let (series, geo, persistence, outbreak) = match self {
+            Consumers::Study(c) => (c.series, c.geo, c.persistence, c.outbreak),
+            Consumers::Live(view) => (view.series, view.geo, view.persistence, view.outbreak),
         };
-        let mut t = log.now_ns();
-        let matched = self.filter.matches(rec);
-        let now = log.now_ns();
-        log.add_filter(now.saturating_sub(t));
-        if !matched {
-            return;
+        AnalysisProducts {
+            series,
+            geo_10day: geo.result(1, days.min(11)),
+            geo_day1: geo.result(1, 2),
+            persistence,
+            outbreak: outbreak.into_analysis(),
+            matching_flows: counts.records_matched,
+            total_records: counts.records_in,
         }
-        t = now;
-        self.counts.records_matched += 1;
-        self.series.observe(rec);
-        let now = log.now_ns();
-        log.add_stage(0, now.saturating_sub(t));
-        t = now;
-        self.geo.observe(rec);
-        let now = log.now_ns();
-        log.add_stage(1, now.saturating_sub(t));
-        t = now;
-        self.persistence.observe(rec);
-        let now = log.now_ns();
-        log.add_stage(2, now.saturating_sub(t));
-        t = now;
-        self.outbreak.observe(rec);
-        let now = log.now_ns();
-        log.add_stage(3, now.saturating_sub(t));
-        for (_, count) in &mut self.counts.consumers {
-            *count += 1;
-        }
+    }
+}
+
+/// What a live [`StudySink`] publishes at its checkpoints.
+enum Publish<'w, F> {
+    /// Nothing (non-live runs, or live runs without a mailbox).
+    Off,
+    /// One shard: publish the view itself after every export hour.
+    Inline(&'w LivePublisher<'w>),
+    /// One of n shards: deposit a clone of the view at every day
+    /// boundary for the publisher thread to merge. The sink's own state
+    /// is untouched, so the end-of-run merge cannot observe it.
+    Deposit(Arc<Mutex<VecDeque<ShardDeposit<'w, F>>>>),
+}
+
+/// The one filter-and-consume sink behind every streaming run: the §2
+/// filter applied once per chunk, then the accumulator set. Owned and
+/// `Send`, so the same sink runs inline on the caller's thread (one
+/// shard) or on a shard worker (n shards), and the partials merge with
+/// the accumulators' `absorb`.
+struct StudySink<'w, F> {
+    filter: &'w FlowFilter,
+    consumers: Consumers<'w, F>,
+    counts: StreamCounts,
+    /// `sim.shard.<i>.records` — live per-shard record throughput
+    /// (sharded runs only).
+    records_counter: Option<Arc<Counter>>,
+    /// Flight-recorder stage timing, flushed as coalesced filter/analyze
+    /// spans at every export-hour checkpoint.
+    trace: Option<StageLog>,
+    /// Reusable selection scratch.
+    selection: FlowChunk,
+    /// Live replay pacing: wall-clock sleep per export hour.
+    pace: Option<Duration>,
+    /// Live interim publication.
+    publish: Publish<'w, F>,
+}
+
+/// Runs `f`, charging its wall time to the filter (`stage: None`) or to
+/// consumer `stage` on the stage log; untraced runs call `f` straight
+/// through.
+fn timed(log: &mut Option<StageLog>, stage: Option<usize>, f: impl FnOnce()) {
+    let Some(log) = log else { return f() };
+    let start = log.now_ns();
+    f();
+    let ns = log.now_ns().saturating_sub(start);
+    match stage {
+        None => log.add_filter(ns),
+        Some(i) => log.add_stage(i, ns),
+    }
+}
+
+impl<F> FlowSink for StudySink<'_, F>
+where
+    F: Fn(Ipv4Addr) -> Option<u8> + Clone,
+{
+    fn observe(&mut self, rec: &FlowRecord) {
+        let mut one = FlowChunk::default();
+        one.push(rec);
+        self.observe_chunk(&one);
     }
 
     fn observe_chunk(&mut self, chunk: &FlowChunk) {
@@ -318,67 +382,62 @@ impl FlowSink for ShardConsumers<'_> {
             counter.add(chunk.len() as u64);
         }
         let mut sel = std::mem::take(&mut self.selection);
-        match &mut self.trace {
-            None => {
-                // Untraced fast path: one filter pass and one dyn-free
-                // call per consumer per chunk.
-                self.filter.select_into(chunk, &mut sel);
-                if !sel.is_empty() {
-                    let matched = sel.len() as u64;
-                    self.counts.records_matched += matched;
-                    self.series.observe_chunk(&sel);
-                    self.geo.observe_chunk(&sel);
-                    self.persistence.observe_chunk(&sel);
-                    self.outbreak.observe_chunk(&sel);
-                    for (_, count) in &mut self.counts.consumers {
-                        *count += matched;
-                    }
-                }
+        let filter = self.filter;
+        timed(&mut self.trace, None, || {
+            filter.select_into(chunk, &mut sel)
+        });
+        if !sel.is_empty() {
+            let matched = sel.len() as u64;
+            self.counts.records_matched += matched;
+            for stage in 0..self.consumers.stages().len() {
+                let consumers = &mut self.consumers;
+                timed(&mut self.trace, Some(stage), || {
+                    consumers.observe(stage, &sel)
+                });
             }
-            Some(log) => {
-                let mut t = log.now_ns();
-                self.filter.select_into(chunk, &mut sel);
-                let now = log.now_ns();
-                log.add_filter(now.saturating_sub(t));
-                if !sel.is_empty() {
-                    let matched = sel.len() as u64;
-                    self.counts.records_matched += matched;
-                    t = now;
-                    self.series.observe_chunk(&sel);
-                    let now = log.now_ns();
-                    log.add_stage(0, now.saturating_sub(t));
-                    t = now;
-                    self.geo.observe_chunk(&sel);
-                    let now = log.now_ns();
-                    log.add_stage(1, now.saturating_sub(t));
-                    t = now;
-                    self.persistence.observe_chunk(&sel);
-                    let now = log.now_ns();
-                    log.add_stage(2, now.saturating_sub(t));
-                    t = now;
-                    self.outbreak.observe_chunk(&sel);
-                    let now = log.now_ns();
-                    log.add_stage(3, now.saturating_sub(t));
-                    for (_, count) in &mut self.counts.consumers {
-                        *count += matched;
-                    }
-                }
+            for (_, count) in &mut self.counts.consumers {
+                *count += matched;
             }
         }
         self.selection = sel;
     }
 
-    fn finish(&mut self) {
+    fn checkpoint(&mut self) {
         if let Some(log) = &mut self.trace {
             log.flush();
         }
-        self.series.finish();
-        self.geo.finish();
-        self.persistence.finish();
-        self.outbreak.finish();
+        let Consumers::Live(view) = &mut self.consumers else {
+            return;
+        };
+        // One call per export hour, identical across shards, which is
+        // what makes window eviction commute with the merge.
+        view.note_hour();
+        if let Some(pace) = self.pace {
+            std::thread::sleep(pace);
+        }
+        match &self.publish {
+            Publish::Off => {}
+            Publish::Inline(publisher) => publisher.tick(view, &self.counts),
+            // Every shard checkpoints the same hours in lockstep, so the
+            // fronts of all deposit queues carry the same `hours_seen`,
+            // exactly what `absorb` requires. The post-finish checkpoint
+            // lands at `hours + 1`, never on a day boundary, so each
+            // shard deposits exactly `days` times.
+            Publish::Deposit(queue) => {
+                if view.hours_seen() % 24 == 0 {
+                    queue
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push_back(ShardDeposit {
+                            view: WindowedView::clone(view),
+                            counts: self.counts.clone(),
+                        });
+                }
+            }
+        }
     }
 
-    fn checkpoint(&mut self) {
+    fn finish(&mut self) {
         if let Some(log) = &mut self.trace {
             log.flush();
         }
@@ -422,92 +481,10 @@ impl<'a> ReportContext<'a> {
     }
 }
 
-/// One live consumer chain: the §2 filter applied once, feeding a
-/// [`WindowedView`] (the four study-tier accumulators plus the sliding
-/// window tiers). `Send` whenever the resolver is, so the sharded
-/// driver can run one per worker exactly like [`ShardConsumers`].
-struct LiveSink<'w, F> {
-    filter: &'w FlowFilter,
-    view: WindowedView<'w, F>,
-    counts: StreamCounts,
-    /// `sim.shard.<i>.records` — live per-shard record throughput
-    /// (sharded runs only).
-    records_counter: Option<Arc<Counter>>,
-    /// Reusable selection scratch for the chunked path.
-    selection: FlowChunk,
-    /// Sharded interim publication: at every simulated day boundary the
-    /// shard deposits a clone of its view and counts here, and a
-    /// publisher thread merges the aligned fronts off the hot path. The
-    /// real sink is untouched, so the end-of-run merge (and therefore
-    /// the final report bytes) cannot observe the difference.
-    deposits: Option<Arc<Mutex<VecDeque<ShardDeposit<'w, F>>>>>,
-}
-
 /// One shard's day-boundary snapshot, queued for interim merging.
 struct ShardDeposit<'w, F> {
     view: WindowedView<'w, F>,
     counts: StreamCounts,
-}
-
-impl<F> FlowSink for LiveSink<'_, F>
-where
-    F: Fn(Ipv4Addr) -> Option<u8> + Clone,
-{
-    fn observe(&mut self, rec: &FlowRecord) {
-        self.counts.records_in += 1;
-        if let Some(counter) = &self.records_counter {
-            counter.add(1);
-        }
-        if !self.filter.matches(rec) {
-            return;
-        }
-        self.counts.records_matched += 1;
-        self.view.observe(rec);
-        for (_, count) in &mut self.counts.consumers {
-            *count += 1;
-        }
-    }
-
-    fn observe_chunk(&mut self, chunk: &FlowChunk) {
-        self.counts.records_in += chunk.len() as u64;
-        if let Some(counter) = &self.records_counter {
-            counter.add(chunk.len() as u64);
-        }
-        let mut sel = std::mem::take(&mut self.selection);
-        self.filter.select_into(chunk, &mut sel);
-        if !sel.is_empty() {
-            let matched = sel.len() as u64;
-            self.counts.records_matched += matched;
-            self.view.observe_chunk(&sel);
-            for (_, count) in &mut self.counts.consumers {
-                *count += matched;
-            }
-        }
-        self.selection = sel;
-    }
-
-    fn checkpoint(&mut self) {
-        // Drives the view's day boundaries — one call per export hour,
-        // identical across shards, which is what makes window eviction
-        // commute with the merge.
-        self.view.checkpoint();
-        if let Some(queue) = &self.deposits {
-            // Every shard checkpoints the same hours in lockstep, so
-            // the fronts of all deposit queues always carry the same
-            // `hours_seen` — exactly what `absorb` requires. The extra
-            // post-finish checkpoint lands at `hours + 1`, never on a
-            // day boundary, so each shard deposits exactly `days` times.
-            if self.view.hours_seen() % 24 == 0 {
-                queue
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push_back(ShardDeposit {
-                        view: self.view.clone(),
-                        counts: self.counts.clone(),
-                    });
-            }
-        }
-    }
 }
 
 /// Publishes interim documents into the live mailbox: the three figure
@@ -786,38 +763,6 @@ where
     true
 }
 
-/// Serial-driver wrapper adding wall-clock replay pacing and
-/// per-checkpoint publication on top of a [`LiveSink`].
-struct PacedLiveSink<'w, F> {
-    inner: LiveSink<'w, F>,
-    /// Wall-clock sleep per simulated export hour.
-    pace: Option<Duration>,
-    publisher: Option<LivePublisher<'w>>,
-}
-
-impl<F> FlowSink for PacedLiveSink<'_, F>
-where
-    F: Fn(Ipv4Addr) -> Option<u8> + Clone,
-{
-    fn observe(&mut self, rec: &FlowRecord) {
-        self.inner.observe(rec);
-    }
-
-    fn observe_chunk(&mut self, chunk: &FlowChunk) {
-        self.inner.observe_chunk(chunk);
-    }
-
-    fn checkpoint(&mut self) {
-        self.inner.checkpoint();
-        if let Some(pace) = self.pace {
-            std::thread::sleep(pace);
-        }
-        if let Some(publisher) = &self.publisher {
-            publisher.tick(&self.inner.view, &self.inner.counts);
-        }
-    }
-}
-
 impl Study {
     /// Creates a runner.
     pub fn new(config: StudyConfig) -> Self {
@@ -900,6 +845,14 @@ impl Study {
     /// scale is too small for any CWA flow to survive sampling.
     pub fn run(&self) -> Result<StudyReport, StudyError> {
         let started = Instant::now();
+        let sim = self.simulation().run();
+        let simulate = started.elapsed();
+        self.analyze_with_prelude(&sim, Some(simulate))
+    }
+
+    /// The simulation runner for this study's configuration, carrying
+    /// its registry, tracer and chunk capacity.
+    fn simulation(&self) -> Simulation {
         let mut simulation = Simulation::new(self.config.sim);
         if let Some(registry) = &self.metrics {
             simulation = simulation.with_metrics(Arc::clone(registry));
@@ -910,9 +863,7 @@ impl Study {
         if let Some(capacity) = self.chunk_capacity {
             simulation = simulation.with_chunk_capacity(capacity);
         }
-        let sim = simulation.run();
-        let simulate = started.elapsed();
-        self.analyze_with_prelude(&sim, Some(simulate))
+        simulation
     }
 
     /// Runs the analysis on an existing simulation output (lets callers
@@ -1029,124 +980,14 @@ impl Study {
     /// Runs the fused simulate+analyze streaming pipeline.
     ///
     /// The simulation emits each export hour's flow records straight
-    /// into a [`FanOut`] driver, which applies the §2 filter once and
-    /// feeds every analysis consumer incrementally — the full record
+    /// into one study sink, which applies the §2 filter once per chunk
+    /// and feeds every analysis consumer incrementally — the full record
     /// vector is never materialized; only one emission chunk (an export
     /// hour) is resident at a time. The resulting [`StudyReport`] is
     /// bit-identical to [`Study::run`]'s modulo the volatile phase
     /// timings (compare after [`StudyReport::strip_volatile`]).
     pub fn run_streaming(&self) -> Result<StudyReport, StudyError> {
-        let cfg = &self.config;
-        let days = cfg.sim.days;
-        let hours = days * 24;
-
-        let started = Instant::now();
-        let mut simulation = Simulation::new(cfg.sim);
-        if let Some(registry) = &self.metrics {
-            simulation = simulation.with_metrics(Arc::clone(registry));
-        }
-        if let Some(tracer) = &self.trace {
-            simulation = simulation.with_trace(Arc::clone(tracer));
-        }
-        if let Some(capacity) = self.chunk_capacity {
-            simulation = simulation.with_chunk_capacity(capacity);
-        }
-        let prepared = simulation.prepare();
-
-        let mut timings: Vec<PhaseTiming> = Vec::new();
-        let (products, truth) = {
-            let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
-            let isp_table = analysis_isp_table(&prepared.isp_table);
-            let pipeline = GeolocationPipeline::new(
-                &prepared.germany,
-                &prepared.geodb,
-                &isp_table,
-                prepared.config.plan.prefix_len,
-            );
-
-            let mut series = HourlySeries::new(hours);
-            let mut geo_acc = GeoDayAccumulator::new(&pipeline, days.min(11));
-            let mut persistence = PersistenceAnalysis::new(cfg.persistence_prefix_len, days);
-            let mut outbreak_acc = OutbreakAccumulator::new(
-                &prepared.germany,
-                &pipeline,
-                isp_resolver(&isp_table, prepared.config.plan.prefix_len),
-                days,
-            );
-
-            let (records_in, records_matched, consumer_counts, truth) = {
-                let mut fan = FanOut::new(&filter);
-                fan.register("timeseries", &mut series);
-                fan.register("geoloc", &mut geo_acc);
-                fan.register("persistence", &mut persistence);
-                fan.register("outbreak", &mut outbreak_acc);
-                if let Some(tracer) = &self.trace {
-                    fan.attach_trace(tracer, tracer.thread(0, 200, "analysis"));
-                }
-                let (truth, _stats) = prepared.run_traffic(&mut fan);
-                (
-                    fan.records_in(),
-                    fan.records_matched(),
-                    fan.consumer_counts(),
-                    truth,
-                )
-            };
-            self.record_phase(&mut timings, "phase.simulate_analyze", started.elapsed());
-
-            let geo_10day = geo_acc.result(1, days.min(11));
-            let geo_day1 = geo_acc.result(1, 2);
-
-            if let Some(registry) = &self.metrics {
-                // Streaming-specific counters: one per consumer plus
-                // the driver's own in/matched totals.
-                registry
-                    .counter("analysis.stream.records_in")
-                    .add(records_in);
-                registry
-                    .counter("analysis.stream.records_matched")
-                    .add(records_matched);
-                for (name, count) in &consumer_counts {
-                    registry
-                        .counter(&format!("analysis.stream.{name}.records"))
-                        .add(*count);
-                }
-                // Plus the batch pipeline's counters with identical
-                // values, so dashboards read the same either way.
-                registry
-                    .counter("analysis.filter.records_in")
-                    .add(records_in);
-                registry
-                    .counter("analysis.filter.records_matched")
-                    .add(records_matched);
-                registry
-                    .counter("analysis.timeseries.hours")
-                    .add(u64::from(hours));
-                registry
-                    .counter("analysis.geoloc.attributed_flows")
-                    .add(geo_10day.district_flows.iter().sum::<u64>());
-                registry
-                    .counter("analysis.persistence.prefixes")
-                    .add(persistence.prefix_count() as u64);
-            }
-
-            (
-                AnalysisProducts {
-                    series,
-                    geo_10day,
-                    geo_day1,
-                    persistence,
-                    outbreak: outbreak_acc.into_analysis(),
-                    matching_flows: records_matched,
-                    total_records: records_in,
-                },
-                truth,
-            )
-        };
-
-        // Side data (DNS study, download curve, plan ground truth) for
-        // claim evaluation; `records` stays empty by construction.
-        let sim = prepared.into_output(Vec::new(), truth);
-        self.assemble_report(&sim, products, timings)
+        self.drive(1, None)
     }
 
     /// Runs the sharded streaming pipeline: the router fleet is split
@@ -1158,178 +999,14 @@ impl Study {
     /// All shards anonymize under the common study key
     /// ([`ShardKeyMode::Common`]), so the merged report is identical to
     /// [`Study::run_streaming`]'s after
-    /// [`strip_volatile`](StudyReport::strip_volatile) — and exactly
-    /// identical for `shards == 1`, where the partition is trivial.
+    /// [`strip_volatile`](StudyReport::strip_volatile). One shard is
+    /// exactly [`Study::run_streaming`]: it runs inline, with no worker.
     pub fn run_sharded(&self, shards: usize) -> Result<StudyReport, StudyError> {
-        self.run_sharded_with(shards, ShardKeyMode::Common)
-    }
-
-    /// [`run_sharded`](Study::run_sharded) with an explicit key mode.
-    ///
-    /// Under [`ShardKeyMode::PerShard`] every shard anonymizes with its
-    /// own derived Crypto-PAn key and analyzes against side tables
-    /// re-keyed to match (the paper's per-engine anonymization, §2).
-    /// Claim values then differ slightly from the common-key run: the
-    /// persistence analysis cannot unify a prefix observed by two
-    /// differently-keyed shards.
-    pub fn run_sharded_with(
-        &self,
-        shards: usize,
-        key_mode: ShardKeyMode,
-    ) -> Result<StudyReport, StudyError> {
-        let cfg = &self.config;
-        let routers = cfg.sim.vantage.routers;
-        if shards == 0 || shards > usize::from(routers) {
-            return Err(StudyError::InvalidShardCount {
-                requested: shards,
-                routers,
-            });
-        }
-        let days = cfg.sim.days;
-        let hours = days * 24;
-        let prefix_len = cfg.sim.plan.prefix_len;
-
-        let started = Instant::now();
-        let mut simulation = Simulation::new(cfg.sim);
-        if let Some(registry) = &self.metrics {
-            simulation = simulation.with_metrics(Arc::clone(registry));
-        }
-        if let Some(tracer) = &self.trace {
-            simulation = simulation.with_trace(Arc::clone(tracer));
-        }
-        if let Some(capacity) = self.chunk_capacity {
-            simulation = simulation.with_chunk_capacity(capacity);
-        }
-        let prepared = simulation.prepare();
-
-        let mut timings: Vec<PhaseTiming> = Vec::new();
-        let (products, truth) = {
-            let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
-            let common_table = analysis_isp_table(&prepared.isp_table);
-            // Per-shard side tables, re-keyed to each shard's own Crypto-PAn
-            // key; empty (all shards share the prepared tables) under the
-            // common key.
-            let keyed_tables: Vec<(GeoDb, HashMap<u32, IspInfo>)> = match key_mode {
-                ShardKeyMode::Common => Vec::new(),
-                ShardKeyMode::PerShard => shard_keys(&cfg.sim.vantage.anon_key, shards, key_mode)
-                    .iter()
-                    .map(|key| {
-                        let (geodb, table) = prepared.side_tables_for_key(key);
-                        (geodb, analysis_isp_table(&table))
-                    })
-                    .collect(),
-            };
-            let shard_tables = |i: usize| -> (&GeoDb, &HashMap<u32, IspInfo>) {
-                match key_mode {
-                    ShardKeyMode::Common => (&prepared.geodb, &common_table),
-                    ShardKeyMode::PerShard => (&keyed_tables[i].0, &keyed_tables[i].1),
-                }
-            };
-            let pipelines: Vec<GeolocationPipeline> = (0..shards)
-                .map(|i| {
-                    let (geodb, table) = shard_tables(i);
-                    GeolocationPipeline::new(&prepared.germany, geodb, table, prefix_len)
-                })
-                .collect();
-            let sinks: Vec<ShardConsumers> = (0..shards)
-                .map(|i| {
-                    let (_, table) = shard_tables(i);
-                    ShardConsumers {
-                        filter: &filter,
-                        series: HourlySeries::new(hours),
-                        geo: GeoDayAccumulator::new(&pipelines[i], days.min(11)),
-                        persistence: PersistenceAnalysis::new(cfg.persistence_prefix_len, days),
-                        outbreak: OutbreakAccumulator::new(
-                            &prepared.germany,
-                            &pipelines[i],
-                            Box::new(isp_resolver(table, prefix_len)),
-                            days,
-                        ),
-                        counts: StreamCounts::zeroed(&CONSUMER_NAMES),
-                        records_counter: self
-                            .metrics
-                            .as_ref()
-                            .map(|m| m.counter(&format!("sim.shard.{i:02}.records"))),
-                        trace: self.trace.as_ref().map(|t| {
-                            let buf = t.thread((i + 1) as u32, 2, "analysis");
-                            StageLog::new(t, buf, &CONSUMER_NAMES)
-                        }),
-                        selection: FlowChunk::default(),
-                    }
-                })
-                .collect();
-
-            let (truth, results) = prepared.run_traffic_sharded(key_mode, sinks);
-            self.record_phase(&mut timings, "phase.simulate_analyze", started.elapsed());
-
-            // Deterministic merge: absorb the partials in shard order. Every
-            // accumulator merge is an element-wise monoid operation, so the
-            // result equals a single pass over the union stream.
-            let t = Instant::now();
-            let mut parts = results.into_iter().map(|(sink, _stats)| sink);
-            let mut merged = parts.next().expect("at least one shard");
-            for part in parts {
-                merged.series.absorb(&part.series);
-                merged.geo.absorb(&part.geo);
-                merged.persistence.absorb(&part.persistence);
-                merged.outbreak.absorb(&part.outbreak);
-                merged.counts.absorb(&part.counts);
-            }
-            self.record_phase(&mut timings, "phase.merge", t.elapsed());
-
-            let geo_10day = merged.geo.result(1, days.min(11));
-            let geo_day1 = merged.geo.result(1, 2);
-
-            if let Some(registry) = &self.metrics {
-                // Same counter names and values as the unsharded streaming
-                // run, computed from the merged totals.
-                registry
-                    .counter("analysis.stream.records_in")
-                    .add(merged.counts.records_in);
-                registry
-                    .counter("analysis.stream.records_matched")
-                    .add(merged.counts.records_matched);
-                for (name, count) in &merged.counts.consumers {
-                    registry
-                        .counter(&format!("analysis.stream.{name}.records"))
-                        .add(*count);
-                }
-                registry
-                    .counter("analysis.filter.records_in")
-                    .add(merged.counts.records_in);
-                registry
-                    .counter("analysis.filter.records_matched")
-                    .add(merged.counts.records_matched);
-                registry
-                    .counter("analysis.timeseries.hours")
-                    .add(u64::from(hours));
-                registry
-                    .counter("analysis.geoloc.attributed_flows")
-                    .add(geo_10day.district_flows.iter().sum::<u64>());
-                registry
-                    .counter("analysis.persistence.prefixes")
-                    .add(merged.persistence.prefix_count() as u64);
-            }
-
-            (
-                AnalysisProducts {
-                    series: merged.series,
-                    geo_10day,
-                    geo_day1,
-                    persistence: merged.persistence,
-                    outbreak: merged.outbreak.into_analysis(),
-                    matching_flows: merged.counts.records_matched,
-                    total_records: merged.counts.records_in,
-                },
-                truth,
-            )
-        };
-        let sim = prepared.into_output(Vec::new(), truth);
-        self.assemble_report(&sim, products, timings)
+        self.drive(shards, None)
     }
 
     /// Runs the live windowed pipeline: the same fused simulate+analyze
-    /// stream as [`run_streaming`](Study::run_streaming), but consumed
+    /// stream as [`run_sharded`](Study::run_sharded), but consumed
     /// through a [`WindowedView`] that additionally maintains the
     /// sliding last-N-days window with tiered downsampling, optionally
     /// paced against the wall clock ([`LiveOptions::replay_speed`]) and
@@ -1343,17 +1020,33 @@ impl Study {
     /// 64 days while the sliding window keeps advancing with bounded
     /// resident state; a batch run cannot cover such horizons at all.
     ///
-    /// With `opts.shards > 1` the view is sharded exactly like
-    /// [`run_sharded`](Study::run_sharded) (common anonymization key,
-    /// deterministic absorb-merge in shard order). Pacing is a
-    /// serial-driver feature — sharded runs replay at full speed — but
-    /// both drivers publish interim documents: the sharded one merges
-    /// day-boundary shard snapshots off the hot path and publishes the
-    /// merged state once per simulated day.
+    /// Pacing sleeps at every export-hour checkpoint of every shard, so
+    /// it holds at any shard count. One shard publishes after every
+    /// export hour; with `opts.shards > 1` each shard deposits a
+    /// day-boundary snapshot and a publisher thread merges and
+    /// publishes them off the hot path, once per simulated day.
     pub fn run_live(&self, opts: &LiveOptions) -> Result<StudyReport, StudyError> {
+        self.drive(opts.shards, Some(opts))
+    }
+
+    /// The one streaming driver behind [`run_streaming`],
+    /// [`run_sharded`] and [`run_live`]: set-up, the shard-count check,
+    /// the traffic run, the merge, counter publication and report
+    /// assembly.
+    ///
+    /// One shard runs inline on the caller's thread
+    /// ([`PreparedSim::run_traffic`]); n > 1 shards run one worker each
+    /// ([`PreparedSim::run_traffic_sharded`] under the common key) and
+    /// are merged in shard order. `live` swaps the four study consumers
+    /// for a [`WindowedView`] and attaches pacing and the publisher, so
+    /// non-live runs do no window-tier work.
+    ///
+    /// [`run_streaming`]: Study::run_streaming
+    /// [`run_sharded`]: Study::run_sharded
+    /// [`run_live`]: Study::run_live
+    fn drive(&self, shards: usize, live: Option<&LiveOptions>) -> Result<StudyReport, StudyError> {
         let cfg = &self.config;
         let routers = cfg.sim.vantage.routers;
-        let shards = opts.shards;
         if shards == 0 || shards > usize::from(routers) {
             return Err(StudyError::InvalidShardCount {
                 requested: shards,
@@ -1361,22 +1054,11 @@ impl Study {
             });
         }
         let days = cfg.sim.days;
-        let study_days = days.min(64);
-        let plan_prefix_len = cfg.sim.plan.prefix_len;
+        let prefix_len = cfg.sim.plan.prefix_len;
+        let mailbox = live.and_then(|opts| opts.publish.as_ref());
 
         let started = Instant::now();
-        let mut simulation = Simulation::new(cfg.sim);
-        if let Some(registry) = &self.metrics {
-            simulation = simulation.with_metrics(Arc::clone(registry));
-        }
-        if let Some(tracer) = &self.trace {
-            simulation = simulation.with_trace(Arc::clone(tracer));
-        }
-        if let Some(capacity) = self.chunk_capacity {
-            simulation = simulation.with_chunk_capacity(capacity);
-        }
-        let prepared = simulation.prepare();
-
+        let prepared = self.simulation().prepare();
         let mut timings: Vec<PhaseTiming> = Vec::new();
         let (products, truth, final_snapshot) = {
             let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
@@ -1385,74 +1067,77 @@ impl Study {
                 &prepared.germany,
                 &prepared.geodb,
                 &isp_table,
-                plan_prefix_len,
+                prefix_len,
             );
-            // A concrete `Clone` closure (not the opaque `isp_resolver`
-            // return): the view clones it into its outbreak study tier.
-            let table = &isp_table;
-            let resolver = move |client: Ipv4Addr| {
-                table
-                    .get(&cwa_geo::geodb::mask(client, plan_prefix_len))
-                    .map(|e| e.isp)
-            };
-            let make_sink = |records_counter: Option<Arc<Counter>>| LiveSink {
-                filter: &filter,
-                view: WindowedView::new(
-                    &prepared.germany,
-                    &pipeline,
-                    resolver,
-                    cfg.persistence_prefix_len,
-                    study_days,
-                    opts.window,
-                ),
-                counts: StreamCounts::zeroed(&CONSUMER_NAMES),
-                records_counter,
-                selection: FlowChunk::default(),
-                deposits: None,
-            };
+            let resolver = isp_resolver(&isp_table, prefix_len);
+            let publisher = mailbox.map(|live| LivePublisher {
+                study: self,
+                ctx: ReportContext::from_prepared(&prepared),
+                live: Arc::clone(live),
+            });
+            let queues: Vec<_> = (0..shards)
+                .map(|_| Arc::new(Mutex::new(VecDeque::new())))
+                .collect();
+            let mut sinks: Vec<StudySink<'_, _>> = (0..shards)
+                .map(|i| {
+                    let consumers = match live {
+                        None => Consumers::Study(Box::new(StudyConsumers {
+                            series: HourlySeries::new(days * 24),
+                            geo: GeoDayAccumulator::new(&pipeline, days.min(11)),
+                            persistence: PersistenceAnalysis::new(cfg.persistence_prefix_len, days),
+                            outbreak: OutbreakAccumulator::new(
+                                &prepared.germany,
+                                &pipeline,
+                                resolver,
+                                days,
+                            ),
+                        })),
+                        Some(opts) => Consumers::Live(Box::new(WindowedView::new(
+                            &prepared.germany,
+                            &pipeline,
+                            resolver,
+                            cfg.persistence_prefix_len,
+                            days.min(64),
+                            opts.window,
+                        ))),
+                    };
+                    // Unsharded analysis shares the study's pid 0;
+                    // shard i is Chrome-trace process i+1.
+                    let trace = self.trace.as_ref().map(|t| {
+                        let buf = if shards == 1 {
+                            t.thread(0, 200, "analysis")
+                        } else {
+                            t.thread((i + 1) as u32, 2, "analysis")
+                        };
+                        StageLog::new(t, buf, consumers.stages())
+                    });
+                    StudySink {
+                        filter: &filter,
+                        consumers,
+                        counts: StreamCounts::zeroed(&CONSUMER_NAMES),
+                        records_counter: self
+                            .metrics
+                            .as_ref()
+                            .filter(|_| shards > 1)
+                            .map(|m| m.counter(&format!("sim.shard.{i:02}.records"))),
+                        trace,
+                        selection: FlowChunk::default(),
+                        pace: live
+                            .and_then(|opts| opts.replay_speed)
+                            .map(|speed| Duration::from_secs_f64(3600.0 / speed.max(1e-6))),
+                        publish: match &publisher {
+                            None => Publish::Off,
+                            Some(p) if shards == 1 => Publish::Inline(p),
+                            Some(_) => Publish::Deposit(Arc::clone(&queues[i])),
+                        },
+                    }
+                })
+                .collect();
 
-            let (merged, truth) = if shards == 1 {
-                let mut sink = PacedLiveSink {
-                    inner: make_sink(None),
-                    pace: opts
-                        .replay_speed
-                        .map(|speed| Duration::from_secs_f64(3600.0 / speed.max(1e-6))),
-                    publisher: opts.publish.as_ref().map(|live| LivePublisher {
-                        study: self,
-                        ctx: ReportContext::from_prepared(&prepared),
-                        live: Arc::clone(live),
-                    }),
-                };
-                let (truth, _stats) = prepared.run_traffic(&mut sink);
-                (sink.inner, truth)
+            let (truth, mut parts) = if shards == 1 {
+                let (truth, _stats) = prepared.run_traffic(&mut sinks[0]);
+                (truth, sinks)
             } else {
-                // Interim publication for the sharded driver: each shard
-                // deposits a day-boundary clone of its state into its own
-                // queue, and a publisher thread merges aligned fronts and
-                // publishes while traffic keeps flowing. The real sinks
-                // never see any of this, so the end-of-run merge stays
-                // byte-identical to `run_streaming`.
-                let publisher = opts.publish.as_ref().map(|live| LivePublisher {
-                    study: self,
-                    ctx: ReportContext::from_prepared(&prepared),
-                    live: Arc::clone(live),
-                });
-                let queues: Vec<_> = (0..shards)
-                    .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-                    .collect();
-                let sinks: Vec<_> = (0..shards)
-                    .map(|i| {
-                        let mut sink = make_sink(
-                            self.metrics
-                                .as_ref()
-                                .map(|m| m.counter(&format!("sim.shard.{i:02}.records"))),
-                        );
-                        if publisher.is_some() {
-                            sink.deposits = Some(Arc::clone(&queues[i]));
-                        }
-                        sink
-                    })
-                    .collect();
                 let stop = AtomicBool::new(false);
                 let (truth, results) = std::thread::scope(|scope| {
                     let pump = publisher.as_ref().map(|p| {
@@ -1475,82 +1160,52 @@ impl Study {
                     }
                     out
                 });
-                let mut parts = results.into_iter().map(|(sink, _stats)| sink);
-                let mut merged = parts.next().expect("at least one shard");
-                for part in parts {
-                    merged.view.absorb(&part.view);
-                    merged.counts.absorb(&part.counts);
-                }
-                (merged, truth)
+                (
+                    truth,
+                    results.into_iter().map(|(sink, _stats)| sink).collect(),
+                )
             };
             self.record_phase(&mut timings, "phase.simulate_analyze", started.elapsed());
 
-            let geo_10day = merged.view.geo.result(1, days.min(11));
-            let geo_day1 = merged.view.geo.result(1, 2);
-            let snapshot = merged.view.snapshot();
-
-            if let Some(registry) = &self.metrics {
-                // Same counter names and values as the streaming run.
-                registry
-                    .counter("analysis.stream.records_in")
-                    .add(merged.counts.records_in);
-                registry
-                    .counter("analysis.stream.records_matched")
-                    .add(merged.counts.records_matched);
-                for (name, count) in &merged.counts.consumers {
-                    registry
-                        .counter(&format!("analysis.stream.{name}.records"))
-                        .add(*count);
+            // Deterministic merge: absorb the partials in shard order.
+            // Every accumulator merge is an element-wise monoid
+            // operation, so the result equals a single pass over the
+            // union stream.
+            let mut merged = parts.remove(0);
+            if !parts.is_empty() {
+                let t = Instant::now();
+                for part in &parts {
+                    merged.consumers.absorb(&part.consumers);
+                    merged.counts.absorb(&part.counts);
                 }
-                registry
-                    .counter("analysis.filter.records_in")
-                    .add(merged.counts.records_in);
-                registry
-                    .counter("analysis.filter.records_matched")
-                    .add(merged.counts.records_matched);
-                registry
-                    .counter("analysis.timeseries.hours")
-                    .add(u64::from(study_days * 24));
-                registry
-                    .counter("analysis.geoloc.attributed_flows")
-                    .add(geo_10day.district_flows.iter().sum::<u64>());
-                registry
-                    .counter("analysis.persistence.prefixes")
-                    .add(merged.view.persistence.prefix_count() as u64);
+                self.record_phase(&mut timings, "phase.merge", t.elapsed());
             }
-
-            let counts = merged.counts;
-            let view = merged.view;
-            (
-                AnalysisProducts {
-                    series: view.series,
-                    geo_10day,
-                    geo_day1,
-                    persistence: view.persistence,
-                    outbreak: view.outbreak.into_analysis(),
-                    matching_flows: counts.records_matched,
-                    total_records: counts.records_in,
-                },
-                truth,
-                snapshot,
-            )
+            let final_snapshot = match &merged.consumers {
+                Consumers::Live(view) => Some(view.snapshot()),
+                Consumers::Study(_) => None,
+            };
+            let products = merged.consumers.into_products(days, &merged.counts);
+            self.publish_stream_counters(&merged.counts, &products);
+            (products, truth, final_snapshot)
         };
 
+        // Side data (DNS study, download curve, plan ground truth) for
+        // claim evaluation; `records` stays empty by construction.
         let sim = prepared.into_output(Vec::new(), truth);
         let report = self.assemble_report(&sim, products, timings)?;
-        if let Some(live) = &opts.publish {
+        if let (Some(live), Some(snapshot)) = (mailbox, final_snapshot) {
             // The served end state is exactly the returned report.
             let _span = self.metrics.as_ref().map(|m| m.span("live.publish_ns"));
             let window = evaluate_window_claims(
                 &ReportContext::from_output(&sim),
-                &final_snapshot.window,
+                &snapshot.window,
                 report.matching_flows,
             );
-            crate::live::publish_figures(live, &final_snapshot);
+            crate::live::publish_figures(live, &snapshot);
             live.publish_report(crate::live::render_report(
                 &report,
-                final_snapshot.day,
-                final_snapshot.hours_seen,
+                snapshot.day,
+                snapshot.hours_seen,
                 days,
                 true,
                 &window,
@@ -1560,6 +1215,35 @@ impl Study {
             }
         }
         Ok(report)
+    }
+
+    /// Publishes one stream pass's totals: the `analysis.stream.*`
+    /// counters, plus the batch pipeline's `analysis.*` counters with
+    /// identical values so dashboards read the same either way.
+    fn publish_stream_counters(&self, counts: &StreamCounts, products: &AnalysisProducts) {
+        let Some(registry) = &self.metrics else {
+            return;
+        };
+        let add = |name: &str, value: u64| registry.counter(name).add(value);
+        add("analysis.stream.records_in", counts.records_in);
+        add("analysis.stream.records_matched", counts.records_matched);
+        for (name, count) in &counts.consumers {
+            add(&format!("analysis.stream.{name}.records"), *count);
+        }
+        add("analysis.filter.records_in", counts.records_in);
+        add("analysis.filter.records_matched", counts.records_matched);
+        add(
+            "analysis.timeseries.hours",
+            products.series.flows.len() as u64,
+        );
+        add(
+            "analysis.geoloc.attributed_flows",
+            products.geo_10day.district_flows.iter().sum(),
+        );
+        add(
+            "analysis.persistence.prefixes",
+            products.persistence.prefix_count() as u64,
+        );
     }
 
     /// Claim evaluation, figures, and manifest assembly — shared
@@ -1943,7 +1627,6 @@ impl Study {
             seed: sim.config.seed,
             scale: sim.config.scale,
             days: sim.config.days,
-            parallel: sim.config.parallel,
             config_hash,
             phase_timings: timings,
         };
@@ -1979,6 +1662,116 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cwa_geo::{AddressPlanConfig, GeoDb, GeoDbConfig};
+    use cwa_netflow::flow::{FlowKey, Protocol};
+
+    /// The sink's stage timing is observation-only and flushes at
+    /// checkpoints: a traced chunked sink keeps the counts of an
+    /// untraced one fed record by record, its coalesced spans appear at
+    /// the checkpoint, and an empty stream is well-formed.
+    #[test]
+    fn study_sink_flushes_trace_at_checkpoints_and_handles_empty_streams() {
+        let germany = Germany::build();
+        let plan = AddressPlan::build(
+            &germany,
+            AddressPlanConfig {
+                persons_per_subscription: 2.0,
+                prefix_capacity: 16_384,
+                prefix_len: 18,
+            },
+        );
+        let geodb = GeoDb::build(&germany, &plan, GeoDbConfig::default());
+        let isp_table = HashMap::new();
+        let pipeline = GeolocationPipeline::new(&germany, &geodb, &isp_table, 18);
+        let filter = FlowFilter::cwa(vec![(Ipv4Addr::new(81, 200, 16, 0), 22)]);
+        let sink = |trace: Option<StageLog>| StudySink {
+            filter: &filter,
+            consumers: Consumers::Study(Box::new(StudyConsumers {
+                series: HourlySeries::new(48),
+                geo: GeoDayAccumulator::new(&pipeline, 2),
+                persistence: PersistenceAnalysis::new(24, 2),
+                outbreak: OutbreakAccumulator::new(
+                    &germany,
+                    &pipeline,
+                    isp_resolver(&isp_table, 18),
+                    2,
+                ),
+            })),
+            counts: StreamCounts::zeroed(&CONSUMER_NAMES),
+            records_counter: None,
+            trace,
+            selection: FlowChunk::default(),
+            pace: None,
+            publish: Publish::Off,
+        };
+        let rec = |server: Ipv4Addr| FlowRecord {
+            key: FlowKey {
+                src_ip: server,
+                dst_ip: plan.allocations()[0].host(1),
+                src_port: 443,
+                dst_port: 50_000,
+                protocol: Protocol::Tcp,
+            },
+            packets: 1,
+            bytes: 700,
+            first_ms: 3_600_000,
+            last_ms: 3_600_100,
+            tcp_flags: 0x18,
+        };
+        // Two CWA responses around one background flow.
+        let records = [
+            rec(Ipv4Addr::new(81, 200, 16, 1)),
+            rec(Ipv4Addr::new(203, 0, 113, 9)),
+            rec(Ipv4Addr::new(81, 200, 16, 2)),
+        ];
+
+        let tracer = Tracer::new();
+        let log = StageLog::new(&tracer, tracer.thread(1, 2, "analysis"), &CONSUMER_NAMES);
+        let mut traced = sink(Some(log));
+        let mut chunk = FlowChunk::default();
+        for r in &records {
+            chunk.push(r);
+        }
+        traced.observe_chunk(&chunk);
+        assert!(
+            !tracer.to_chrome_json().contains("\"analyze\""),
+            "stage time is coalesced until the checkpoint"
+        );
+        traced.checkpoint();
+        let json = tracer.to_chrome_json();
+        for name in [
+            "\"filter\"",
+            "\"analyze\"",
+            "\"timeseries\"",
+            "\"outbreak\"",
+        ] {
+            assert!(json.contains(name), "missing {name} in {json}");
+        }
+        traced.finish();
+
+        let mut plain = sink(None);
+        for r in &records {
+            plain.observe(r);
+        }
+        assert_eq!(traced.counts, plain.counts);
+        assert_eq!(traced.counts.records_in, 3);
+        assert_eq!(traced.counts.records_matched, 2);
+        assert!(traced.counts.consumers.iter().all(|&(_, n)| n == 2));
+        let products = traced.consumers.into_products(2, &traced.counts);
+        assert_eq!(products.series.total_flows(), 2);
+        assert_eq!(products.series.flows[1], 2);
+
+        let tracer = Tracer::new();
+        let log = StageLog::new(&tracer, tracer.thread(1, 2, "analysis"), &CONSUMER_NAMES);
+        let mut empty = sink(Some(log));
+        empty.checkpoint();
+        empty.finish();
+        assert!(!tracer.to_chrome_json().contains("\"filter\""));
+        assert_eq!(empty.counts, StreamCounts::zeroed(&CONSUMER_NAMES));
+        let products = empty.consumers.into_products(2, &empty.counts);
+        assert_eq!((products.matching_flows, products.total_records), (0, 0));
+        assert_eq!(products.persistence.prefix_count(), 0);
+    }
 
     /// One shared small run for all study-level assertions (the full
     /// claim-by-claim validation lives in the integration tests).

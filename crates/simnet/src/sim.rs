@@ -133,9 +133,6 @@ pub struct SimConfig {
     pub geodb: GeoDbConfig,
     /// Vantage-point (sampling/cache/anonymization) settings.
     pub vantage: VantageConfig,
-    /// Drive the vantage point with one crossbeam worker per router
-    /// (bit-identical output, faster at large scales).
-    pub parallel: bool,
     /// Adoption-curve family and parameters.
     pub adoption: AdoptionConfig,
     /// Scenario-tunable traffic knobs.
@@ -156,7 +153,6 @@ impl Default for SimConfig {
             plan: AddressPlanConfig::default(),
             geodb: GeoDbConfig::default(),
             vantage: VantageConfig::default(),
-            parallel: false,
             adoption: AdoptionConfig::default(),
             traffic: TrafficTuning::default(),
             cdn_migration: None,
@@ -373,8 +369,6 @@ impl Simulation {
             cdn,
             activity,
             export_sizes,
-            geodb_raw: geodb,
-            router_map: routers,
         }
     }
 }
@@ -412,11 +406,6 @@ pub struct PreparedSim {
     pub cdn: CdnConfig,
     activity: ActivityModel,
     export_sizes: Vec<f64>,
-    /// Raw (non-anonymized) geolocation DB — kept so side tables can be
-    /// re-keyed for shards with their own anonymization keys.
-    geodb_raw: GeoDb,
-    /// Realistic router map used for ground-truth side-table entries.
-    router_map: cwa_geo::RouterMap,
 }
 
 impl PreparedSim {
@@ -427,9 +416,8 @@ impl PreparedSim {
     /// run statistics (including the collector's peak resident record
     /// count).
     ///
-    /// Record order is identical between the serial and parallel
-    /// drivers and identical to the batch [`Simulation::run`] (which is
-    /// this method with a `Vec` sink).
+    /// Record order is identical to the batch [`Simulation::run`] (which
+    /// is this method with a `Vec` sink).
     pub fn run_traffic(&self, sink: &mut dyn FlowSink) -> (GroundTruth, VantageRunStats) {
         let cfg = self.config;
         let timeline = Timeline { days: cfg.days };
@@ -454,7 +442,7 @@ impl PreparedSim {
         if let Some(tracer) = &self.trace {
             vantage.set_trace(std::sync::Arc::clone(tracer));
         }
-        let model = TrafficModel::new(
+        let mut model = TrafficModel::new(
             &self.germany,
             &self.plan,
             &self.scenario,
@@ -465,53 +453,46 @@ impl PreparedSim {
             timeline.hours(),
         )
         .with_export_sizes(&self.export_sizes);
-        let (truth, run_stats) = if cfg.parallel {
-            crate::vantage::run_parallel_into(model, vantage, timeline.hours(), sink)
-        } else {
-            let mut vantage = vantage;
-            let mut model = model;
-            let progress = self
-                .metrics
-                .as_ref()
-                .map(|r| crate::vantage::ProgressGauges::new(r, timeline.hours()));
-            // Serial driver: the whole day loop lives on one thread
-            // (pid 0, tid 0) — produce/export/drain spans per hour.
-            let tr = self.trace.as_ref().map(|t| {
-                t.set_process_name(0, "simulation");
-                let tr = ThreadTrace::new(t, 0, 0, "day-loop");
-                vantage.trace_collector_onto(t, std::sync::Arc::clone(&tr.buf));
-                tr
-            });
-            for hour in 0..timeline.hours() {
-                let produce_start = tr.as_ref().map(|tr| tr.buf.now_ns());
-                model.generate_hour(hour, &mut |ev| vantage.observe(ev));
-                if let (Some(tr), Some(start)) = (&tr, produce_start) {
-                    tr.span_since(tr.produce, start);
-                }
-                let export_start = tr.as_ref().map(|tr| tr.buf.now_ns());
-                vantage.end_of_hour(hour);
-                if let (Some(tr), Some(start)) = (&tr, export_start) {
-                    tr.span_since(tr.export, start);
-                }
-                let drain_start = tr.as_ref().map(|tr| tr.buf.now_ns());
-                vantage.drain_records_into(sink);
-                sink.checkpoint();
-                if let (Some(tr), Some(start)) = (&tr, drain_start) {
-                    tr.span_since(tr.drain, start);
-                }
-                if let Some(p) = &progress {
-                    p.hour_done(hour);
-                }
+        let progress = self
+            .metrics
+            .as_ref()
+            .map(|r| crate::vantage::ProgressGauges::new(r, timeline.hours()));
+        // Serial driver: the whole day loop lives on one thread
+        // (pid 0, tid 0) — produce/export/drain spans per hour.
+        let tr = self.trace.as_ref().map(|t| {
+            t.set_process_name(0, "simulation");
+            let tr = ThreadTrace::new(t, 0, 0, "day-loop");
+            vantage.trace_collector_onto(t, std::sync::Arc::clone(&tr.buf));
+            tr
+        });
+        for hour in 0..timeline.hours() {
+            let produce_start = tr.as_ref().map(|tr| tr.buf.now_ns());
+            model.generate_hour(hour, &mut |ev| vantage.observe(ev));
+            if let (Some(tr), Some(start)) = (&tr, produce_start) {
+                tr.span_since(tr.produce, start);
             }
-            let truth = model.into_truth();
-            let finish_start = tr.as_ref().map(|tr| tr.buf.now_ns());
-            let stats = vantage.finish_into(timeline.hours() - 1, sink);
+            let export_start = tr.as_ref().map(|tr| tr.buf.now_ns());
+            vantage.end_of_hour(hour);
+            if let (Some(tr), Some(start)) = (&tr, export_start) {
+                tr.span_since(tr.export, start);
+            }
+            let drain_start = tr.as_ref().map(|tr| tr.buf.now_ns());
+            vantage.drain_records_into(sink);
             sink.checkpoint();
-            if let (Some(tr), Some(start)) = (&tr, finish_start) {
-                tr.span_since(tr.finish, start);
+            if let (Some(tr), Some(start)) = (&tr, drain_start) {
+                tr.span_since(tr.drain, start);
             }
-            (truth, stats)
-        };
+            if let Some(p) = &progress {
+                p.hour_done(hour);
+            }
+        }
+        let truth = model.into_truth();
+        let finish_start = tr.as_ref().map(|tr| tr.buf.now_ns());
+        let run_stats = vantage.finish_into(timeline.hours() - 1, sink);
+        sink.checkpoint();
+        if let (Some(tr), Some(start)) = (&tr, finish_start) {
+            tr.span_since(tr.finish, start);
+        }
         if let Some(registry) = &self.metrics {
             publish_vantage_counters(registry, &run_stats);
         }
@@ -598,19 +579,6 @@ impl PreparedSim {
         (truth, results)
     }
 
-    /// Re-keys the side tables (geolocation DB + prefix → ISP table)
-    /// under an explicit Crypto-PAn key — what the operator hands over
-    /// for a shard that anonymizes under its own key
-    /// ([`ShardKeyMode::PerShard`]).
-    pub fn side_tables_for_key(&self, key: &[u8; 32]) -> (GeoDb, HashMap<u32, IspSideEntry>) {
-        side_tables_with(
-            &CryptoPan::new(key),
-            &self.plan,
-            &self.geodb_raw,
-            Some(&self.router_map),
-        )
-    }
-
     /// Assembles a [`SimOutput`] from this world plus the traffic run's
     /// products. `records` may be empty when the run was streamed into
     /// analysis consumers instead of materialized.
@@ -633,8 +601,8 @@ impl PreparedSim {
 }
 
 /// Publishes a run's cache/transport statistics to the registry under
-/// the shared counter names — one code path for the serial, parallel
-/// and sharded drivers, so their observability output is comparable.
+/// the shared counter names — one code path for the serial and sharded
+/// drivers, so their observability output is comparable.
 fn publish_vantage_counters(registry: &cwa_obs::Registry, stats: &VantageRunStats) {
     let c = stats.cache;
     registry
@@ -817,92 +785,93 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_serial() {
-        let base = SimConfig {
-            days: 3,
-            ..SimConfig::test_small()
-        };
-        let serial = Simulation::new(base).run();
-        let parallel = Simulation::new(SimConfig {
-            parallel: true,
-            ..base
-        })
-        .run();
-        assert_eq!(serial.records, parallel.records, "bit-identical records");
-        assert_eq!(serial.truth.api_flows, parallel.truth.api_flows);
-        assert_eq!(
-            serial.truth.cwa_flows_by_hour,
-            parallel.truth.cwa_flows_by_hour
-        );
-    }
-
-    #[test]
     fn metrics_do_not_perturb_determinism() {
+        use std::collections::BTreeMap;
         use std::sync::Arc;
         let base = SimConfig {
             days: 3,
             ..SimConfig::test_small()
         };
+        let sort_key = |r: &FlowRecord| {
+            (
+                r.first_ms,
+                r.last_ms,
+                r.key,
+                r.bytes,
+                r.packets,
+                r.tcp_flags,
+            )
+        };
+        // The 2-shard driver's record multiset, sorted for comparison.
+        let sharded = |registry: Option<&Arc<cwa_obs::Registry>>| {
+            let mut simulation = Simulation::new(base);
+            if let Some(registry) = registry {
+                simulation = simulation.with_metrics(Arc::clone(registry));
+            }
+            let (truth, results) = simulation
+                .prepare()
+                .run_traffic_sharded(ShardKeyMode::Common, vec![Vec::<FlowRecord>::new(); 2]);
+            let mut records: Vec<FlowRecord> = results.into_iter().flat_map(|(r, _)| r).collect();
+            records.sort_by_key(sort_key);
+            (records, truth)
+        };
 
         let plain_serial = Simulation::new(base).run();
-        let plain_parallel = Simulation::new(SimConfig {
-            parallel: true,
-            ..base
-        })
-        .run();
-
         let reg_serial = Arc::new(cwa_obs::Registry::new());
         let metered_serial = Simulation::new(base)
             .with_metrics(Arc::clone(&reg_serial))
             .run();
-        let reg_parallel = Arc::new(cwa_obs::Registry::new());
-        let metered_parallel = Simulation::new(SimConfig {
-            parallel: true,
-            ..base
-        })
-        .with_metrics(Arc::clone(&reg_parallel))
-        .run();
+        let (plain_sharded, _) = sharded(None);
+        let reg_sharded = Arc::new(cwa_obs::Registry::new());
+        let (metered_sharded, metered_truth) = sharded(Some(&reg_sharded));
 
-        // Bit-identical records across all four combinations of
-        // {serial, parallel} × {metrics off, metrics on}.
+        // Records are identical across {serial, 2 shards} × {metrics
+        // off, metrics on}: bit for bit serially, as a multiset sharded.
         assert_eq!(
             plain_serial.records, metered_serial.records,
             "serial: metrics on == off"
         );
-        assert_eq!(
-            plain_serial.records, plain_parallel.records,
-            "parallel == serial"
-        );
-        assert_eq!(
-            plain_serial.records, metered_parallel.records,
-            "metered parallel == serial"
-        );
-        assert_eq!(
-            plain_serial.truth.api_flows,
-            metered_parallel.truth.api_flows
-        );
+        let mut expected = plain_serial.records.clone();
+        expected.sort_by_key(sort_key);
+        assert_eq!(expected, plain_sharded, "2 shards == serial");
+        assert_eq!(expected, metered_sharded, "metered 2 shards == serial");
+        assert_eq!(plain_serial.truth.api_flows, metered_truth.api_flows);
 
-        // The logical counters themselves agree between drivers (only
-        // wall-clock worker timers may differ).
-        for name in [
-            "simnet.traffic.flow_events",
-            "simnet.traffic.flow_events.day00",
-            "simnet.router.00.sampled_packets",
-            "simnet.router.00.unsampled_packets",
-            "simnet.cache.evictions",
-            "simnet.cache.packets_seen",
-            "netflow.collector.records",
-            "netflow.collector.anonymized_addresses",
-            "netflow.collector.sequence_lost",
-        ] {
-            assert_eq!(
-                reg_serial.counter(name).get(),
-                reg_parallel.counter(name).get(),
-                "counter {name} must not depend on the driver"
+        // The logical counters agree between drivers. The Crypto-PAn
+        // memo is per collector, so shards split its hits and misses
+        // differently; only their sum, one lookup per address, is
+        // logical.
+        let logical = |registry: &cwa_obs::Registry| -> BTreeMap<String, i64> {
+            let mut counters: BTreeMap<String, i64> = registry
+                .sample()
+                .into_iter()
+                .filter(|(name, _)| {
+                    [
+                        "simnet.traffic.",
+                        "simnet.router.",
+                        "simnet.cache.",
+                        "netflow.collector.",
+                    ]
+                    .iter()
+                    .any(|prefix| name.starts_with(prefix))
+                })
+                .collect();
+            let hits = counters.remove("netflow.collector.cryptopan_cache_hits");
+            let misses = counters.remove("netflow.collector.cryptopan_cache_misses");
+            counters.insert(
+                "cryptopan lookups".to_owned(),
+                hits.unwrap_or(0) + misses.unwrap_or(0),
             );
-        }
+            counters
+        };
+        let serial_counters = logical(&reg_serial);
+        assert!(serial_counters.len() > 10, "{serial_counters:?}");
+        assert_eq!(
+            serial_counters,
+            logical(&reg_sharded),
+            "logical counters must not depend on the driver"
+        );
         assert!(reg_serial.counter("simnet.traffic.flow_events").get() > 0);
-        assert!(reg_serial.counter("netflow.collector.records").get() > 0);
         assert_eq!(
             reg_serial.counter("netflow.collector.records").get(),
             plain_serial.records.len() as u64,

@@ -234,9 +234,6 @@ impl<'a> TrafficModel<'a> {
 
         let national_media = self.scenario.national_media_factor(hour);
         let local_extras = self.scenario.local_media_extras(hour);
-        let national_web_base = 1.0; // media applied per-district below
-
-        let _ = national_web_base;
 
         for ai in 0..self.plan.allocations().len() {
             let alloc = self.plan.allocations()[ai];

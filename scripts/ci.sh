@@ -16,6 +16,12 @@ cargo build --release --workspace
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> cargo test (perfbench)"
+# perfbench is its own workspace, so the workspace build never compiles
+# it; an API break in the crates it drives must fail here, not when the
+# benchmark runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> streaming + sharded equivalence (batch == streaming == sharded)"
 cargo test -q --test streaming
 cargo test -q --test merge_prop
@@ -28,13 +34,33 @@ echo "==> sampler distribution smoke (exact Poisson/binomial/normal moments + ta
 # magnitude slower and the distributions cannot differ.
 cargo test -q -p cwa-samplers --release
 
-echo "==> streaming scale-sweep smoke (claims must pass end to end)"
+echo "==> driver smoke (claims pass; --streaming == --shards 2 == --live --shards 2)"
 # 0.02 is the smallest scale at which every cell clears its min_support
 # threshold (the full claim table evaluates). Below it, starved cells
 # degrade into per-claim Starved verdicts — exit 0 without --strict —
 # covered by tests/streaming.rs::starved_scale_degrades_identically_across_paths.
-./target/release/cwa-repro study --scale 0.02 --streaming > /dev/null
-./target/release/cwa-repro study --scale 0.03 --streaming --parallel > /dev/null
+# One streaming driver serves all three modes, so each must write the
+# same report.json once the wall-clock phase timings are dropped.
+DRIVERS_DIR="$(mktemp -d /tmp/cwa-drivers.XXXXXX)"
+./target/release/cwa-repro study --scale 0.02 --streaming --out "$DRIVERS_DIR/streaming" > /dev/null
+./target/release/cwa-repro study --scale 0.02 --shards 2 --out "$DRIVERS_DIR/sharded" > /dev/null
+./target/release/cwa-repro study --scale 0.02 --live --shards 2 --out "$DRIVERS_DIR/live" > /dev/null
+python3 - "$DRIVERS_DIR" <<'EOF'
+import json, os, sys
+def report(mode):
+    doc = json.load(open(os.path.join(sys.argv[1], mode, "report.json")))
+    del doc["manifest"]["phase_timings"]
+    return json.dumps(doc, sort_keys=True)
+streaming = report("streaming")
+for mode in ("sharded", "live"):
+    assert report(mode) == streaming, f"{mode} report.json differs from --streaming"
+print("    --streaming, --shards 2 and --live --shards 2 wrote the same report.json")
+EOF
+rm -rf "$DRIVERS_DIR"
+# An unknown flag must exit non-zero, not be ignored.
+if ./target/release/cwa-repro study --scale 0.02 --parallel > /dev/null 2>&1; then
+    echo "study accepted the unknown flag --parallel"; exit 1
+fi
 
 echo "==> starved-scale degradation smoke (0.005 must degrade, not abort)"
 STARVED_OUT="$(mktemp /tmp/cwa-starved.XXXXXX.txt)"
@@ -253,7 +279,7 @@ fi
 
 echo "==> chunked-pipeline smoke (scale 0.2 streaming)"
 # One order of magnitude above the bench scale: exercises the columnar
-# chunk path (collector pack -> FanOut select_into -> per-consumer
+# chunk path (collector pack -> study sink select_into -> per-consumer
 # observe_chunk) long enough for the Crypto-PAn prefix cache to matter.
 ./target/release/cwa-repro study --scale 0.2 --streaming > /dev/null
 

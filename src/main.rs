@@ -1,7 +1,7 @@
 //! `cwa-repro` — command-line front end for the reproduction.
 //!
 //! ```text
-//! cwa-repro study [--scale S] [--seed N] [--parallel] [--streaming] [--shards N] [--out DIR] [--metrics FILE] [--trace FILE]
+//! cwa-repro study [--scale S] [--seed N] [--streaming] [--shards N] [--out DIR] [--metrics FILE] [--trace FILE]
 //!                 [--strict] [--scenario FILE]
 //!                 [--live] [--replay-speed N] [--days N|inf]
 //!                 [--serve ADDR] [--heartbeat-ms N] [--heartbeat-jsonl FILE] [--serve-linger-ms N]
@@ -47,7 +47,7 @@ fn usage() -> String {
     "cwa-repro — reproduction of the SIGCOMM'20 Corona-Warn-App measurement study\n\
      \n\
      USAGE:\n\
-     \x20 cwa-repro study [--scale S] [--seed N] [--parallel] [--streaming] [--shards N] [--out DIR] [--metrics FILE] [--trace FILE]\n\
+     \x20 cwa-repro study [--scale S] [--seed N] [--streaming] [--shards N] [--out DIR] [--metrics FILE] [--trace FILE]\n\
      \x20     run the full study and print the paper-vs-measured report;\n\
      \x20     --streaming fuses simulate+analyze into one single-pass\n\
      \x20     pipeline that never materializes the full record set\n\
@@ -67,7 +67,8 @@ fn usage() -> String {
      \x20     /report and /figures/{adoption,geo,outbreak}; the end state\n\
      \x20     equals the batch --streaming report; --replay-speed N paces\n\
      \x20     the replay at N× simulated time (an export hour every\n\
-     \x20     3600/N wall seconds; default: as fast as possible) and\n\
+     \x20     3600/N wall seconds, at any --shards count; default: as\n\
+     \x20     fast as possible) and\n\
      \x20     --days N|inf stretches the horizon (`inf` ≈ ten years; the\n\
      \x20     sliding window keeps resident state bounded regardless);\n\
      \x20     --serve ADDR starts a live-telemetry HTTP server (endpoints\n\
@@ -116,7 +117,58 @@ fn usage() -> String {
         .to_owned()
 }
 
-/// Minimal `--key value` / `--flag` parser.
+/// `study`'s switches (flags without a value).
+const STUDY_SWITCHES: &[&str] = &["--streaming", "--strict", "--live"];
+/// `study`'s flags that take a value.
+const STUDY_OPTIONS: &[&str] = &[
+    "--scale",
+    "--seed",
+    "--shards",
+    "--out",
+    "--metrics",
+    "--trace",
+    "--scenario",
+    "--replay-speed",
+    "--days",
+    "--serve",
+    "--heartbeat-ms",
+    "--heartbeat-jsonl",
+    "--serve-linger-ms",
+];
+/// `sweep`'s flags, all of which take a value.
+const SWEEP_OPTIONS: &[&str] = &[
+    "--scenarios",
+    "--scale",
+    "--seed",
+    "--seeds",
+    "--shards",
+    "--json",
+];
+
+/// Checks every argument against a subcommand's flag set: each must be
+/// one of `switches`, or one of `options` followed by its value. Names
+/// the first unknown flag, value flag without a value, or stray word.
+fn check_args(args: &[String], switches: &[&str], options: &[&str]) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        if switches.contains(&arg) {
+            i += 1;
+        } else if options.contains(&arg) {
+            match args.get(i + 1) {
+                Some(value) if !value.starts_with("--") => i += 2,
+                _ => return Err(format!("`{arg}` needs a value")),
+            }
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag `{arg}`"));
+        } else {
+            return Err(format!("unexpected argument `{arg}`"));
+        }
+    }
+    Ok(())
+}
+
+/// Minimal `--key value` / `--flag` parser (after [`check_args`]).
 fn opt(args: &[String], key: &str) -> Option<String> {
     args.iter()
         .position(|a| a == key)
@@ -129,6 +181,10 @@ fn flag(args: &[String], key: &str) -> bool {
 }
 
 fn study(args: &[String]) -> ExitCode {
+    if let Err(e) = check_args(args, STUDY_SWITCHES, STUDY_OPTIONS) {
+        eprintln!("study: {e} (see `cwa-repro help`)");
+        return ExitCode::FAILURE;
+    }
     let scale: f64 = match opt(args, "--scale").map(|s| s.parse()) {
         Some(Ok(s)) if s > 0.0 && s <= 1.0 => s,
         None => 0.02,
@@ -147,7 +203,6 @@ fn study(args: &[String]) -> ExitCode {
             }
         }
     }
-    config.sim.parallel = flag(args, "--parallel");
     let strict = flag(args, "--strict");
     if let Some(path) = opt(args, "--scenario") {
         let text = match std::fs::read_to_string(&path) {
@@ -445,6 +500,10 @@ fn study(args: &[String]) -> ExitCode {
 }
 
 fn sweep(args: &[String]) -> ExitCode {
+    if let Err(e) = check_args(args, &[], SWEEP_OPTIONS) {
+        eprintln!("sweep: {e} (see `cwa-repro help`)");
+        return ExitCode::FAILURE;
+    }
     let Some(path) = opt(args, "--scenarios") else {
         eprintln!("sweep requires --scenarios FILE (a [[scenario]] matrix)");
         return ExitCode::FAILURE;
@@ -1221,6 +1280,55 @@ mod tests {
         "queue.depth":{"type":"gauge","value":-2},
         "sizes":{"type":"histogram","count":4,"sum":40,"min":10,"max":10,"buckets":[]},
         "phase.analyze":{"type":"timer","count":1,"total_ns":1000000,"mean_ns":1000000}}}"#;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn study_and_sweep_accept_their_own_flags() {
+        let study = argv(
+            "--scale 0.02 --seed 7 --streaming --shards 2 --out d --metrics m.json \
+             --trace t.json --strict --scenario s.toml --live --replay-speed 3600 \
+             --days inf --serve 127.0.0.1:0 --heartbeat-ms 100 \
+             --heartbeat-jsonl h.jsonl --serve-linger-ms 0",
+        );
+        assert_eq!(check_args(&study, STUDY_SWITCHES, STUDY_OPTIONS), Ok(()));
+        let sweep =
+            argv("--scenarios s.toml --scale 0.01 --seed 1 --seeds 3 --shards 2 --json t.json");
+        assert_eq!(check_args(&sweep, &[], SWEEP_OPTIONS), Ok(()));
+        assert_eq!(check_args(&[], STUDY_SWITCHES, STUDY_OPTIONS), Ok(()));
+    }
+
+    #[test]
+    fn bad_arguments_are_named() {
+        let study = |line: &str| check_args(&argv(line), STUDY_SWITCHES, STUDY_OPTIONS);
+        assert_eq!(
+            study("--scale 0.02 --streaming --paralel"),
+            Err("unknown flag `--paralel`".to_owned())
+        );
+        assert_eq!(
+            study("--parallel"),
+            Err("unknown flag `--parallel`".to_owned())
+        );
+        assert_eq!(
+            study("--scale 0.02 --metrics"),
+            Err("`--metrics` needs a value".to_owned())
+        );
+        assert_eq!(
+            study("--metrics --out dir"),
+            Err("`--metrics` needs a value".to_owned())
+        );
+        assert_eq!(
+            study("--scale 0.02 streaming"),
+            Err("unexpected argument `streaming`".to_owned())
+        );
+        // Each subcommand checks against its own flag set.
+        assert_eq!(
+            check_args(&argv("--scenarios s.toml --live"), &[], SWEEP_OPTIONS),
+            Err("unknown flag `--live`".to_owned())
+        );
+    }
 
     #[test]
     fn flatten_matches_registry_sample_layout() {

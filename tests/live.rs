@@ -7,7 +7,7 @@
 //! the replay.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cwa_repro::core::live::{LiveOptions, LIVE_FIGURE_SCHEMA, LIVE_REPORT_SCHEMA};
 use cwa_repro::core::{Study, StudyConfig};
@@ -231,4 +231,34 @@ fn paced_replay_publishes_advancing_documents() {
     // An interim (not-done) report was served before the final one.
     let body = live.report().expect("report published");
     assert!(body.contains("\"done\": true"));
+}
+
+/// Pacing holds at any shard count: every shard worker sleeps once per
+/// export hour at its checkpoint (the bounded feed channels carry that
+/// back to the generator), so a paced 2-shard replay takes at least
+/// hours × pace of wall clock.
+#[test]
+fn paced_sharded_replay_takes_hours_times_pace() {
+    let mut config = StudyConfig::test_small();
+    config.sim.days = 2;
+    let hours = config.sim.days * 24;
+    // 50 ms of wall clock per simulated hour: at least 2.4 s for the
+    // 48-hour replay, several times what the unpaced replay takes.
+    let speed = 72_000.0;
+    let pace = Duration::from_secs_f64(3600.0 / speed);
+    let opts = LiveOptions {
+        shards: 2,
+        replay_speed: Some(speed),
+        ..LiveOptions::default()
+    };
+    let started = Instant::now();
+    let report = Study::new(config)
+        .run_live(&opts)
+        .expect("small study produces matching flows");
+    let elapsed = started.elapsed();
+    assert!(report.matching_flows > 0);
+    assert!(
+        elapsed >= pace * hours,
+        "paced 2-shard replay took {elapsed:?}, below {hours} hours × {pace:?}"
+    );
 }

@@ -1,51 +1,27 @@
 //! Observability integration: the `cwa-obs` registry wired through the
 //! full sim → vantage → analysis pipeline must (a) produce a valid
 //! JSON snapshot covering every pipeline stage, and (b) never perturb
-//! the study output — serial and parallel reports stay bit-identical
-//! with metrics enabled or disabled.
+//! the study output — reports stay bit-identical with metrics enabled
+//! or disabled.
 
 use std::sync::Arc;
 
-use cwa_repro::core::{Study, StudyConfig};
+use cwa_repro::core::{LiveOptions, Study, StudyConfig};
 use cwa_repro::obs::{Registry, Tracer};
-
-fn small_config(parallel: bool) -> StudyConfig {
-    let mut config = StudyConfig::test_small();
-    config.sim.parallel = parallel;
-    config
-}
 
 #[test]
 fn metrics_snapshot_covers_pipeline_and_reports_match() {
     let reg_serial = Arc::new(Registry::new());
-    let serial = Study::new(small_config(false))
+    let serial = Study::new(StudyConfig::test_small())
         .with_metrics(Arc::clone(&reg_serial))
         .run()
         .expect("small study produces matching flows");
-    let reg_parallel = Arc::new(Registry::new());
-    let parallel = Study::new(small_config(true))
-        .with_metrics(Arc::clone(&reg_parallel))
-        .run()
-        .expect("small study produces matching flows");
-    let plain = Study::new(small_config(false))
+    let plain = Study::new(StudyConfig::test_small())
         .run()
         .expect("small study produces matching flows");
 
-    // Identical reports across {serial, parallel} × {metrics on, off}
-    // once the volatile wall-clock phase timings are stripped. The
-    // driver choice is itself part of the configuration (and thus the
-    // config hash), so normalize those fields before comparing — the
-    // scientific payload (figures, claims, counts) must be identical.
-    let mut parallel_stripped = parallel.strip_volatile();
-    assert!(parallel_stripped.manifest.parallel);
-    parallel_stripped.manifest.parallel = false;
-    parallel_stripped.config.sim.parallel = false;
-    parallel_stripped.manifest.config_hash = serial.manifest.config_hash.clone();
-    assert_eq!(
-        serial.strip_volatile(),
-        parallel_stripped,
-        "parallel == serial"
-    );
+    // Identical reports with metrics on and off once the volatile
+    // wall-clock phase timings are stripped.
     assert_eq!(
         serial.strip_volatile(),
         plain.strip_volatile(),
@@ -88,11 +64,6 @@ fn metrics_snapshot_covers_pipeline_and_reports_match() {
         assert!(json.contains(key), "metrics snapshot missing {key}");
     }
 
-    // The parallel driver additionally reports worker utilization.
-    let parallel_json = reg_parallel.to_json();
-    assert!(parallel_json.contains("\"simnet.worker.00.busy\""));
-    assert!(parallel_json.contains("\"simnet.worker.00.events\""));
-
     // Headline counters are live and consistent with the report.
     assert!(reg_serial.counter("simnet.traffic.flow_events").get() > 0);
     assert_eq!(
@@ -108,14 +79,14 @@ fn metrics_snapshot_covers_pipeline_and_reports_match() {
 
 /// The flight recorder is observation-only: with a tracer attached the
 /// report stays bit-identical (after `strip_volatile`) to the untraced
-/// run — across the batch, streaming, and sharded drivers alike.
+/// run — across the batch, streaming, sharded and live drivers alike.
 #[test]
 fn tracer_never_perturbs_reports() {
-    let traced_batch = Study::new(small_config(false))
+    let traced_batch = Study::new(StudyConfig::test_small())
         .with_trace(Arc::new(Tracer::new()))
         .run()
         .expect("small study produces matching flows");
-    let plain_batch = Study::new(small_config(false))
+    let plain_batch = Study::new(StudyConfig::test_small())
         .run()
         .expect("small study produces matching flows");
     assert_eq!(
@@ -124,11 +95,11 @@ fn tracer_never_perturbs_reports() {
         "batch: tracer on == off"
     );
 
-    let traced_streaming = Study::new(small_config(false))
+    let traced_streaming = Study::new(StudyConfig::test_small())
         .with_trace(Arc::new(Tracer::new()))
         .run_streaming()
         .expect("small study produces matching flows");
-    let plain_streaming = Study::new(small_config(false))
+    let plain_streaming = Study::new(StudyConfig::test_small())
         .run_streaming()
         .expect("small study produces matching flows");
     assert_eq!(
@@ -137,11 +108,11 @@ fn tracer_never_perturbs_reports() {
         "streaming: tracer on == off"
     );
 
-    let traced_sharded = Study::new(small_config(false))
+    let traced_sharded = Study::new(StudyConfig::test_small())
         .with_trace(Arc::new(Tracer::new()))
         .run_sharded(2)
         .expect("small study produces matching flows");
-    let plain_sharded = Study::new(small_config(false))
+    let plain_sharded = Study::new(StudyConfig::test_small())
         .run_sharded(2)
         .expect("small study produces matching flows");
     assert_eq!(
@@ -149,6 +120,25 @@ fn tracer_never_perturbs_reports() {
         plain_sharded.strip_volatile(),
         "sharded(2): tracer on == off"
     );
+
+    for shards in [1usize, 2] {
+        let opts = LiveOptions {
+            shards,
+            ..LiveOptions::default()
+        };
+        let traced_live = Study::new(StudyConfig::test_small())
+            .with_trace(Arc::new(Tracer::new()))
+            .run_live(&opts)
+            .expect("small study produces matching flows");
+        let plain_live = Study::new(StudyConfig::test_small())
+            .run_live(&opts)
+            .expect("small study produces matching flows");
+        assert_eq!(
+            traced_live.strip_volatile(),
+            plain_live.strip_volatile(),
+            "live({shards}): tracer on == off"
+        );
+    }
 }
 
 /// A sharded run's trace carries one Chrome "process" per shard with
@@ -158,7 +148,7 @@ fn tracer_never_perturbs_reports() {
 #[test]
 fn sharded_trace_covers_every_stage() {
     let tracer = Arc::new(Tracer::new());
-    Study::new(small_config(false))
+    Study::new(StudyConfig::test_small())
         .with_trace(Arc::clone(&tracer))
         .run_sharded(2)
         .expect("small study produces matching flows");
