@@ -32,17 +32,13 @@
 //!   downsampling (raw hours → daily summaries → lifetime totals), so an
 //!   endless run stays memory-bounded while serving current figures.
 //! * [`figures`] — assembles the Figure-2 and Figure-3 data structures
-//!   and renders them as text/CSV for the benches and examples.
-//! * [`zipmap`] — ZIP-code-area roll-up (the figure's actual spatial
-//!   unit), [`stats`] — quantiles/correlation/Gini/bootstrap CIs,
-//!   [`changepoint`] — CUSUM detection of the release jump and the
-//!   June-23 surge from the data, and [`svg`] — self-contained SVG
-//!   renderings of both figures.
+//!   and renders them as text/CSV for the report and the examples.
+//! * [`stats`] — quantiles/correlation/Gini/bootstrap CIs, and [`svg`] —
+//!   self-contained SVG renderings of both figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod changepoint;
 pub mod figures;
 pub mod filter;
 pub mod geoloc;
@@ -53,7 +49,6 @@ pub mod stream;
 pub mod svg;
 pub mod timeseries;
 pub mod windowed;
-pub mod zipmap;
 
 pub use figures::{Figure2, Figure3};
 pub use filter::FlowFilter;
@@ -63,4 +58,3 @@ pub use persistence::PersistenceAnalysis;
 pub use stream::StreamCounts;
 pub use timeseries::HourlySeries;
 pub use windowed::{WindowConfig, WindowedSnapshot, WindowedView};
-pub use zipmap::ZipAreaMap;

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of every substrate the reproduction is built on:
-//! crypto primitives, Crypto-PAn, the flow cache, the v5 codec, the
-//! Exposure Notification key schedule and matching engine, and the
+//! crypto primitives, Crypto-PAn, the flow cache, the v5 and v9 codecs,
+//! the Exposure Notification key schedule and key-export codec, and the
 //! traffic generator's samplers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -8,7 +8,6 @@ use std::hint::black_box;
 use std::net::Ipv4Addr;
 
 use cwa_crypto::{aes128_ctr, hkdf_sha256, hmac_sha256, sha256, Aes128};
-use cwa_exposure::matching::{EncounterStore, MatchingEngine};
 use cwa_exposure::tek::{DiagnosisKey, TemporaryExposureKey};
 use cwa_exposure::time::EnIntervalNumber;
 use cwa_netflow::cache::{FlowCache, FlowCacheConfig};
@@ -114,26 +113,6 @@ fn netflow_benches(c: &mut Criterion) {
         decoder.decode(wire_v9.clone()).unwrap();
         b.iter(|| decoder.decode(black_box(wire_v9.clone())).unwrap())
     });
-
-    // Biflow pairing.
-    let unidirectional: Vec<_> = records
-        .iter()
-        .flat_map(|r| {
-            let mut up = *r;
-            up.key = r.key.reversed();
-            [*r, up]
-        })
-        .collect();
-    g.throughput(Throughput::Elements(unidirectional.len() as u64));
-    g.bench_function("biflow/merge_60_records", |b| {
-        b.iter(|| {
-            cwa_netflow::merge_biflows(
-                black_box(&unidirectional),
-                &cwa_netflow::BiflowConfig::default(),
-            )
-            .len()
-        })
-    });
     g.finish();
 }
 
@@ -145,7 +124,8 @@ fn exposure_benches(c: &mut Criterion) {
     g.throughput(Throughput::Elements(144));
     g.bench_function("tek/derive_all_144_rpis", |b| b.iter(|| tek.all_rpis()));
 
-    // Matching: 50 published keys against a store of 500 encounters.
+    // Export encode/decode of a realistic daily file: 50 keys spread
+    // over the 14-day retention window.
     let keys: Vec<DiagnosisKey> = (0..50)
         .map(|i| {
             let t =
@@ -153,25 +133,7 @@ fn exposure_benches(c: &mut Criterion) {
             DiagnosisKey::new(t, 5)
         })
         .collect();
-    let mut store = EncounterStore::new();
-    // 10 of the keys were actually met.
-    for dk in keys.iter().take(10) {
-        let enin = EnIntervalNumber(dk.tek.rolling_start_interval_number + 50);
-        store.record(dk.tek.rpi(enin), enin, 30, 10);
-    }
-    for i in 0..490u64 {
-        let stranger = TemporaryExposureKey::generate(&mut rng, EnIntervalNumber(144 * 18_000));
-        let enin = EnIntervalNumber(stranger.rolling_start_interval_number + (i % 144) as u32);
-        store.record(stranger.rpi(enin), enin, 60, 5);
-    }
-    let engine = MatchingEngine::default();
-    let now = EnIntervalNumber(144 * 18_015);
     g.throughput(Throughput::Elements(50));
-    g.bench_function("matching/50_keys_vs_500_encounters", |b| {
-        b.iter(|| engine.match_keys(black_box(&keys), &store, now).len())
-    });
-
-    // Export encode/decode of a realistic daily file.
     let export = cwa_exposure::export::TemporaryExposureKeyExport::new_de(0, 86_400, keys.clone());
     let wire = export.encode();
     g.bench_function("export/encode_50_keys", |b| {

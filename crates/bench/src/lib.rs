@@ -1,82 +1,7 @@
-//! # cwa-bench — shared helpers for the benchmark harness
+//! # cwa-bench — the benchmark harness
 //!
-//! Every bench binary regenerates one of the paper's figures or claim
-//! sets (printing the same rows/series the paper reports) and then
-//! Criterion-benchmarks the analysis step that produces it. The
-//! expensive simulation is run once per binary and shared.
-
-use std::sync::OnceLock;
-
-use cwa_simnet::{SimConfig, SimOutput, Simulation};
-
-/// The benchmark scale: large enough for stable figures, small enough
-/// for quick iteration. Figure shapes are scale-invariant (see
-/// DESIGN.md).
-pub const BENCH_SCALE: f64 = 0.02;
-
-/// One shared simulation output per bench binary.
-pub fn sim() -> &'static SimOutput {
-    static SIM: OnceLock<SimOutput> = OnceLock::new();
-    SIM.get_or_init(|| {
-        eprintln!("[cwa-bench] simulating June 15–25 at scale {BENCH_SCALE} …");
-        let t = std::time::Instant::now();
-        let out = Simulation::new(SimConfig {
-            scale: BENCH_SCALE,
-            ..SimConfig::default()
-        })
-        .run();
-        eprintln!(
-            "[cwa-bench] simulation done in {:?} ({} records)",
-            t.elapsed(),
-            out.records.len()
-        );
-        out
-    })
-}
-
-/// Renders an hourly series as a day-by-day table (the Fig. 2 rows).
-pub fn render_daily_table(flows: &[u64], bytes: &[u64]) -> String {
-    let mut out = String::from("day      date    flows     bytes(MB)  flows/min_day  peak_hour\n");
-    let day_flow_min = flows
-        .chunks(24)
-        .map(|d| d.iter().sum::<u64>())
-        .filter(|&f| f > 0)
-        .min()
-        .unwrap_or(1)
-        .max(1);
-    for (day, (fchunk, bchunk)) in flows.chunks(24).zip(bytes.chunks(24)).enumerate() {
-        let f: u64 = fchunk.iter().sum();
-        let b: u64 = bchunk.iter().sum();
-        let peak = fchunk
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &v)| v)
-            .map(|(h, _)| h)
-            .unwrap_or(0);
-        out.push_str(&format!(
-            "{:<8} Jun {:<4} {:<9} {:<10.1} {:<14.2} {:02}:00\n",
-            day,
-            15 + day,
-            f,
-            b as f64 / 1e6,
-            f as f64 / day_flow_min as f64,
-            peak
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn daily_table_renders() {
-        let flows = vec![10u64; 48];
-        let bytes = vec![1000u64; 48];
-        let table = render_daily_table(&flows, &bytes);
-        assert_eq!(table.lines().count(), 3);
-        assert!(table.contains("Jun 15"));
-        assert!(table.contains("Jun 16"));
-    }
-}
+//! The bench targets live under `benches/`: substrate microbenchmarks,
+//! the ablation and seed-robustness experiments, and the streaming,
+//! sharded, sweep and full-scale pipeline timings that write the
+//! `BENCH_*.json` files. The figures and the claim table are written by
+//! `cwa-repro study --out DIR`, not by a bench.

@@ -1,10 +1,9 @@
-//! # cwa-exposure — the Google/Apple Exposure Notification protocol
+//! # cwa-exposure — the Exposure Notification key-export path
 //!
-//! A from-scratch implementation of the decentralized, privacy-preserving
-//! contact-tracing protocol (DP-3T lineage) that the Corona-Warn-App is
-//! built on, following the *Exposure Notification Cryptography
-//! Specification v1.2* (April 2020) and the corresponding Bluetooth and
-//! key-export specifications:
+//! The part of the Google/Apple Exposure Notification protocol that the
+//! Corona-Warn-App's key downloads carry, following the *Exposure
+//! Notification Cryptography Specification v1.2* (April 2020) and the
+//! corresponding key-export specification:
 //!
 //! * [`time`] — 10-minute **interval numbers** and the 144-interval
 //!   (24 h) TEK rolling period.
@@ -12,8 +11,6 @@
 //!   `RPIK = HKDF(tek, "EN-RPIK")`, `AEMK = HKDF(tek, "EN-AEMK")`,
 //!   `RPI_j = AES128(RPIK, "EN-RPI" ‖ pad ‖ ENIN_j)`,
 //!   `AEM = AES128-CTR(AEMK, RPI, metadata)`.
-//! * [`advertisement`] — the BLE advertisement payload (service UUID
-//!   0xFD6F, 16-byte RPI + 4-byte AEM).
 //! * [`protobuf`] — a hand-rolled protobuf wire-format codec (varints,
 //!   length-delimited fields), since no protobuf crate is available
 //!   offline.
@@ -21,59 +18,26 @@
 //!   format served by the CWA CDN (the very payload whose downloads the
 //!   paper's NetFlow traces contain), including the 16-byte
 //!   `"EK Export v1"` header.
-//! * [`matching`] — the on-phone matching engine: deriving all RPIs of
-//!   downloaded diagnosis keys and intersecting them with the local
-//!   encounter history.
-//! * [`risk`] — the v1 exposure risk scoring model (attenuation /
-//!   days-since-exposure / duration / transmission-risk buckets).
-//! * [`risk_v2`] — the ENF v2 "exposure windows" model (weighted
-//!   minutes) the CWA migrated to after the study — the reproduction's
-//!   extension feature.
-//! * [`contact`] — BLE path-loss physics (distance → attenuation) and a
-//!   co-location simulator driving two devices' radio loops.
-//! * [`device`] — a complete simulated phone: rolls TEKs daily,
-//!   advertises, scans, stores encounters for 14 days, uploads diagnosis
-//!   keys, downloads and matches key exports.
 //! * [`signature`] — the export.bin/export.sig pair: ECDSA-P256-signed
 //!   exports with pinned-key verification, as on the real CDN.
-//! * [`federation`] — EFGS-style cross-border key federation (the
-//!   system's next evolutionary step after the study window).
-//! * [`verification`] — the health-authority verification server
-//!   (teleTAN → registration token → upload TAN) that gates every key
-//!   upload, with the hotline rate limit behind the paper's June-23
-//!   first-keys observation.
 //!
 //! Role in the reproduction: the paper measures the *network traffic* this
 //! protocol causes (daily diagnosis-key downloads from the CDN, §1 and
-//! Fig. 1). This crate provides the faithful app-side behaviour that the
-//! `cwa-simnet` traffic model and the end-to-end examples build on.
+//! Fig. 1). `cwa-simnet`'s CDN model builds and signs each day's export
+//! from freshly drawn TEKs with this crate, so key-download flow sizes
+//! follow the real wire format. Phones are not simulated device by
+//! device: the traffic model works on prefix cohorts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advertisement;
-pub mod contact;
-pub mod device;
 pub mod export;
-pub mod federation;
-pub mod matching;
 pub mod protobuf;
-pub mod risk;
-pub mod risk_v2;
 pub mod signature;
 pub mod tek;
 pub mod time;
-pub mod verification;
 
-pub use advertisement::BleAdvertisement;
-pub use contact::{Encounter, PathLossModel};
-pub use device::Device;
 pub use export::TemporaryExposureKeyExport;
-pub use federation::{CountryCode, FederationGateway};
-pub use matching::{ExposureMatch, MatchingEngine};
-pub use risk::{ExposureConfiguration, RiskScore};
-pub use risk_v2::{ExposureWindow, RiskConfigV2, RiskLevelV2};
 pub use signature::{sign_export, verify_export, SignedExport};
 pub use tek::{DiagnosisKey, RollingProximityIdentifier, TemporaryExposureKey};
 pub use time::{EnIntervalNumber, TEK_ROLLING_PERIOD};
-pub use verification::VerificationServer;

@@ -19,12 +19,6 @@
 //!   48-byte records) with a round-tripping codec.
 //! * [`v9`] — the template-based NetFlow v9 format (RFC 3954) with a
 //!   template-caching decoder, as modern exporters speak it.
-//! * [`csvio`] — a plain-text record format so externally captured flow
-//!   data can be fed into the analysis pipeline.
-//! * [`biflow`] — RFC 5103-style pairing of unidirectional records into
-//!   bidirectional flows with initiator detection.
-//! * [`estimate`] — Horvitz–Thompson inversion of sampling: estimating
-//!   true packet/byte/flow volumes (with CIs) from sampled records.
 //! * [`anonymize`] — **Crypto-PAn** prefix-preserving IPv4 anonymization
 //!   (Xu et al.), built on the AES implementation in `cwa-crypto`; this is
 //!   the "prefix-preserving anonymized" property of §2.
@@ -38,11 +32,8 @@
 #![warn(missing_docs)]
 
 pub mod anonymize;
-pub mod biflow;
 pub mod cache;
 pub mod collector;
-pub mod csvio;
-pub mod estimate;
 pub mod flow;
 pub mod sampling;
 pub mod sink;
@@ -50,10 +41,8 @@ pub mod v5;
 pub mod v9;
 
 pub use anonymize::{CachedCryptoPan, CryptoPan};
-pub use biflow::{merge_biflows, Biflow, BiflowConfig};
 pub use cache::{FlowCache, FlowCacheConfig};
 pub use collector::Collector;
-pub use estimate::{estimate_volumes, VolumeEstimate};
 pub use flow::{FlowKey, FlowRecord, Protocol};
 pub use sampling::{PacketSampler, SamplingMode};
 pub use sink::{CountingSink, FlowChunk, FlowSink, DEFAULT_CHUNK_CAPACITY};

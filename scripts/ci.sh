@@ -19,8 +19,9 @@ cargo test --workspace -q
 echo "==> cargo test (perfbench)"
 # perfbench is its own workspace, so the workspace build never compiles
 # it; an API break in the crates it drives must fail here, not when the
-# benchmark runs.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# benchmark runs. --locked: a dependency edit in a crate it builds must
+# fail here instead of quietly rewriting perfbench/Cargo.lock.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> streaming + sharded equivalence (batch == streaming == sharded)"
 cargo test -q --test streaming
@@ -248,6 +249,10 @@ OBS_B="$(mktemp /tmp/cwa-obs-b.XXXXXX.json)"
 ./target/release/cwa-repro study --scale 0.02 --streaming --metrics "$OBS_A" > /dev/null
 ./target/release/cwa-repro study --scale 0.02 --streaming --metrics "$OBS_B" > /dev/null
 ./target/release/cwa-repro obs-diff "$OBS_A" "$OBS_B" --threshold 300
+# A misspelt flag must fail the run, not be ignored.
+if ./target/release/cwa-repro obs-diff "$OBS_A" "$OBS_B" --treshold 5 > /dev/null 2>&1; then
+    echo "obs-diff accepted the unknown flag --treshold"; exit 1
+fi
 rm -f "$OBS_A" "$OBS_B"
 
 echo "==> sharded speedup guard (BENCH_sharded.json)"

@@ -23,24 +23,45 @@ use cwa_simnet::{SimConfig, Simulation};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("study") => study(&args[1..]),
-        Some("sweep") => sweep(&args[1..]),
-        Some("watch") => watch(&args[1..]),
-        Some("scrape") => scrape(&args[1..]),
-        Some("obs-diff") => obs_diff(&args[1..]),
-        Some("trace-summary") => trace_summary(&args[1..]),
-        Some("dns") => dns(&args[1..]),
-        Some("ablation") => ablation(),
-        Some("help") | None => {
-            print!("{}", usage());
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
+    run(&args)
+}
+
+/// A subcommand: its flags and positional arguments after [`check_args`].
+type Command = fn(&[String], &[String]) -> ExitCode;
+
+/// Runs one command line (without the program name). Every subcommand's
+/// arguments pass [`check_args`] against its own grammar before it runs.
+fn run(args: &[String]) -> ExitCode {
+    let Some(name) = args.first().map(String::as_str) else {
+        return help(&[], &[]);
+    };
+    let (grammar, command): (&Grammar, Command) = match name {
+        "study" => (&STUDY, study),
+        "sweep" => (&SWEEP, sweep),
+        "watch" => (&WATCH, watch),
+        "scrape" => (&SCRAPE, scrape),
+        "obs-diff" => (&OBS_DIFF, obs_diff),
+        "trace-summary" => (&TRACE_SUMMARY, trace_summary),
+        "dns" => (&DNS, dns),
+        "ablation" => (&NO_ARGS, ablation),
+        "help" => (&NO_ARGS, help),
+        other => {
             eprintln!("unknown command `{other}`\n\n{}", usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    match check_args(&args[1..], grammar) {
+        Ok(words) => command(&args[1..], &words),
+        Err(e) => {
+            eprintln!("{name}: {e} (see `cwa-repro help`)");
             ExitCode::FAILURE
         }
     }
+}
+
+fn help(_args: &[String], _words: &[String]) -> ExitCode {
+    print!("{}", usage());
+    ExitCode::SUCCESS
 }
 
 fn usage() -> String {
@@ -117,55 +138,112 @@ fn usage() -> String {
         .to_owned()
 }
 
-/// `study`'s switches (flags without a value).
-const STUDY_SWITCHES: &[&str] = &["--streaming", "--strict", "--live"];
-/// `study`'s flags that take a value.
-const STUDY_OPTIONS: &[&str] = &[
-    "--scale",
-    "--seed",
-    "--shards",
-    "--out",
-    "--metrics",
-    "--trace",
-    "--scenario",
-    "--replay-speed",
-    "--days",
-    "--serve",
-    "--heartbeat-ms",
-    "--heartbeat-jsonl",
-    "--serve-linger-ms",
-];
-/// `sweep`'s flags, all of which take a value.
-const SWEEP_OPTIONS: &[&str] = &[
-    "--scenarios",
-    "--scale",
-    "--seed",
-    "--seeds",
-    "--shards",
-    "--json",
-];
+/// One subcommand's argument grammar.
+struct Grammar {
+    /// Flags without a value.
+    switches: &'static [&'static str],
+    /// Flags that take a value.
+    options: &'static [&'static str],
+    /// How many plain words (addresses, file names) it takes.
+    positionals: usize,
+}
 
-/// Checks every argument against a subcommand's flag set: each must be
-/// one of `switches`, or one of `options` followed by its value. Names
-/// the first unknown flag, value flag without a value, or stray word.
-fn check_args(args: &[String], switches: &[&str], options: &[&str]) -> Result<(), String> {
+const STUDY: Grammar = Grammar {
+    switches: &["--streaming", "--strict", "--live"],
+    options: &[
+        "--scale",
+        "--seed",
+        "--shards",
+        "--out",
+        "--metrics",
+        "--trace",
+        "--scenario",
+        "--replay-speed",
+        "--days",
+        "--serve",
+        "--heartbeat-ms",
+        "--heartbeat-jsonl",
+        "--serve-linger-ms",
+    ],
+    positionals: 0,
+};
+const SWEEP: Grammar = Grammar {
+    switches: &[],
+    options: &[
+        "--scenarios",
+        "--scale",
+        "--seed",
+        "--seeds",
+        "--shards",
+        "--json",
+    ],
+    positionals: 0,
+};
+const WATCH: Grammar = Grammar {
+    switches: &["--claims"],
+    options: &["--interval-ms"],
+    positionals: 1,
+};
+const SCRAPE: Grammar = Grammar {
+    switches: &[],
+    options: &[],
+    positionals: 2,
+};
+const OBS_DIFF: Grammar = Grammar {
+    switches: &[],
+    options: &["--threshold"],
+    positionals: 2,
+};
+const TRACE_SUMMARY: Grammar = Grammar {
+    switches: &[],
+    options: &[],
+    positionals: 1,
+};
+const DNS: Grammar = Grammar {
+    switches: &[],
+    options: &["--days"],
+    positionals: 0,
+};
+const NO_ARGS: Grammar = Grammar {
+    switches: &[],
+    options: &[],
+    positionals: 0,
+};
+
+/// Checks every argument against a subcommand's grammar: each must be
+/// one of its switches, one of its options followed by a value, or one
+/// of exactly `positionals` plain words. Returns the plain words in
+/// order; names the first unknown flag, value flag without a value,
+/// stray word or missing word.
+fn check_args(args: &[String], grammar: &Grammar) -> Result<Vec<String>, String> {
+    let mut words = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
-        if switches.contains(&arg) {
+        if grammar.switches.contains(&arg) {
             i += 1;
-        } else if options.contains(&arg) {
+        } else if grammar.options.contains(&arg) {
             match args.get(i + 1) {
                 Some(value) if !value.starts_with("--") => i += 2,
                 _ => return Err(format!("`{arg}` needs a value")),
             }
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag `{arg}`"));
+        } else if words.len() < grammar.positionals {
+            words.push(arg.to_owned());
+            i += 1;
         } else {
             return Err(format!("unexpected argument `{arg}`"));
         }
     }
-    Ok(())
+    if words.len() < grammar.positionals {
+        return Err(format!(
+            "takes {} argument(s), got {}",
+            grammar.positionals,
+            words.len()
+        ));
+    }
+    Ok(words)
 }
 
 /// Minimal `--key value` / `--flag` parser (after [`check_args`]).
@@ -180,11 +258,7 @@ fn flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
 
-fn study(args: &[String]) -> ExitCode {
-    if let Err(e) = check_args(args, STUDY_SWITCHES, STUDY_OPTIONS) {
-        eprintln!("study: {e} (see `cwa-repro help`)");
-        return ExitCode::FAILURE;
-    }
+fn study(args: &[String], _words: &[String]) -> ExitCode {
     let scale: f64 = match opt(args, "--scale").map(|s| s.parse()) {
         Some(Ok(s)) if s > 0.0 && s <= 1.0 => s,
         None => 0.02,
@@ -499,11 +573,7 @@ fn study(args: &[String]) -> ExitCode {
     }
 }
 
-fn sweep(args: &[String]) -> ExitCode {
-    if let Err(e) = check_args(args, &[], SWEEP_OPTIONS) {
-        eprintln!("sweep: {e} (see `cwa-repro help`)");
-        return ExitCode::FAILURE;
-    }
+fn sweep(args: &[String], _words: &[String]) -> ExitCode {
     let Some(path) = opt(args, "--scenarios") else {
         eprintln!("sweep requires --scenarios FILE (a [[scenario]] matrix)");
         return ExitCode::FAILURE;
@@ -632,11 +702,8 @@ fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
 }
 
 /// `cwa-repro scrape ADDR PATH` — one-shot GET, body to stdout.
-fn scrape(args: &[String]) -> ExitCode {
-    let (Some(addr), Some(path)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: cwa-repro scrape ADDR PATH   (e.g. scrape 127.0.0.1:9100 /healthz)");
-        return ExitCode::FAILURE;
-    };
+fn scrape(_args: &[String], words: &[String]) -> ExitCode {
+    let (addr, path) = (&words[0], &words[1]);
     match http_get(addr, path) {
         Ok((status, body)) => {
             print!("{body}");
@@ -784,34 +851,23 @@ fn render_claims_frame(doc: &serde_json::Value) -> String {
 /// successful poll (run ended and the server shut down). Default mode
 /// renders `/progress` as a per-shard rate/stall table; `--claims`
 /// renders the live `/report` claim table of a `study --live` run.
-fn watch(args: &[String]) -> ExitCode {
+fn watch(args: &[String], words: &[String]) -> ExitCode {
     let claims_mode = flag(args, "--claims");
-    let mut addr = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--claims" => i += 1,
-            "--interval-ms" => i += 2,
-            a if !a.starts_with("--") => {
-                addr = Some(a.to_owned());
-                break;
-            }
-            _ => i += 1,
+    let addr = &words[0];
+    let interval_ms: u64 = match opt(args, "--interval-ms").map(|s| s.parse()) {
+        Some(Ok(ms)) if ms > 0 => ms,
+        None => 1000,
+        _ => {
+            eprintln!("--interval-ms must be a positive integer");
+            return ExitCode::FAILURE;
         }
-    }
-    let Some(addr) = addr else {
-        eprintln!("usage: cwa-repro watch [--claims] ADDR [--interval-ms N]");
-        return ExitCode::FAILURE;
     };
-    let interval_ms: u64 = opt(args, "--interval-ms")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000);
     let path = if claims_mode { "/report" } else { "/progress" };
     let mut successes = 0u64;
     let mut connect_failures = 0u32;
     let mut waiting_notice = false;
     loop {
-        match http_get(&addr, path) {
+        match http_get(addr, path) {
             Ok((200, body)) => {
                 connect_failures = 0;
                 successes += 1;
@@ -944,16 +1000,12 @@ fn phase_regressions(rows: &[DiffRow], threshold_pct: f64) -> Vec<(String, f64)>
 }
 
 /// `cwa-repro obs-diff A.json B.json [--threshold PCT]`.
-fn obs_diff(args: &[String]) -> ExitCode {
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let (Some(path_a), Some(path_b)) = (files.first(), files.get(1)) else {
-        eprintln!("usage: cwa-repro obs-diff A.json B.json [--threshold PCT]");
-        return ExitCode::FAILURE;
-    };
-    let threshold: Option<f64> = match opt(args, "--threshold").map(|s| s.parse()) {
-        Some(Ok(pct)) => Some(pct),
+fn obs_diff(args: &[String], words: &[String]) -> ExitCode {
+    let (path_a, path_b) = (&words[0], &words[1]);
+    let threshold: Option<f64> = match opt(args, "--threshold").map(|s| s.parse::<f64>()) {
+        Some(Ok(pct)) if pct.is_finite() => Some(pct),
         None => None,
-        Some(Err(_)) => {
+        _ => {
             eprintln!("--threshold must be a number (percent)");
             return ExitCode::FAILURE;
         }
@@ -1069,15 +1121,9 @@ fn track_self_times(spans: &mut TrackSpans) -> (std::collections::BTreeMap<Strin
     (selfs, wall)
 }
 
-/// Summarizes a `--trace` capture: per-thread self-time broken down by
-/// span name, with the stall split (send-block / receive-idle) the
-/// sharded pipeline records, so a backpressured shard is visible at a
-/// glance without loading the trace into Perfetto.
-fn trace_summary(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("usage: cwa-repro trace-summary FILE");
-        return ExitCode::FAILURE;
-    };
+/// `cwa-repro trace-summary FILE`.
+fn trace_summary(_args: &[String], words: &[String]) -> ExitCode {
+    let path = &words[0];
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -1096,6 +1142,26 @@ fn trace_summary(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    match summarize_trace(path, &root) {
+        Ok(summary) => {
+            print!("{summary}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Summarizes a `--trace` capture: per-thread self-time broken down by
+/// span name, with the stall split (send-block / receive-idle) the
+/// sharded pipeline records, so a backpressured shard is visible at a
+/// glance without loading the trace into Perfetto. A capture that
+/// dropped events to ring wraparound holds only the spans of part of
+/// the run, so its shares would misattribute time: it gets the header
+/// line and a refusal instead.
+fn summarize_trace(path: &str, root: &serde_json::Value) -> Result<String, String> {
     let num_u32 = |v: &serde_json::Value| -> Option<u32> {
         match v {
             serde_json::Value::Num(n) => n.as_u64().map(|x| x as u32),
@@ -1109,8 +1175,9 @@ fn trace_summary(args: &[String]) -> ExitCode {
         }
     };
     let Some(events) = root.get("traceEvents").and_then(|e| e.as_array()) else {
-        eprintln!("{path}: no traceEvents array — not a cwa --trace capture?");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "{path}: no traceEvents array — not a cwa --trace capture?"
+        ));
     };
     let dropped = root
         .get("otherData")
@@ -1164,7 +1231,13 @@ fn trace_summary(args: &[String]) -> ExitCode {
     }
 
     let span_total: usize = tracks.values().map(Vec::len).sum();
-    println!("{path}: {span_total} spans, {instants} instants, {dropped} dropped");
+    let mut out = format!("{path}: {span_total} spans, {instants} instants, {dropped} dropped\n");
+    if dropped > 0.0 {
+        return Err(format!(
+            "{out}refusing per-track shares: {dropped} events were dropped to ring \
+             wraparound, so the surviving spans cover only part of the run"
+        ));
+    }
     for ((pid, tid), spans) in &mut tracks {
         let process = proc_names
             .get(pid)
@@ -1187,30 +1260,35 @@ fn trace_summary(args: &[String]) -> ExitCode {
             .sum::<f64>()
             .max(0.0)
             + 0.0;
-        println!(
-            "\n[{process}/{thread}] wall {:.3} ms — util {:.1}%, block {:.1}%, idle {:.1}%",
+        out.push_str(&format!(
+            "\n[{process}/{thread}] wall {:.3} ms — util {:.1}%, block {:.1}%, idle {:.1}%\n",
             wall / 1000.0,
             100.0 * busy / wall,
             100.0 * block / wall,
             100.0 * idle / wall,
-        );
+        ));
         let mut rows: Vec<(&String, &f64)> = selfs.iter().collect();
         rows.sort_by(|a, b| b.1.partial_cmp(a.1).expect("finite self time"));
         for (name, self_us) in rows {
-            println!(
-                "    {name:<14} {:>10.3} ms  {:>5.1}%",
+            out.push_str(&format!(
+                "    {name:<14} {:>10.3} ms  {:>5.1}%\n",
                 self_us / 1000.0,
                 100.0 * self_us / wall,
-            );
+            ));
         }
     }
-    ExitCode::SUCCESS
+    Ok(out)
 }
 
-fn dns(args: &[String]) -> ExitCode {
-    let days: u32 = opt(args, "--days")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11);
+fn dns(args: &[String], _words: &[String]) -> ExitCode {
+    let days: u32 = match opt(args, "--days").map(|s| s.parse()) {
+        Some(Ok(d)) if d >= 1 => d,
+        None => 11,
+        _ => {
+            eprintln!("--days must be a positive integer");
+            return ExitCode::FAILURE;
+        }
+    };
     let out = Simulation::new(SimConfig {
         days,
         scale: 0.001,
@@ -1242,7 +1320,7 @@ fn dns(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn ablation() -> ExitCode {
+fn ablation(_args: &[String], _words: &[String]) -> ExitCode {
     println!("June-23 re-surge (Jun 23–25 / Jun 20–22 true CWA flows):");
     for (label, kind) in [
         ("paper (outbreaks + news)", ScenarioKind::Paper),
@@ -1293,16 +1371,34 @@ mod tests {
              --days inf --serve 127.0.0.1:0 --heartbeat-ms 100 \
              --heartbeat-jsonl h.jsonl --serve-linger-ms 0",
         );
-        assert_eq!(check_args(&study, STUDY_SWITCHES, STUDY_OPTIONS), Ok(()));
+        assert_eq!(check_args(&study, &STUDY), Ok(vec![]));
         let sweep =
             argv("--scenarios s.toml --scale 0.01 --seed 1 --seeds 3 --shards 2 --json t.json");
-        assert_eq!(check_args(&sweep, &[], SWEEP_OPTIONS), Ok(()));
-        assert_eq!(check_args(&[], STUDY_SWITCHES, STUDY_OPTIONS), Ok(()));
+        assert_eq!(check_args(&sweep, &SWEEP), Ok(vec![]));
+        assert_eq!(check_args(&[], &STUDY), Ok(vec![]));
+        // The other subcommands, with their plain words returned in order
+        // wherever the flags sit.
+        let words = |line: &str, grammar: &Grammar| check_args(&argv(line), grammar);
+        assert_eq!(
+            words("--claims 127.0.0.1:9 --interval-ms 250", &WATCH),
+            Ok(argv("127.0.0.1:9"))
+        );
+        assert_eq!(
+            words("127.0.0.1:9 /healthz", &SCRAPE),
+            Ok(argv("127.0.0.1:9 /healthz"))
+        );
+        assert_eq!(
+            words("--threshold 300 a.json b.json", &OBS_DIFF),
+            Ok(argv("a.json b.json"))
+        );
+        assert_eq!(words("t.json", &TRACE_SUMMARY), Ok(argv("t.json")));
+        assert_eq!(words("--days 3", &DNS), Ok(vec![]));
+        assert_eq!(words("", &NO_ARGS), Ok(vec![]));
     }
 
     #[test]
     fn bad_arguments_are_named() {
-        let study = |line: &str| check_args(&argv(line), STUDY_SWITCHES, STUDY_OPTIONS);
+        let study = |line: &str| check_args(&argv(line), &STUDY);
         assert_eq!(
             study("--scale 0.02 --streaming --paralel"),
             Err("unknown flag `--paralel`".to_owned())
@@ -1323,11 +1419,85 @@ mod tests {
             study("--scale 0.02 streaming"),
             Err("unexpected argument `streaming`".to_owned())
         );
-        // Each subcommand checks against its own flag set.
+        // Each subcommand checks against its own grammar.
+        let check = |line: &str, grammar: &Grammar| check_args(&argv(line), grammar);
+        let unknown = |flag: &str| Err(format!("unknown flag `{flag}`"));
         assert_eq!(
-            check_args(&argv("--scenarios s.toml --live"), &[], SWEEP_OPTIONS),
-            Err("unknown flag `--live`".to_owned())
+            check("--scenarios s.toml --live", &SWEEP),
+            unknown("--live")
         );
+        assert_eq!(check("--dayz 3", &DNS), unknown("--dayz"));
+        assert_eq!(
+            check("--days", &DNS),
+            Err("`--days` needs a value".to_owned())
+        );
+        assert_eq!(check("t.json --bogus", &TRACE_SUMMARY), unknown("--bogus"));
+        assert_eq!(check("--bogus", &NO_ARGS), unknown("--bogus"));
+        assert_eq!(
+            check("a.json b.json --treshold 5", &OBS_DIFF),
+            unknown("--treshold")
+        );
+        assert_eq!(check("127.0.0.1:9 --bogus", &WATCH), unknown("--bogus"));
+        assert_eq!(
+            check("127.0.0.1:9 /metrics extra", &SCRAPE),
+            Err("unexpected argument `extra`".to_owned())
+        );
+        assert_eq!(
+            check("127.0.0.1:9", &SCRAPE),
+            Err("takes 2 argument(s), got 1".to_owned())
+        );
+        // The dispatcher applies each subcommand's grammar, and a value
+        // that does not parse fails the run before any work starts; it
+        // never falls back to the flag's default.
+        for line in [
+            "dns --days abc",
+            "dns --days 0",
+            "watch 127.0.0.1:9 --interval-ms soon",
+            "obs-diff a.json b.json --threshold x",
+            "ablation --bogus",
+        ] {
+            assert_eq!(run(&argv(line)), ExitCode::FAILURE, "{line}");
+        }
+    }
+
+    /// A `--trace` capture of one shard thread: a `produce` span with a
+    /// nested `filter` span, then a `recv_idle` stall, claiming
+    /// `dropped` events lost to wraparound.
+    fn capture(dropped: u64) -> serde_json::Value {
+        serde_json::from_str(&format!(
+            r#"{{"traceEvents":[
+                {{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{{"name":"shard0"}}}},
+                {{"ph":"M","name":"thread_name","pid":1,"tid":2,"args":{{"name":"worker"}}}},
+                {{"ph":"X","name":"produce","pid":1,"tid":2,"ts":0,"dur":1000}},
+                {{"ph":"X","name":"filter","pid":1,"tid":2,"ts":100,"dur":250}},
+                {{"ph":"X","name":"recv_idle","pid":1,"tid":2,"ts":1000,"dur":1000}}
+            ],"otherData":{{"dropped_events":{dropped}}}}}"#
+        ))
+        .expect("valid capture")
+    }
+
+    #[test]
+    fn trace_summary_refuses_shares_from_a_truncated_capture() {
+        let summary = summarize_trace("t.json", &capture(0)).expect("complete capture");
+        assert!(
+            summary.starts_with("t.json: 3 spans, 0 instants, 0 dropped\n"),
+            "{summary}"
+        );
+        assert!(
+            summary.contains("[shard0/worker] wall 2.000 ms — util 50.0%, block 0.0%, idle 50.0%"),
+            "{summary}"
+        );
+        assert!(
+            summary.contains("produce             0.750 ms   37.5%"),
+            "{summary}"
+        );
+
+        let refusal = summarize_trace("t.json", &capture(3)).expect_err("truncated capture");
+        let lines: Vec<&str> = refusal.lines().collect();
+        assert_eq!(lines.len(), 2, "{refusal}");
+        assert_eq!(lines[0], "t.json: 3 spans, 0 instants, 3 dropped");
+        assert!(lines[1].contains("3 events were dropped"), "{refusal}");
+        assert!(!refusal.contains('%'), "no shares: {refusal}");
     }
 
     #[test]

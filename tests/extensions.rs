@@ -1,7 +1,6 @@
-//! Integration tests for the extension features: CSV interchange,
-//! diurnal-profile extraction, biflow merging, per-ISP persistence, the
-//! verification server at population scale, and commuting-coupled
-//! epidemics.
+//! Integration tests for behaviour beyond the paper's headline figures:
+//! diurnal-profile extraction from the measured series, per-ISP prefix
+//! persistence, and the concentration of the district map.
 
 use std::collections::HashMap;
 
@@ -9,11 +8,8 @@ use cwa_repro::analysis::filter::FlowFilter;
 use cwa_repro::analysis::persistence::PersistenceAnalysis;
 use cwa_repro::analysis::stats;
 use cwa_repro::analysis::timeseries::HourlySeries;
-use cwa_repro::analysis::zipmap::ZipAreaMap;
 use cwa_repro::epidemic::ActivityModel;
 use cwa_repro::geo::AccessKind;
-use cwa_repro::netflow::biflow::{merge_biflows, BiflowConfig};
-use cwa_repro::netflow::csvio;
 use cwa_repro::simnet::{SimConfig, SimOutput, Simulation};
 use std::sync::OnceLock;
 
@@ -26,19 +22,6 @@ fn sim() -> &'static SimOutput {
         })
         .run()
     })
-}
-
-/// Records exported to CSV and re-imported must drive the pipeline to
-/// identical results — the interchange path for external data.
-#[test]
-fn csv_interchange_preserves_analysis() {
-    let out = sim();
-    let csv = csvio::to_csv(&out.records);
-    let back = csvio::from_csv(&csv).expect("own CSV parses");
-    assert_eq!(back, out.records);
-
-    let filter = FlowFilter::cwa(out.cdn.service_prefixes.to_vec());
-    assert_eq!(filter.apply(&back).len(), filter.apply(&out.records).len());
 }
 
 /// The measured diurnal profile must correlate with the behavioural
@@ -56,33 +39,6 @@ fn measured_diurnal_profile_matches_behaviour() {
     let expected: Vec<f64> = (0..24).map(ActivityModel::diurnal).collect();
     let corr = stats::pearson(&measured, &expected);
     assert!(corr > 0.85, "diurnal correlation {corr}: {measured:?}");
-}
-
-/// Biflow merging on the sampled records: under 1:1000 sampling almost
-/// no connection has both directions observed.
-#[test]
-fn sampling_leaves_biflows_one_sided() {
-    let out = sim();
-    let filter = FlowFilter::cwa(out.cdn.service_prefixes.to_vec());
-    // Use *all* CWA-related records (both directions): match either side.
-    let cwa_records: Vec<_> = out
-        .records
-        .iter()
-        .filter(|r| out.cdn.is_service_addr(r.key.src_ip) || out.cdn.is_service_addr(r.key.dst_ip))
-        .copied()
-        .collect();
-    let biflows = merge_biflows(&cwa_records, &BiflowConfig::default());
-    let complete = biflows.iter().filter(|b| b.is_complete()).count() as f64;
-    let rate = complete / biflows.len() as f64;
-    assert!(
-        rate < 0.05,
-        "{:.2}% of biflows complete under heavy sampling",
-        rate * 100.0
-    );
-    // And the observed direction is dominated by the downstream side.
-    let down = biflows.iter().filter(|b| b.reverse.is_some()).count() as f64;
-    assert!(down / biflows.len() as f64 > 0.5, "downstream dominates");
-    let _ = filter;
 }
 
 /// Prefix persistence split by ISP access kind: static-lease ISPs pin
@@ -131,74 +87,6 @@ fn persistence_differs_by_isp_access_kind() {
         static_mean > dynamic_mean * 1.02,
         "static {static_mean} vs dynamic {dynamic_mean}"
     );
-}
-
-/// ZIP-area roll-up of the district map: near-total coverage, metros on
-/// top — the actual spatial unit of Figure 3.
-#[test]
-fn zip_area_map_covers_germany() {
-    use cwa_repro::analysis::geoloc::{GeolocationPipeline, IspInfo};
-    let out = sim();
-    let filter = FlowFilter::cwa(out.cdn.service_prefixes.to_vec());
-    let isp_table: HashMap<u32, IspInfo> = out
-        .isp_table
-        .iter()
-        .map(|(&net, e)| {
-            (
-                net,
-                IspInfo {
-                    isp: e.isp.0,
-                    router_district: e.router_district,
-                },
-            )
-        })
-        .collect();
-    let pipeline = GeolocationPipeline::new(
-        &out.germany,
-        &out.geodb,
-        &isp_table,
-        out.config.plan.prefix_len,
-    );
-    let geo = pipeline.run(&out.records, &filter, 1, 11);
-    let map = ZipAreaMap::build(&out.germany, &geo);
-    assert!(map.coverage() > 0.9, "ZIP-area coverage {}", map.coverage());
-    assert!((map.areas[0].intensity - 1.0).abs() < 1e-12);
-    // Berlin's zone tops the map at this adoption skew.
-    assert_eq!(
-        map.areas[0].zip, "10",
-        "Berlin's ZIP zone leads: {:?}",
-        map.areas[0]
-    );
-}
-
-/// The verification server gates uploads at population scale: with a
-/// capacity of N teleTANs/day, no more than N uploads can complete.
-#[test]
-fn verification_capacity_bounds_uploads() {
-    use cwa_repro::exposure::verification::{VerificationError, VerificationServer};
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-    let mut server = VerificationServer::new(&mut rng, 30);
-
-    let mut completed = 0u32;
-    let mut rejected = 0u32;
-    for case in 0..100u64 {
-        let now = 1000 + case * 60; // all within one day
-        match server.mint_teletan(&mut rng, now) {
-            Ok(tele) => {
-                let token = server.register(&mut rng, &tele, now + 5).unwrap();
-                let tan = server
-                    .request_upload_tan(&mut rng, &token, now + 10)
-                    .unwrap();
-                server.redeem_upload_tan(&tan, now + 15).unwrap();
-                completed += 1;
-            }
-            Err(VerificationError::RateLimited) => rejected += 1,
-            Err(e) => panic!("unexpected error {e}"),
-        }
-    }
-    assert_eq!(completed, 30);
-    assert_eq!(rejected, 70);
 }
 
 /// Gini concentration of the district map: adoption skews urban, so the

@@ -299,18 +299,6 @@ proptest! {
         data.extend_from_slice(&tail);
         let _ = TemporaryExposureKeyExport::decode(&data);
     }
-
-    #[test]
-    fn csv_parser_never_panics(text in "\\PC{0,400}") {
-        use cwa_repro::netflow::csvio;
-        let _ = csvio::from_csv(&text);
-    }
-
-    #[test]
-    fn ble_decoder_never_panics(data in proptest::collection::vec(any::<u8>(), 0..64)) {
-        use cwa_repro::exposure::BleAdvertisement;
-        let _ = BleAdvertisement::decode(&data);
-    }
 }
 
 proptest! {
