@@ -29,9 +29,12 @@
 //!   now moves multi-× (and ci.sh holds a floor on the speedup).
 //!
 //! The headline run carries the flight recorder, and a producer-only
-//! pass times `generate_hour` end to end: the `producer` section
-//! reports flow events/s and the `produce` span's share of streaming
-//! wall clock at scale 1.0.
+//! pass times the traffic run without analysis: the `producer` section
+//! reports generated flow events/s (every generated flow, seen or not;
+//! the generator emits only the ones the routers sample) and the
+//! `produce` span's share of streaming wall clock at scale 1.0. The
+//! share comes only from a complete trace: if the ring dropped any
+//! event, the bench exits without writing the file.
 //!
 //! Plain `harness = false` binary with manual timing: each measurement
 //! is a full simulate+analyze run, so Criterion's sampling machinery
@@ -266,8 +269,12 @@ fn sampler_microbench() -> SamplerMicro {
 }
 
 /// Sums the flight recorder's `produce` span durations (Chrome JSON
-/// `dur` fields are microseconds).
-fn produce_span_ms(tracer: &Tracer) -> f64 {
+/// `dur` fields are microseconds). `None` when the ring dropped events:
+/// a sum over the surviving spans would understate the share.
+fn produce_span_ms(tracer: &Tracer) -> Option<f64> {
+    if tracer.total_dropped() > 0 {
+        return None;
+    }
     let doc: serde_json::Value =
         serde_json::from_str(&tracer.to_chrome_json()).expect("tracer emits valid JSON");
     let mut total_us = 0.0;
@@ -280,7 +287,7 @@ fn produce_span_ms(tracer: &Tracer) -> f64 {
             }
         }
     }
-    total_us / 1e3
+    Some(total_us / 1e3)
 }
 
 fn median_ms(mut samples: Vec<f64>) -> f64 {
@@ -561,7 +568,13 @@ fn main() {
             .expect("full-scale study failed"),
     );
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let produce_ms = produce_span_ms(&tracer);
+    let Some(produce_ms) = produce_span_ms(&tracer) else {
+        eprintln!(
+            "[fullscale] the trace dropped {} events; refusing to report a produce share",
+            tracer.total_dropped()
+        );
+        std::process::exit(1);
+    };
 
     let hits = registry
         .counter("netflow.collector.cryptopan_cache_hits")

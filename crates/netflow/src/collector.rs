@@ -49,10 +49,12 @@ impl CollectorMetrics {
     }
 }
 
-/// Flight-recorder handle for a [`Collector`]: every ingested export
-/// datagram becomes one `collect.ingest` complete event on the owning
-/// thread's trace buffer (names are interned once, here, so the ingest
-/// path stays allocation-free).
+/// Flight-recorder handle for a [`Collector`]: every export round (see
+/// [`Collector::export_round`]) becomes one `collect.ingest` complete
+/// event on the owning thread's trace buffer (names are interned once,
+/// here, so the ingest path stays allocation-free). One span per round
+/// rather than per datagram keeps a full-scale run inside the trace
+/// ring.
 pub struct CollectorTrace {
     buf: Arc<TraceBuf>,
     ingest: NameId,
@@ -167,6 +169,18 @@ impl Collector {
         self.trace = Some(trace);
     }
 
+    /// Runs `ingest` — one router's export round, however many
+    /// datagrams it delivers — as one `collect.ingest` trace span.
+    pub fn export_round<T>(&mut self, ingest: impl FnOnce(&mut Collector) -> T) -> T {
+        let start = self.trace.as_ref().map(|t| t.buf.now_ns());
+        let out = ingest(self);
+        if let (Some(t), Some(start)) = (&self.trace, start) {
+            t.buf
+                .complete(t.ingest, start, t.buf.now_ns().saturating_sub(start));
+        }
+        out
+    }
+
     /// Counts one undecodable datagram (used by callers that decode
     /// other wire formats — e.g. NetFlow v9 — before `ingest_records`).
     pub fn note_decode_error(&self) {
@@ -226,7 +240,6 @@ impl Collector {
     /// counted lost when the gap opened, so they are reclaimed instead
     /// — `lost_records` can neither underflow nor explode.
     pub fn ingest_packet(&mut self, packet: ExportPacket) {
-        let ingest_start = self.trace.as_ref().map(|t| t.buf.now_ns());
         let engine = packet.header.engine_id;
         let (last_seq, stats) = self
             .engines
@@ -274,10 +287,6 @@ impl Collector {
         }
         self.peak_resident = self.peak_resident.max(self.records.len());
         self.publish_cache_deltas();
-        if let (Some(t), Some(start)) = (&self.trace, ingest_start) {
-            t.buf
-                .complete(t.ingest, start, t.buf.now_ns().saturating_sub(start));
-        }
     }
 
     /// Publishes the memo cache's hit/miss growth since the last call
@@ -570,17 +579,22 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_one_ingest_span_per_datagram() {
+    fn trace_records_one_ingest_span_per_export_round() {
         let tracer = Tracer::new();
         let buf = tracer.thread(0, 0, "collector");
         let mut col = Collector::new_raw();
         col.set_trace(CollectorTrace::new(&tracer, Arc::clone(&buf)));
-        col.ingest_packet(seq_pkt(1, 0, 3));
-        col.ingest_packet(seq_pkt(1, 3, 2));
+        col.export_round(|c| {
+            c.ingest_packet(seq_pkt(1, 0, 3));
+            c.ingest_packet(seq_pkt(1, 3, 2));
+        });
+        col.export_round(|c| c.ingest_packet(seq_pkt(1, 5, 4)));
+        // A datagram outside a round records no span.
+        col.ingest_packet(seq_pkt(1, 9, 1));
         let json = tracer.to_chrome_json();
         assert_eq!(json.matches("\"collect.ingest\"").count(), 2);
         // Tracing is observation-only: the records are unaffected.
-        assert_eq!(col.records().len(), 5);
+        assert_eq!(col.records().len(), 10);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! that measurement apparatus:
 //!
 //! * [`flow`] — flow keys and flow records (the v5 field set).
-//! * [`sampling`] — 1-in-N packet sampling (deterministic and random),
-//!   plus the binomial thinning used by the cohort-level traffic
-//!   generator.
+//! * [`sampling`] — the 1-in-N random packet-sampling law: the sampled
+//!   count of an n-packet flow is Binomial(n, 1/N).
 //! * [`cache`] — the router flow cache with **active** and **inactive**
 //!   timeout eviction and size-bounded emergency expiry — the mechanism
 //!   that splits long flows into several records and makes flow-size-based
@@ -44,7 +43,6 @@ pub use anonymize::{CachedCryptoPan, CryptoPan};
 pub use cache::{FlowCache, FlowCacheConfig};
 pub use collector::Collector;
 pub use flow::{FlowKey, FlowRecord, Protocol};
-pub use sampling::{PacketSampler, SamplingMode};
 pub use sink::{CountingSink, FlowChunk, FlowSink, DEFAULT_CHUNK_CAPACITY};
 pub use v5::{ExportPacket, V5Header};
 pub use v9::{V9Decoder, V9Exporter};

@@ -1,65 +1,18 @@
 //! Packet sampling, as configured on the measured routers.
 //!
 //! ISP-scale NetFlow is almost always *sampled*: the router inspects only
-//! one in N packets. The paper's §2 limitation — "sampling result\[s\] in
-//! only observing few packets for most flows" — emerges directly from
-//! this. Two sampler flavours are provided:
+//! one in N packets, each independently with probability 1/N. The
+//! paper's §2 limitation — "sampling result\[s\] in only observing few
+//! packets for most flows" — emerges directly from this.
 //!
-//! * **Deterministic**: every N-th packet (Cisco "deterministic" mode),
-//! * **Random**: each packet independently with probability 1/N.
-//!
-//! For the cohort-level traffic generator (which never materializes
-//! individual packets of bulk flows) [`sample_packet_count`] draws the
-//! number of sampled packets of an n-packet flow directly from
-//! Binomial(n, 1/N).
+//! [`sample_packet_count`] draws the number of sampled packets of an
+//! n-packet flow directly from Binomial(n, 1/N). The study's traffic
+//! generator does not call it per flow: it applies the same law at
+//! generation, drawing only the flows a router samples
+//! (`cwa_samplers::PairThinning`), so the routers only account the
+//! counts they receive. [`upscale`] is the collector-side inverse.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// Sampler flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SamplingMode {
-    /// Select every N-th packet.
-    Deterministic,
-    /// Select each packet independently with probability 1/N.
-    Random,
-}
-
-/// A 1-in-N packet sampler.
-#[derive(Debug, Clone)]
-pub struct PacketSampler {
-    /// The sampling interval N (1 = unsampled).
-    pub interval: u32,
-    mode: SamplingMode,
-    counter: u32,
-}
-
-impl PacketSampler {
-    /// Creates a sampler with interval `n` (clamped to ≥ 1).
-    pub fn new(n: u32, mode: SamplingMode) -> Self {
-        PacketSampler {
-            interval: n.max(1),
-            mode,
-            counter: 0,
-        }
-    }
-
-    /// Decides whether the next packet is sampled.
-    pub fn sample<R: Rng>(&mut self, rng: &mut R) -> bool {
-        match self.mode {
-            SamplingMode::Deterministic => {
-                self.counter += 1;
-                if self.counter >= self.interval {
-                    self.counter = 0;
-                    true
-                } else {
-                    false
-                }
-            }
-            SamplingMode::Random => self.interval == 1 || rng.gen_range(0..self.interval) == 0,
-        }
-    }
-}
 
 /// Draws how many of `packets` packets a 1-in-`n` random sampler selects:
 /// a Binomial(packets, 1/n) sample.
@@ -89,50 +42,6 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn deterministic_exact_rate() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut s = PacketSampler::new(10, SamplingMode::Deterministic);
-        let hits = (0..1000).filter(|_| s.sample(&mut rng)).count();
-        assert_eq!(hits, 100);
-    }
-
-    #[test]
-    fn deterministic_pattern_every_nth() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut s = PacketSampler::new(4, SamplingMode::Deterministic);
-        let picks: Vec<bool> = (0..8).map(|_| s.sample(&mut rng)).collect();
-        assert_eq!(
-            picks,
-            [false, false, false, true, false, false, false, true]
-        );
-    }
-
-    #[test]
-    fn random_rate_close_to_expected() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut s = PacketSampler::new(100, SamplingMode::Random);
-        let trials = 200_000;
-        let hits = (0..trials).filter(|_| s.sample(&mut rng)).count();
-        let rate = hits as f64 / trials as f64;
-        assert!((rate - 0.01).abs() < 0.002, "rate {rate}");
-    }
-
-    #[test]
-    fn interval_one_samples_everything() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        for mode in [SamplingMode::Deterministic, SamplingMode::Random] {
-            let mut s = PacketSampler::new(1, mode);
-            assert!((0..100).all(|_| s.sample(&mut rng)));
-        }
-    }
-
-    #[test]
-    fn zero_interval_clamped() {
-        let s = PacketSampler::new(0, SamplingMode::Random);
-        assert_eq!(s.interval, 1);
-    }
 
     #[test]
     fn binomial_small_flow_mean() {

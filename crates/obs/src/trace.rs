@@ -39,7 +39,7 @@ const KIND_INSTANT: u64 = 1;
 
 /// Default ring capacity per buffer (events). At three `u64`s per slot
 /// this is 1.5 MiB per thread — enough for per-hour spans over the full
-/// 11-day study plus per-datagram collector events at study scales.
+/// 11-day study plus one collector span per router export round.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// One thread's ring buffer of trace events.

@@ -21,6 +21,12 @@
 //! * [`map_bits_u32`] — widening multiply-shift from 32 random bits
 //!   onto `0..n`, for collapsing several per-flow field draws into one
 //!   split `u64`.
+//! * [`PairThinning`] — 1-in-N packet sampling applied at generation:
+//!   of `n` log-normal request/response pairs it draws exactly the
+//!   ones a router's sampler would see, with their sampled packet
+//!   counts, without drawing the unseen ones. Built on [`erfc`] /
+//!   [`normal_cdf`], the truncated normals [`normal_above`] /
+//!   [`normal_below`], [`binomial_nonzero`] and [`sampled_pair`].
 //!
 //! All samplers consume the RNG deterministically, so same-seed runs
 //! stay bit-identical; swapping them in *re-pins* every downstream
@@ -165,11 +171,16 @@ fn binomial_half<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
 /// multiplications — for the 1-in-1000 packet-sampling case (np ≈
 /// 0.02) the loop body almost never runs at all.
 fn binomial_binv<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
+    // q^n, no underflow while np is small.
+    binv_from(rng, n, p, (n as f64 * (1.0 - p).ln()).exp())
+}
+
+/// BINV from a known `base = (1−p)^n`.
+fn binv_from<R: Rng>(rng: &mut R, n: u64, p: f64, base: f64) -> u64 {
     let q = 1.0 - p;
     let s = p / q;
-    let base = (n as f64 * q.ln()).exp(); // q^n, no underflow while np is small
-                                          // Restart bound: the pmf mass beyond mean + 10σ is < 1e-20; a
-                                          // uniform pointing past it is float-tail noise, so redraw.
+    // Restart bound: the pmf mass beyond mean + 10σ is < 1e-20; a
+    // uniform pointing past it is float-tail noise, so redraw.
     let np = n as f64 * p;
     let bound = (np + 10.0 * (np * q + 1.0).sqrt()).min(n as f64) as u64;
     loop {
@@ -314,6 +325,337 @@ pub fn log_normal<R: Rng>(rng: &mut R, median: f64, sigma: f64) -> f64 {
 #[inline]
 pub fn map_bits_u32(bits: u32, n: u32) -> u32 {
     ((u64::from(bits) * u64::from(n)) >> 32) as u32
+}
+
+/// Depth of the bottom-up continued fraction in [`erfc`].
+const ERFC_CF_DEPTH: u32 = 120;
+
+/// The complementary error function `erfc(x) = 1 − erf(x)`, to about
+/// 1e-14 relative accuracy on the whole real line.
+///
+/// Two classical expansions from Abramowitz & Stegun, *Handbook of
+/// Mathematical Functions* (1964): below 2 the series 7.1.6,
+/// `erf(x) = 2/√π · e^(−x²) · Σ 2ⁿ x^(2n+1) / (1·3···(2n+1))`, whose
+/// terms are all positive (no cancellation inside the sum); from 2 up
+/// the continued fraction 7.1.14,
+/// `erfc(x) = e^(−x²)/√π · 1/(x + ½/(x + 1/(x + (3/2)/(x + …))))`,
+/// evaluated bottom-up at a fixed depth. Negative arguments use
+/// `erfc(−x) = 2 − erfc(x)`.
+pub fn erfc(x: f64) -> f64 {
+    if x.is_nan() {
+        return f64::NAN;
+    }
+    if x < 0.0 {
+        return 2.0 - erfc(-x);
+    }
+    let inv_sqrt_pi = 1.0 / std::f64::consts::PI.sqrt();
+    if x < 2.0 {
+        let x2 = x * x;
+        let mut term = x;
+        let mut sum = x;
+        let mut n = 0.0;
+        while term > sum * 1e-17 {
+            n += 1.0;
+            term *= 2.0 * x2 / (2.0 * n + 1.0);
+            sum += term;
+        }
+        return 1.0 - 2.0 * inv_sqrt_pi * (-x2).exp() * sum;
+    }
+    let mut g = x;
+    for n in (1..=ERFC_CF_DEPTH).rev() {
+        g = x + 0.5 * f64::from(n) / g;
+    }
+    inv_sqrt_pi * (-x * x).exp() / g
+}
+
+/// The standard normal CDF `Φ(x) = erfc(−x/√2) / 2` (see [`erfc`]);
+/// accurate in relative terms deep into the lower tail.
+pub fn normal_cdf(x: f64) -> f64 {
+    0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
+}
+
+/// Draws a standard normal conditioned on `Z ≥ a`, exactly.
+///
+/// For `a ≤ 0` plain rejection from N(0,1) (acceptance ≥ ½); above,
+/// Robert's translated-exponential rejection (C. P. Robert,
+/// "Simulation of truncated normal variables", *Statistics and
+/// Computing* 5, 1995), whose acceptance rate is ≥ 76 % at every `a`.
+pub fn normal_above<R: Rng>(normals: &mut NormalCache, rng: &mut R, a: f64) -> f64 {
+    if a <= 0.0 {
+        loop {
+            let z = normals.standard_normal(rng);
+            if z >= a {
+                return z;
+            }
+        }
+    }
+    let alpha = 0.5 * (a + (a * a + 4.0).sqrt());
+    loop {
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let z = a - u.ln() / alpha;
+        let v: f64 = rng.gen();
+        if v <= (-0.5 * (z - alpha) * (z - alpha)).exp() {
+            return z;
+        }
+    }
+}
+
+/// Draws a standard normal conditioned on `Z < b`, exactly (the mirror
+/// of [`normal_above`]).
+pub fn normal_below<R: Rng>(normals: &mut NormalCache, rng: &mut R, b: f64) -> f64 {
+    -normal_above(normals, rng, -b)
+}
+
+/// Draws from Binomial(`n`, `p`) conditioned on a nonzero result (the
+/// zero-truncated binomial), exactly. Requires `n ≥ 1` and `p > 0`.
+///
+/// While the zero class holds at most half the mass, redraw
+/// [`binomial`] until it is nonzero (≤ 2 draws expected); otherwise
+/// invert one uniform through the truncated pmf
+/// `f(i) / (1 − (1−p)ⁿ)`, `i ≥ 1`.
+pub fn binomial_nonzero<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
+    assert!(
+        n >= 1 && p > 0.0,
+        "zero-truncated binomial needs n ≥ 1, p > 0"
+    );
+    nonzero_given(rng, n, p, -(n as f64 * (-p).ln_1p()).exp_m1())
+}
+
+/// [`binomial_nonzero`] with its mass `1 − (1−p)ⁿ` already known.
+fn nonzero_given<R: Rng>(rng: &mut R, n: u64, p: f64, mass: f64) -> u64 {
+    if p >= 1.0 {
+        return n;
+    }
+    let q_n = 1.0 - mass;
+    if q_n <= 0.5 {
+        loop {
+            let x = binomial(rng, n, p);
+            if x > 0 {
+                return x;
+            }
+        }
+    }
+    let nf = n as f64;
+    let odds = p / (1.0 - p);
+    let first = nf * odds * q_n;
+    // As in BINV: a uniform pointing past mean + 10σ is float-tail noise.
+    let np = nf * p;
+    let bound = (1.0 + np + 10.0 * (np * (1.0 - p) + 1.0).sqrt()).min(nf) as u64;
+    loop {
+        let mut u = rng.gen::<f64>() * mass;
+        let mut i = 1u64;
+        let mut pmf = first;
+        while i <= bound {
+            if u <= pmf {
+                return i;
+            }
+            u -= pmf;
+            pmf *= odds * (n - i) as f64 / (i + 1) as f64;
+            i += 1;
+        }
+    }
+}
+
+/// [`binomial`] with `base = (1−p)ⁿ` already known: BINV starts from
+/// it wherever [`binomial`] would run BINV.
+fn binomial_given<R: Rng>(rng: &mut R, n: u64, p: f64, base: f64) -> u64 {
+    if n == 0 || p <= 0.0 || p > 0.5 || n as f64 * p >= BINOMIAL_INVERSION_CUTOFF {
+        return binomial(rng, n, p);
+    }
+    binv_from(rng, n, p, base)
+}
+
+/// Draws what a 1-in-N sampler (`p = 1/N`, `log_q = ln(1 − p)`) keeps
+/// of a `k`-packet flow and its `k_up`-packet counterpart, *given* that
+/// it keeps at least one packet of the two: `(d, u)` from
+/// Bin(k, p) × Bin(k_up, p) conditioned on `d + u ≥ 1`, exactly.
+///
+/// `d > 0` with probability `(1 − qᵏ) / (1 − q^(k+k_up))`; then `d` is
+/// zero-truncated and `u` unconditioned, else `d = 0` and `u` is
+/// zero-truncated. Requires `k ≥ 1`. At `p = 1` this returns
+/// `(k, k_up)` without a draw.
+pub fn sampled_pair<R: Rng>(rng: &mut R, k: u64, k_up: u64, p: f64, log_q: f64) -> (u64, u64) {
+    let seen = -((k + k_up) as f64 * log_q).exp_m1();
+    let down_seen = -(k as f64 * log_q).exp_m1();
+    if down_seen >= seen || rng.gen::<f64>() * seen < down_seen {
+        let d = nonzero_given(rng, k, p, down_seen);
+        (d, binomial_given(rng, k_up, p, (k_up as f64 * log_q).exp()))
+    } else {
+        (
+            0,
+            nonzero_given(rng, k_up, p, -(k_up as f64 * log_q).exp_m1()),
+        )
+    }
+}
+
+/// Packet counts of a request/response pair whose downstream size is
+/// the continuous draw `x`: `k = max(round(x), 2)` (a TCP flow carries
+/// at least SYN + data) and `k_up = max(⌊k/2⌋, 2)`.
+#[inline]
+pub fn pair_packets(x: f64) -> (u64, u64) {
+    let k = x.round().max(2.0) as u64;
+    (k, (k / 2).max(2))
+}
+
+/// One request/response pair that a 1-in-N packet sampler sees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampledPair {
+    /// True downstream packets `k` (see [`pair_packets`]).
+    pub packets: u64,
+    /// True upstream packets `k_up`.
+    pub upstream_packets: u64,
+    /// Sampled downstream packets `d`.
+    pub sampled: u64,
+    /// Sampled upstream packets `u`; `d + u ≥ 1`.
+    pub upstream_sampled: u64,
+}
+
+/// 1-in-N packet sampling applied at generation, for request/response
+/// pairs whose downstream size is log-normal: `X ~ LN(ln median, σ)`,
+/// packet counts by [`pair_packets`], each packet of either direction
+/// sampled independently with probability `p = 1/N`.
+///
+/// A pair is seen when the sampler keeps any of its `k + k_up` packets,
+/// with probability `s(k) = 1 − (1−p)^(k+k_up)`. Of `n` pairs,
+/// [`thin`](PairThinning::thin) draws exactly the seen ones, in law,
+/// without drawing the rest:
+///
+/// 1. The envelope `b(x) = min(1, p·(1.5x + 5))` bounds `s(k(x))` for
+///    every `x > 0` (`k + k_up ≤ 1.5x + 0.75` from four packets up,
+///    and `≤ 5` below), and `c = E[b(X)]` has a closed form through
+///    lognormal partial moments:
+///    `c = 5p·Φ(z*) + 1.5p·e^(μ+σ²/2)·Φ(z*−σ) + Φ(−z*)`, with
+///    `x* = (1/p − 5)/1.5` where `b` reaches 1 and `z* = (ln x* − μ)/σ`.
+/// 2. Candidates: `m ~ Bin(n, c)`, each with size `X` from `f·b/c` — a
+///    three-part mixture of `LN(μ, σ)` below `x*`, the size-biased
+///    `LN(μ+σ², σ)` below `x*`, and `LN(μ, σ)` above `x*`.
+/// 3. Each candidate is kept with probability `s(k)/b(X)`, so the kept
+///    count is Bin(n, E[s(k)]) and the kept sizes follow `f·s / E[s]`.
+/// 4. A kept pair draws its sampled counts with [`sampled_pair`].
+///
+/// At `N ≤ 5` the envelope is 1 (`x* ≤ 0`): every pair is a candidate,
+/// and at `N = 1` every pair is kept with all its packets.
+#[derive(Debug, Clone, Copy)]
+pub struct PairThinning {
+    mu: f64,
+    sigma: f64,
+    p: f64,
+    log_q: f64,
+    /// The cut `z* = (ln x* − μ)/σ` between the two lower mixture parts
+    /// and the upper one (−∞: no lower part).
+    z_star: f64,
+    /// Mixture weights, cumulative: part A, A + B, A + B + C (= c).
+    w_a: f64,
+    w_ab: f64,
+    c: f64,
+}
+
+impl PairThinning {
+    /// The thinning of `LN(ln median, sigma)`-sized pairs under 1-in-`interval`
+    /// packet sampling (`interval` is clamped to ≥ 1).
+    pub fn new(median: f64, sigma: f64, interval: u32) -> Self {
+        let n = f64::from(interval.max(1));
+        let p = 1.0 / n;
+        let mu = median.ln();
+        let log_q = (-p).ln_1p();
+        let x_star = (n - 5.0) / 1.5;
+        if x_star <= 0.0 {
+            return PairThinning {
+                mu,
+                sigma,
+                p,
+                log_q,
+                z_star: f64::NEG_INFINITY,
+                w_a: 0.0,
+                w_ab: 0.0,
+                c: 1.0,
+            };
+        }
+        let z_star = (x_star.ln() - mu) / sigma;
+        let w_a = 5.0 * p * normal_cdf(z_star);
+        let w_b = 1.5 * p * (mu + 0.5 * sigma * sigma).exp() * normal_cdf(z_star - sigma);
+        let w_c = normal_cdf(-z_star);
+        PairThinning {
+            mu,
+            sigma,
+            p,
+            log_q,
+            z_star,
+            w_a,
+            w_ab: w_a + w_b,
+            c: w_a + w_b + w_c,
+        }
+    }
+
+    /// `c = E[b(X)]`: the chance that a pair becomes a candidate.
+    pub fn candidate_probability(&self) -> f64 {
+        self.c
+    }
+
+    /// `s(k) = 1 − (1−p)^(k+k_up)`: the chance a `k`-packet pair is seen.
+    pub fn seen_probability(&self, k: u64, k_up: u64) -> f64 {
+        -((k + k_up) as f64 * self.log_q).exp_m1()
+    }
+
+    /// The envelope `b(x) = min(1, p·(1.5x + 5))`.
+    pub fn envelope(&self, x: f64) -> f64 {
+        (self.p * (1.5 * x + 5.0)).min(1.0)
+    }
+
+    /// Draws one candidate size `X ~ f·b/c`.
+    fn candidate_size<R: Rng>(&self, normals: &mut NormalCache, rng: &mut R) -> f64 {
+        let pick = rng.gen::<f64>() * self.c;
+        let (shift, z) = if pick < self.w_a {
+            (0.0, normal_below(normals, rng, self.z_star))
+        } else if pick < self.w_ab {
+            let s2 = self.sigma * self.sigma;
+            (s2, normal_below(normals, rng, self.z_star - self.sigma))
+        } else {
+            (0.0, normal_above(normals, rng, self.z_star))
+        };
+        (self.mu + shift + self.sigma * z).exp()
+    }
+
+    /// Draws one candidate and keeps it with probability `s(k)/b(X)`:
+    /// the kept pair with its sampled counts, or `None`.
+    fn thin_candidate<R: Rng>(
+        &self,
+        normals: &mut NormalCache,
+        rng: &mut R,
+    ) -> Option<SampledPair> {
+        let x = self.candidate_size(normals, rng);
+        let (k, k_up) = pair_packets(x);
+        let seen = self.seen_probability(k, k_up);
+        let envelope = self.envelope(x);
+        if seen < envelope && rng.gen::<f64>() * envelope >= seen {
+            return None;
+        }
+        let (sampled, upstream_sampled) = sampled_pair(rng, k, k_up, self.p, self.log_q);
+        Some(SampledPair {
+            packets: k,
+            upstream_packets: k_up,
+            sampled,
+            upstream_sampled,
+        })
+    }
+
+    /// Thins `n` pairs: draws `m ~ Bin(n, c)` candidates and passes each
+    /// kept pair to `keep`, in draw order. Returns `m`.
+    pub fn thin<R: Rng>(
+        &self,
+        normals: &mut NormalCache,
+        rng: &mut R,
+        n: u64,
+        mut keep: impl FnMut(&mut R, SampledPair),
+    ) -> u64 {
+        let candidates = binomial(rng, n, self.c);
+        for _ in 0..candidates {
+            if let Some(pair) = self.thin_candidate(normals, rng) {
+                keep(rng, pair);
+            }
+        }
+        candidates
+    }
 }
 
 #[cfg(test)]
@@ -569,5 +911,463 @@ mod tests {
         };
         assert_eq!(draw_all(7), draw_all(7));
         assert_ne!(draw_all(7), draw_all(8));
+    }
+
+    // ── Sampling at generation: exact-arithmetic pins ──────────────
+
+    /// χ² critical value at the 0.999 quantile (Wilson–Hilferty).
+    fn chi2_critical(dof: usize) -> f64 {
+        let v = dof as f64;
+        let z = 3.090_232;
+        v * (1.0 - 2.0 / (9.0 * v) + z * (2.0 / (9.0 * v)).sqrt()).powi(3)
+    }
+
+    /// Goodness of fit of `observed` against cell probabilities `probs`;
+    /// `observed` has one more cell, the draws outside the `probs`
+    /// cells, which expects the mass `probs` leaves out. Adjacent cells
+    /// are pooled until each expects ≥ 5. Returns (χ², degrees of
+    /// freedom).
+    fn chi2_gof(observed: &[u64], probs: &[f64]) -> (f64, usize) {
+        assert_eq!(observed.len(), probs.len() + 1);
+        let t = observed.iter().sum::<u64>() as f64;
+        let rest = (1.0 - probs.iter().sum::<f64>()).max(0.0);
+        let cells: Vec<(f64, f64)> = observed
+            .iter()
+            .zip(probs.iter().chain([&rest]))
+            .map(|(&o, &p)| (o as f64, p * t))
+            .collect();
+        let mut pooled: Vec<(f64, f64)> = Vec::new();
+        let mut acc = (0.0, 0.0);
+        for (o, e) in cells {
+            acc = (acc.0 + o, acc.1 + e);
+            if acc.1 >= 5.0 {
+                pooled.push(acc);
+                acc = (0.0, 0.0);
+            }
+        }
+        if let Some(last) = pooled.last_mut() {
+            *last = (last.0 + acc.0, last.1 + acc.1);
+        }
+        let stat = pooled.iter().map(|(o, e)| (o - e) * (o - e) / e).sum();
+        (stat, pooled.len() - 1)
+    }
+
+    /// Two-sample χ² homogeneity of histograms `a` and `b` (cells pooled
+    /// until each holds ≥ 10 of both samples together).
+    fn chi2_two_sample(a: &[u64], b: &[u64]) -> (f64, usize) {
+        let (ta, tb) = (a.iter().sum::<u64>() as f64, b.iter().sum::<u64>() as f64);
+        let mut pooled: Vec<(f64, f64)> = Vec::new();
+        let mut acc = (0.0, 0.0);
+        for (&x, &y) in a.iter().zip(b) {
+            acc = (acc.0 + x as f64, acc.1 + y as f64);
+            if acc.0 + acc.1 >= 10.0 {
+                pooled.push(acc);
+                acc = (0.0, 0.0);
+            }
+        }
+        if let Some(last) = pooled.last_mut() {
+            *last = (last.0 + acc.0, last.1 + acc.1);
+        }
+        let (ra, rb) = ((tb / ta).sqrt(), (ta / tb).sqrt());
+        let stat = pooled
+            .iter()
+            .map(|(x, y)| (x * ra - y * rb).powi(2) / (x + y))
+            .sum();
+        (stat, pooled.len() - 1)
+    }
+
+    /// Exact Binomial(n, p) pmf at `i`, in logs.
+    fn binomial_pmf(n: u64, p: f64, i: u64) -> f64 {
+        let (nf, f) = (n as f64, i as f64);
+        (ln_gamma(nf + 1.0) - ln_gamma(f + 1.0) - ln_gamma(nf - f + 1.0)
+            + f * p.ln()
+            + (nf - f) * (-p).ln_1p())
+        .exp()
+    }
+
+    #[test]
+    fn erfc_and_normal_cdf_match_reference_values() {
+        // Reference values: erfc/Φ from the C library's double-precision
+        // erfc (glibc), to the last printed digit.
+        for (x, want) in [
+            (0.1, 0.887_537_083_981_715_2),
+            (0.5, 0.479_500_122_186_953_5),
+            (1.0, 0.157_299_207_050_285_13),
+            (1.9999, 0.004_679_802_092_970_608),
+            (2.0, 0.004_677_734_981_047_265),
+            (2.0001, 0.004_675_668_695_803_339_4),
+            (3.0, 2.209_049_699_858_543_8e-5),
+            (5.0, 1.537_459_794_428_035_1e-12),
+            (10.0, 2.088_487_583_762_545e-45),
+            (-1.0, 1.842_700_792_949_715),
+        ] {
+            let got = erfc(x);
+            assert!(
+                ((got - want) / want).abs() < 1e-13,
+                "erfc({x}) = {got:e}, want {want:e}"
+            );
+        }
+        for (x, want) in [
+            (-7.0, 1.279_812_543_885_835e-12),
+            (-5.0, 2.866_515_718_791_946e-7),
+            (-3.0, 0.001_349_898_031_630_095_7),
+            (-1.0, 0.158_655_253_931_457_07),
+            (1.96, 0.975_002_104_851_779_5),
+            (4.66, 0.999_998_418_953_081_1),
+        ] {
+            let got = normal_cdf(x);
+            assert!(
+                ((got - want) / want).abs() < 1e-13,
+                "Φ({x}) = {got:e}, want {want:e}"
+            );
+        }
+        assert_eq!(erfc(0.0), 1.0);
+        assert!(erfc(f64::NAN).is_nan());
+        for x in [0.3f64, 1.2, 2.5, 4.0] {
+            assert!((normal_cdf(x) + normal_cdf(-x) - 1.0).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn normal_cdf_matches_quadrature_of_the_density() {
+        // Independent of any reference table: composite Simpson over the
+        // density on [x − 14, x] (the mass below x − 14 is < 1e-40 of Φ).
+        let phi = |z: f64| (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
+        for x in [-7.5f64, -5.0, -3.3, -1.5, -0.4, 0.0, 0.9, 2.2] {
+            let (lo, steps) = (x - 14.0, 28_000usize);
+            let h = (x - lo) / steps as f64;
+            let mut sum = phi(lo) + phi(x);
+            for i in 1..steps {
+                let w = if i % 2 == 1 { 4.0 } else { 2.0 };
+                sum += w * phi(lo + i as f64 * h);
+            }
+            let quad = sum * h / 3.0;
+            let got = normal_cdf(x);
+            assert!(
+                ((got - quad) / quad).abs() < 1e-10,
+                "Φ({x}) = {got:e}, quadrature {quad:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_normals_respect_their_bounds_and_law() {
+        let mut rng = ChaCha8Rng::seed_from_u64(51);
+        let mut normals = NormalCache::new();
+        // P(Z ≥ a + 0.5 | Z ≥ a) = Φ(−a − 0.5)/Φ(−a) on both algorithms.
+        for a in [-1.0f64, 0.0, 0.8, 2.5, 4.7] {
+            let n = 60_000;
+            let mut far = 0u32;
+            for _ in 0..n {
+                let z = normal_above(&mut normals, &mut rng, a);
+                assert!(z >= a);
+                if z >= a + 0.5 {
+                    far += 1;
+                }
+            }
+            let want = normal_cdf(-a - 0.5) / normal_cdf(-a);
+            let got = f64::from(far) / f64::from(n);
+            let se = (want * (1.0 - want) / f64::from(n)).sqrt();
+            assert!((got - want).abs() < 5.0 * se, "a={a}: {got} vs {want}");
+            let z = normal_below(&mut normals, &mut rng, -a);
+            assert!(z < -a);
+        }
+    }
+
+    #[test]
+    fn binomial_nonzero_matches_the_zero_truncated_pmf() {
+        let mut rng = ChaCha8Rng::seed_from_u64(52);
+        // Inversion ((1−p)ⁿ > ½) and redraw (≤ ½) regimes.
+        for (n, p) in [
+            (3u64, 0.001f64),
+            (20, 0.01),
+            (500, 0.001),
+            (2_000, 0.001),
+            (40, 0.3),
+        ] {
+            let trials = 80_000;
+            let cap = 12usize;
+            let mut counts = vec![0u64; cap + 1];
+            for _ in 0..trials {
+                let x = binomial_nonzero(&mut rng, n, p);
+                assert!((1..=n).contains(&x));
+                counts[(x as usize).min(cap)] += 1;
+            }
+            let mass = -(n as f64 * (-p).ln_1p()).exp_m1();
+            let probs: Vec<f64> = (1..cap as u64)
+                .map(|i| {
+                    if i <= n {
+                        binomial_pmf(n, p, i) / mass
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let (stat, dof) = chi2_gof(&counts[1..], &probs);
+            assert!(
+                dof == 0 || stat < chi2_critical(dof),
+                "n={n} p={p}: χ²={stat:.1} on {dof} dof"
+            );
+        }
+        assert_eq!(binomial_nonzero(&mut rng, 7, 1.0), 7);
+    }
+
+    #[test]
+    fn sampled_pair_matches_the_conditioned_joint() {
+        let mut rng = ChaCha8Rng::seed_from_u64(53);
+        for (k, k_up, p) in [
+            (16u64, 8u64, 0.001f64),
+            (3, 2, 0.001),
+            (40, 20, 0.01),
+            (5, 2, 0.5),
+            (300, 150, 0.01),
+        ] {
+            let log_q = (-p).ln_1p();
+            let seen = -((k + k_up) as f64 * log_q).exp_m1();
+            let cap = 4u64;
+            // Joint cells (d, u) for d, u < cap, row-major; mass beyond
+            // the caps is the χ² rest cell.
+            let mut counts = vec![0u64; (cap * cap) as usize];
+            let trials = 60_000;
+            let mut beyond = 0u64;
+            for _ in 0..trials {
+                let (d, u) = sampled_pair(&mut rng, k, k_up, p, log_q);
+                assert!(d + u >= 1 && d <= k && u <= k_up);
+                if d < cap && u < cap {
+                    counts[(d * cap + u) as usize] += 1;
+                } else {
+                    beyond += 1;
+                }
+            }
+            let probs: Vec<f64> = (0..cap * cap)
+                .map(|cell| {
+                    let (d, u) = (cell / cap, cell % cap);
+                    if d + u == 0 || d > k || u > k_up {
+                        0.0
+                    } else {
+                        binomial_pmf(k, p, d) * binomial_pmf(k_up, p, u) / seen
+                    }
+                })
+                .collect();
+            counts.push(beyond);
+            let (stat, dof) = chi2_gof(&counts[1..], &probs[1..]);
+            assert!(
+                dof == 0 || stat < chi2_critical(dof),
+                "k={k} k_up={k_up} p={p}: χ²={stat:.1} on {dof} dof"
+            );
+        }
+        // p = 1: the whole pair, no draw.
+        let mut a = ChaCha8Rng::seed_from_u64(54);
+        assert_eq!(sampled_pair(&mut a, 9, 4, 1.0, f64::NEG_INFINITY), (9, 4));
+        assert_eq!(a.gen::<u64>(), ChaCha8Rng::seed_from_u64(54).gen::<u64>());
+    }
+
+    /// P(k) for `k = max(round(X), 2)`, `X ~ LN(ln median, σ)`.
+    fn size_pmf(median: f64, sigma: f64, k: u64) -> f64 {
+        let cdf = |x: f64| normal_cdf((x.ln() - median.ln()) / sigma);
+        if k == 2 {
+            cdf(2.5)
+        } else {
+            cdf(k as f64 + 0.5) - cdf(k as f64 - 0.5)
+        }
+    }
+
+    #[test]
+    fn candidate_probability_equals_the_envelope_mean() {
+        // c's closed form against Simpson quadrature of E[b(X)] over the
+        // normal variable (fine steps absorb the kink at z*).
+        for (median, sigma, interval) in [
+            (16.0f64, 0.8f64, 1000u32),
+            (20.0, 1.2, 1000),
+            (24.0, 1.0, 100),
+            (56.0, 0.8, 10),
+        ] {
+            let t = PairThinning::new(median, sigma, interval);
+            let phi = |z: f64| (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
+            let f = |z: f64| phi(z) * t.envelope((median.ln() + sigma * z).exp());
+            let steps = 400_000usize;
+            let (lo, hi) = (-12.0f64, 12.0f64);
+            let h = (hi - lo) / steps as f64;
+            let mut sum = f(lo) + f(hi);
+            for i in 1..steps {
+                sum += if i % 2 == 1 { 4.0 } else { 2.0 } * f(lo + i as f64 * h);
+            }
+            let quad = sum * h / 3.0;
+            let c = t.candidate_probability();
+            assert!(
+                ((c - quad) / quad).abs() < 1e-7,
+                "median {median} σ {sigma} 1:{interval}: c = {c}, quadrature {quad}"
+            );
+        }
+        assert_eq!(PairThinning::new(16.0, 0.8, 1).candidate_probability(), 1.0);
+        assert_eq!(PairThinning::new(16.0, 0.8, 4).candidate_probability(), 1.0);
+    }
+
+    #[test]
+    fn envelope_bounds_the_seen_probability() {
+        for interval in [6u32, 10, 100, 1000, 10_000] {
+            let t = PairThinning::new(16.0, 0.8, interval);
+            let mut x = 0.01;
+            while x < 5e4 {
+                let (k, k_up) = pair_packets(x);
+                assert!(
+                    t.seen_probability(k, k_up) <= t.envelope(x) * (1.0 + 1e-12),
+                    "1:{interval} x={x}"
+                );
+                x *= 1.01;
+            }
+        }
+    }
+
+    #[test]
+    fn kept_sizes_follow_the_tilted_law() {
+        // Kept pairs: count ~ Bin(n, Σ P(k)·s(k)), sizes P(k)·s(k)/Σ P(k)·s(k).
+        let mut rng = ChaCha8Rng::seed_from_u64(55);
+        for (median, sigma, interval, n) in [
+            (16.0f64, 0.8f64, 1000u32, 1_500_000u64),
+            (20.0, 1.2, 1000, 1_000_000),
+            (24.0, 1.0, 100, 150_000),
+        ] {
+            let t = PairThinning::new(median, sigma, interval);
+            let cap = 400u64;
+            let mut counts = vec![0u64; cap as usize + 1];
+            let mut kept = 0u64;
+            let mut normals = NormalCache::new();
+            let candidates = t.thin(&mut normals, &mut rng, n, |_, pair| {
+                kept += 1;
+                counts[pair.packets.min(cap) as usize] += 1;
+            });
+            let tilted: Vec<f64> = (0..=200_000u64)
+                .map(|k| {
+                    if k < 2 {
+                        0.0
+                    } else {
+                        size_pmf(median, sigma, k) * t.seen_probability(k, (k / 2).max(2))
+                    }
+                })
+                .collect();
+            let mean_seen: f64 = tilted.iter().sum();
+            let want_kept = n as f64 * mean_seen;
+            assert!(
+                (kept as f64 - want_kept).abs() < 5.0 * want_kept.sqrt(),
+                "median {median} 1:{interval}: kept {kept}, want {want_kept:.0}"
+            );
+            let want_cand = n as f64 * t.candidate_probability();
+            assert!((candidates as f64 - want_cand).abs() < 5.0 * want_cand.sqrt());
+            let probs: Vec<f64> = (2..cap).map(|k| tilted[k as usize] / mean_seen).collect();
+            let (stat, dof) = chi2_gof(&counts[2..], &probs);
+            assert!(
+                stat < chi2_critical(dof),
+                "median {median} 1:{interval}: χ²={stat:.1} on {dof} dof"
+            );
+        }
+    }
+
+    /// Histograms a thinning run is compared on.
+    #[derive(Default)]
+    struct Seen {
+        pairs: u64,
+        size: Vec<u64>,
+        down: Vec<u64>,
+        up: Vec<u64>,
+        joint: Vec<u64>,
+    }
+
+    impl Seen {
+        fn note(&mut self, k: u64, d: u64, u: u64) {
+            let bump = |h: &mut Vec<u64>, i: usize| {
+                if h.len() <= i {
+                    h.resize(i + 1, 0);
+                }
+                h[i] += 1;
+            };
+            self.pairs += 1;
+            bump(&mut self.size, (63 - k.leading_zeros()) as usize);
+            bump(&mut self.down, d.min(5) as usize);
+            bump(&mut self.up, u.min(5) as usize);
+            bump(&mut self.joint, (d.min(3) * 4 + u.min(3)) as usize);
+        }
+    }
+
+    fn same_len(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        let n = a.len().max(b.len());
+        let pad = |h: &[u64]| {
+            let mut v = h.to_vec();
+            v.resize(n, 0);
+            v
+        };
+        (pad(a), pad(b))
+    }
+
+    #[test]
+    fn thinning_matches_brute_force_per_flow_sampling() {
+        for (median, sigma, interval, flows) in [
+            (16.0f64, 0.8f64, 1000u32, 800_000u64),
+            (20.0, 1.2, 1000, 600_000),
+            (16.0, 0.8, 100, 100_000),
+            (20.0, 1.2, 100, 80_000),
+        ] {
+            let p = 1.0 / f64::from(interval);
+            // Reference: every flow drawn, both directions sampled.
+            let mut rng = ChaCha8Rng::seed_from_u64(56);
+            let mut normals = NormalCache::new();
+            let mut brute = Seen::default();
+            for _ in 0..flows {
+                let x = normals.log_normal(&mut rng, median, sigma);
+                let (k, k_up) = pair_packets(x);
+                let d = binomial(&mut rng, k, p);
+                let u = binomial(&mut rng, k_up, p);
+                if d + u >= 1 {
+                    brute.note(k, d, u);
+                }
+            }
+            // Sampling at generation.
+            let mut rng = ChaCha8Rng::seed_from_u64(57);
+            let mut normals = NormalCache::new();
+            let mut thinned = Seen::default();
+            PairThinning::new(median, sigma, interval).thin(
+                &mut normals,
+                &mut rng,
+                flows,
+                |_, s| {
+                    assert_eq!((s.packets / 2).max(2), s.upstream_packets);
+                    thinned.note(s.packets, s.sampled, s.upstream_sampled)
+                },
+            );
+            let (a, b) = (brute.pairs as f64, thinned.pairs as f64);
+            assert!(
+                (a - b).abs() < 5.0 * (a + b).sqrt(),
+                "median {median} 1:{interval}: kept {a} brute vs {b} thinned"
+            );
+            for (what, x, y) in [
+                ("true size", &brute.size, &thinned.size),
+                ("sampled down", &brute.down, &thinned.down),
+                ("sampled up", &brute.up, &thinned.up),
+                ("(d, u) joint", &brute.joint, &thinned.joint),
+            ] {
+                let (x, y) = same_len(x, y);
+                let (stat, dof) = chi2_two_sample(&x, &y);
+                assert!(
+                    stat < chi2_critical(dof),
+                    "median {median} 1:{interval} {what}: χ²={stat:.1} on {dof} dof"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unsampled_thinning_keeps_every_flow_whole() {
+        let mut rng = ChaCha8Rng::seed_from_u64(58);
+        let mut normals = NormalCache::new();
+        let mut kept = 0u64;
+        let t = PairThinning::new(16.0, 0.8, 1);
+        let candidates = t.thin(&mut normals, &mut rng, 5_000, |_, s| {
+            kept += 1;
+            assert_eq!(
+                (s.sampled, s.upstream_sampled),
+                (s.packets, s.upstream_packets)
+            );
+        });
+        assert_eq!((candidates, kept), (5_000, 5_000));
     }
 }

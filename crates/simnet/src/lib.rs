@@ -13,18 +13,21 @@
 //!   export format from `cwa-exposure`.
 //! * [`samplers`] / [`stats`] — seeded samplers for the traffic
 //!   generator: exact constant-draw Poisson (inversion + PTRS) and
-//!   Binomial (BINV + BTPE) plus paired Box–Muller normals live in the
-//!   shared `cwa-samplers` crate (re-exported here as [`samplers`]);
-//!   [`stats`] keeps the flow-size policy helpers on top of them.
+//!   Binomial (BINV + BTPE), paired Box–Muller normals and the
+//!   sampling-at-generation thinning live in the shared `cwa-samplers`
+//!   crate (re-exported here as [`samplers`]; [`stats`] re-exports the
+//!   common draws).
 //! * [`traffic`] — the prefix-cohort traffic generator: every routing
 //!   prefix carries its district's share of app users and website
 //!   visitors; hourly flow intensities follow adoption × diurnal ×
 //!   media; flows get realistic packet/byte sizes; client addresses
 //!   honour each ISP's static/dynamic assignment behaviour. Background
 //!   (non-CWA) traffic is mixed in so that the analysis' filtering step
-//!   has something to reject.
+//!   has something to reject. It applies the routers' 1-in-N packet
+//!   sampling itself and emits only the flows they sample.
 //! * [`vantage`] — the measurement vantage point: border routers running
-//!   sampled NetFlow (flow caches + 1-in-N sampling), v5 export, and a
+//!   sampled NetFlow (flow caches fed the generator's sampled packet
+//!   counts), v5 export, and a
 //!   collector that Crypto-PAn-anonymizes client addresses; it also
 //!   produces the *side tables* (anonymized-prefix → geolocation /
 //!   ISP/router info) that a mediating network operator would hand to

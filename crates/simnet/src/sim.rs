@@ -421,13 +421,6 @@ impl PreparedSim {
     pub fn run_traffic(&self, sink: &mut dyn FlowSink) -> (GroundTruth, VantageRunStats) {
         let cfg = self.config;
         let timeline = Timeline { days: cfg.days };
-        let traffic_cfg = TrafficConfig {
-            scale: cfg.scale,
-            seed: cfg.seed ^ 0x7AF,
-            background_ratio: cfg.traffic.background_ratio,
-            active_subscriber_fraction: cfg.traffic.active_subscriber_fraction,
-            ..TrafficConfig::default()
-        };
         let mut vantage = VantagePoint::new(
             cfg.vantage,
             self.cdn.service_prefixes.to_vec(),
@@ -437,22 +430,12 @@ impl PreparedSim {
             vantage.set_chunk_capacity(cap);
         }
         if let Some(registry) = &self.metrics {
-            vantage.attach_metrics(registry, cfg.days);
+            vantage.attach_metrics(registry);
         }
         if let Some(tracer) = &self.trace {
             vantage.set_trace(std::sync::Arc::clone(tracer));
         }
-        let mut model = TrafficModel::new(
-            &self.germany,
-            &self.plan,
-            &self.scenario,
-            &self.downloads,
-            self.activity,
-            self.cdn.clone(),
-            traffic_cfg,
-            timeline.hours(),
-        )
-        .with_export_sizes(&self.export_sizes);
+        let mut model = self.traffic_model();
         let progress = self
             .metrics
             .as_ref()
@@ -518,13 +501,6 @@ impl PreparedSim {
     ) -> (GroundTruth, Vec<(S, VantageRunStats)>) {
         let cfg = self.config;
         let timeline = Timeline { days: cfg.days };
-        let traffic_cfg = TrafficConfig {
-            scale: cfg.scale,
-            seed: cfg.seed ^ 0x7AF,
-            background_ratio: cfg.traffic.background_ratio,
-            active_subscriber_fraction: cfg.traffic.active_subscriber_fraction,
-            ..TrafficConfig::default()
-        };
         let mut vantages = VantagePoint::shard(
             cfg.vantage,
             self.cdn.service_prefixes.to_vec(),
@@ -539,7 +515,7 @@ impl PreparedSim {
         }
         if let Some(registry) = &self.metrics {
             for vantage in &mut vantages {
-                vantage.attach_metrics(registry, cfg.days);
+                vantage.attach_metrics(registry);
             }
         }
         if let Some(tracer) = &self.trace {
@@ -547,17 +523,7 @@ impl PreparedSim {
                 vantage.set_trace(std::sync::Arc::clone(tracer));
             }
         }
-        let model = TrafficModel::new(
-            &self.germany,
-            &self.plan,
-            &self.scenario,
-            &self.downloads,
-            self.activity,
-            self.cdn.clone(),
-            traffic_cfg,
-            timeline.hours(),
-        )
-        .with_export_sizes(&self.export_sizes);
+        let model = self.traffic_model();
         let shards: Vec<(VantagePoint, S)> = vantages.into_iter().zip(sinks).collect();
         let (truth, results) = crate::vantage::run_sharded_into(model, shards, timeline.hours());
         if let Some(registry) = &self.metrics {
@@ -577,6 +543,35 @@ impl PreparedSim {
             publish_vantage_counters(registry, &total);
         }
         (truth, results)
+    }
+
+    /// The traffic generator for this world, sampling at the vantage
+    /// routers' interval and counting into the attached registry.
+    fn traffic_model(&self) -> TrafficModel<'_> {
+        let cfg = self.config;
+        let traffic_cfg = TrafficConfig {
+            scale: cfg.scale,
+            seed: cfg.seed ^ 0x7AF,
+            background_ratio: cfg.traffic.background_ratio,
+            active_subscriber_fraction: cfg.traffic.active_subscriber_fraction,
+            sampling_interval: cfg.vantage.sampling_interval,
+            ..TrafficConfig::default()
+        };
+        let model = TrafficModel::new(
+            &self.germany,
+            &self.plan,
+            &self.scenario,
+            &self.downloads,
+            self.activity,
+            self.cdn.clone(),
+            traffic_cfg,
+            Timeline { days: cfg.days }.hours(),
+        )
+        .with_export_sizes(&self.export_sizes);
+        match &self.metrics {
+            Some(registry) => model.with_metrics(registry),
+            None => model,
+        }
     }
 
     /// Assembles a [`SimOutput`] from this world plus the traffic run's
@@ -949,6 +944,44 @@ mod tests {
                 union, expected,
                 "{shards}-shard union must equal the unsharded record set"
             );
+        }
+    }
+
+    #[test]
+    fn counters_add_up_at_every_shard_count() {
+        use cwa_netflow::sink::CountingSink;
+        use std::sync::Arc;
+        let base = SimConfig {
+            days: 2,
+            ..SimConfig::test_small()
+        };
+        // The sampled counts the generator emits, from a second run of
+        // the same generator.
+        let mut emitted = 0u64;
+        let truth = Simulation::new(base)
+            .prepare()
+            .traffic_model()
+            .run(&mut |ev| emitted += ev.sampled);
+        assert!(emitted > 0);
+        let mut per_router: Option<Vec<u64>> = None;
+        for shards in [1usize, 2, 4] {
+            let registry = Arc::new(cwa_obs::Registry::new());
+            let prepared = Simulation::new(base)
+                .with_metrics(Arc::clone(&registry))
+                .prepare();
+            let sinks = (0..shards).map(|_| CountingSink::default()).collect();
+            let (run_truth, _) = prepared.run_traffic_sharded(ShardKeyMode::Common, sinks);
+            let count = |name: &str| registry.counter(name).get();
+            assert_eq!(run_truth.total_events, truth.total_events);
+            assert_eq!(count("simnet.traffic.flow_events"), truth.total_events);
+            let sampled: Vec<u64> = (0..base.vantage.routers)
+                .map(|r| count(&format!("simnet.router.{r:02}.sampled_packets")))
+                .collect();
+            let total: u64 = sampled.iter().sum();
+            assert_eq!(total, count("simnet.cache.packets_seen"), "{shards} shards");
+            assert_eq!(total, emitted, "{shards} shards");
+            let first = per_router.get_or_insert_with(|| sampled.clone());
+            assert_eq!(*first, sampled, "per-router counts at {shards} shards");
         }
     }
 

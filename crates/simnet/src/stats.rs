@@ -1,55 +1,11 @@
 //! Seeded samplers for the traffic generator.
 //!
-//! Since the sampler-swap PR these are thin fronts over
-//! [`cwa_samplers`] (re-exported as [`crate::samplers`]): exact
-//! constant-draw Poisson (inversion + PTRS) and Binomial (BINV +
-//! BTPE), plus paired Box–Muller normals via
-//! [`NormalCache`]. The flow-size helper stays here because its
-//! packet-floor and bytes-per-packet jitter are traffic-model policy,
-//! not distribution math.
-
-use rand::Rng;
+//! Thin fronts over [`cwa_samplers`] (re-exported as
+//! [`crate::samplers`]): exact constant-draw Poisson (inversion + PTRS)
+//! and Binomial (BINV + BTPE), plus paired Box–Muller normals via
+//! [`NormalCache`].
 
 pub use cwa_samplers::{binomial, log_normal, poisson, standard_normal, NormalCache};
-
-/// A flow-size draw: packets (≥ 2: a TCP flow has at least SYN+data) and
-/// total bytes, log-normally distributed around `median_packets` with
-/// bytes-per-packet jitter around `bytes_per_packet`.
-///
-/// One-shot form; the generator's hot path uses [`flow_size_with`] so
-/// consecutive draws share Box–Muller pairs.
-pub fn flow_size<R: Rng>(
-    rng: &mut R,
-    median_packets: f64,
-    sigma: f64,
-    bytes_per_packet: f64,
-) -> (u64, u64) {
-    flow_size_with(
-        &mut NormalCache::new(),
-        rng,
-        median_packets,
-        sigma,
-        bytes_per_packet,
-    )
-}
-
-/// [`flow_size`] drawing its normal through a caller-held
-/// [`NormalCache`], so every second log-normal costs zero uniforms.
-pub fn flow_size_with<R: Rng>(
-    normals: &mut NormalCache,
-    rng: &mut R,
-    median_packets: f64,
-    sigma: f64,
-    bytes_per_packet: f64,
-) -> (u64, u64) {
-    let packets = normals
-        .log_normal(rng, median_packets, sigma)
-        .round()
-        .max(2.0) as u64;
-    let bpp = (bytes_per_packet * (0.85 + 0.3 * rng.gen::<f64>())).max(60.0);
-    let bytes = (packets as f64 * bpp) as u64;
-    (packets, bytes)
-}
 
 #[cfg(test)]
 mod tests {
@@ -105,47 +61,5 @@ mod tests {
         draws.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = draws[n / 2];
         assert!((median - 20.0).abs() / 20.0 < 0.05, "median {median}");
-    }
-
-    #[test]
-    fn flow_size_bounds() {
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        for _ in 0..10_000 {
-            let (packets, bytes) = flow_size(&mut rng, 18.0, 0.9, 900.0);
-            assert!(packets >= 2);
-            assert!(bytes >= packets * 60, "bytes {bytes} packets {packets}");
-            assert!(bytes <= packets * 1600);
-        }
-    }
-
-    #[test]
-    fn flow_size_cached_matches_bounds_and_median() {
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let mut normals = NormalCache::new();
-        let n = 30_000;
-        let mut packets: Vec<u64> = (0..n)
-            .map(|_| {
-                let (p, b) = flow_size_with(&mut normals, &mut rng, 18.0, 0.9, 900.0);
-                assert!(p >= 2 && b >= p * 60 && b <= p * 1600);
-                p
-            })
-            .collect();
-        packets.sort_unstable();
-        let median = packets[n / 2] as f64;
-        assert!((median - 18.0).abs() / 18.0 < 0.06, "median {median}");
-    }
-
-    #[test]
-    fn flow_sizes_are_skewed() {
-        // Log-normal: mean > median (heavy right tail).
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let n = 30_000;
-        let mut draws: Vec<u64> = (0..n)
-            .map(|_| flow_size(&mut rng, 18.0, 0.9, 900.0).0)
-            .collect();
-        let mean = draws.iter().sum::<u64>() as f64 / f64::from(n);
-        draws.sort_unstable();
-        let median = draws[n as usize / 2] as f64;
-        assert!(mean > median * 1.15, "mean {mean} vs median {median}");
     }
 }

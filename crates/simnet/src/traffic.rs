@@ -1,4 +1,4 @@
-//! The prefix-cohort traffic generator.
+//! The prefix-cohort traffic generator, sampled at generation.
 //!
 //! Sixteen million phones are not simulated one by one; instead every
 //! routing prefix of the address plan carries a *cohort* — its
@@ -13,27 +13,52 @@
 //! * **background flows**: unrelated traffic that the analysis must
 //!   filter out,
 //!
-//! each with log-normal packet/byte sizes, an upstream (client→server)
-//! counterpart, and client addresses drawn according to the owning
-//! ISP's static/dynamic assignment behaviour.
+//! each a request/response pair with a log-normal downstream packet
+//! count, an upstream (client→server) counterpart, and client
+//! addresses drawn according to the owning ISP's static/dynamic
+//! assignment behaviour.
+//!
+//! **Sampling at generation.** The measuring routers keep 1 packet in
+//! N (`TrafficConfig::sampling_interval`), so at 1:1000 over 97 % of
+//! all pairs never reach a flow cache. The generator therefore draws
+//! only the pairs a router samples, exactly in law: per (district,
+//! hour, kind) it draws the total pair count `n ~ Poisson(Λ)` (the sum
+//! of its cohorts' independent Poisson counts — this feeds
+//! [`GroundTruth`] and the flow-event counters), thins it with
+//! [`PairThinning`] (candidates by an envelope, kept with the exact
+//! seen probability, sampled counts from the conditioned binomials),
+//! and only then places each kept pair in a cohort, in proportion to
+//! the cohorts' rates — exact, because the thinning depends only on
+//! kind and day. Every emitted [`FlowEvent`] carries its sampled
+//! packet count; routers account it and draw nothing.
+//!
+//! **RNG layout.** One ChaCha8 stream per (district, hour): the key
+//! comes from the traffic seed, the stream id is `hour << 32 |
+//! district`, so the key and the id alone fix every draw of that
+//! district-hour, in any execution order. Each stream draws the three
+//! kinds' totals first and thins them after, so the ground truth does
+//! not depend on the sampling interval: runs at 1:1, 1:100 and 1:1000
+//! draw the same totals.
 //!
 //! All figure-level outputs downstream are normalized, so a global
 //! `scale` factor shrinks the run without changing any reproduced shape
 //! (claim C1, the absolute flow count, is reported scale-adjusted).
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
-use rand::{Rng, RngCore};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use cwa_epidemic::{ActivityModel, AdoptionCurve, Scenario};
 use cwa_geo::{AccessKind, AddressPlan, DistrictId, Germany, IspId};
 use cwa_netflow::flow::{FlowKey, Protocol};
+use cwa_obs::{Counter, Registry};
+use cwa_samplers::{map_bits_u32, poisson, NormalCache, PairThinning, SampledPair};
 
 use crate::cdn::CdnConfig;
-use crate::stats::{flow_size_with, poisson, NormalCache};
-use cwa_samplers::map_bits_u32;
+use crate::vantage::DEFAULT_SAMPLING_INTERVAL;
 
 /// What kind of traffic a flow is (ground-truth label; the measurement
 /// pipeline never sees this — exactly the §2 limitation that app and
@@ -48,16 +73,26 @@ pub enum FlowKind {
     Background,
 }
 
-/// One generated flow (both directions are emitted as separate events,
-/// as unidirectional NetFlow would see them).
+/// The kinds in generation order.
+const KINDS: [FlowKind; 3] = [FlowKind::Api, FlowKind::Website, FlowKind::Background];
+
+/// One generated flow (both directions of a pair are separate events,
+/// as unidirectional NetFlow sees them). Only flows the routers sample
+/// are generated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowEvent {
     /// 5-tuple.
     pub key: FlowKey,
-    /// True packet count (pre-sampling).
+    /// True packet count (before sampling).
     pub packets: u64,
-    /// True byte count (pre-sampling).
+    /// True byte count (before sampling).
     pub bytes: u64,
+    /// Packets of this flow the router's 1-in-N sampler keeps (≥ 1 on
+    /// every generated event, ≤ `packets`).
+    pub sampled: u64,
+    /// The interval N this event was sampled at; a router accepts only
+    /// events sampled at its own interval.
+    pub sampling_interval: u32,
     /// Start time, simulation ms.
     pub start_ms: u64,
     /// Duration, ms.
@@ -102,6 +137,11 @@ pub struct TrafficConfig {
     /// alludes to ("customers of certain ISPs keep the same IP address
     /// over time").
     pub active_subscriber_fraction: f64,
+    /// Packet sampling interval N (1-in-N) of the routers the traffic
+    /// is generated for: only flows they sample are emitted. Must equal
+    /// the routers' `VantageConfig::sampling_interval`, which
+    /// `Router::observe` asserts.
+    pub sampling_interval: u32,
 }
 
 impl Default for TrafficConfig {
@@ -117,14 +157,16 @@ impl Default for TrafficConfig {
             retry_factor: 1.15,
             background_ratio: 0.6,
             active_subscriber_fraction: 0.45,
+            sampling_interval: DEFAULT_SAMPLING_INTERVAL,
         }
     }
 }
 
-/// Calibration ground truth accumulated during generation. The analysis
-/// pipeline must never read this; integration tests compare the
-/// pipeline's *measured* results against it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Calibration ground truth accumulated during generation, over *all*
+/// generated flows (seen or not). The analysis pipeline must never
+/// read this; integration tests compare the pipeline's *measured*
+/// results against it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroundTruth {
     /// True generated CWA flows (both kinds, downstream only) per hour.
     pub cwa_flows_by_hour: Vec<u64>,
@@ -153,6 +195,34 @@ impl GroundTruth {
     }
 }
 
+/// The allocations of one ISP in one district: their rates are
+/// proportional to capacity, so one rate per kind covers the group.
+#[derive(Debug, Clone)]
+struct CohortGroup {
+    isp: IspId,
+    access: AccessKind,
+    /// The group's share of its district's subscribers.
+    share: f64,
+    /// The group's slice of `TrafficModel::members`.
+    members: std::ops::Range<usize>,
+}
+
+/// Generator counters, added once per generated hour.
+struct TrafficMetrics {
+    flow_events: Arc<Counter>,
+    flow_events_by_day: Vec<Arc<Counter>>,
+    candidates: Arc<Counter>,
+    kept: Arc<Counter>,
+}
+
+/// Per-hour tallies the generator publishes.
+#[derive(Default)]
+struct HourTally {
+    events: u64,
+    candidates: u64,
+    kept: u64,
+}
+
 /// The generator.
 pub struct TrafficModel<'a> {
     plan: &'a AddressPlan,
@@ -161,16 +231,22 @@ pub struct TrafficModel<'a> {
     activity: ActivityModel,
     cdn: CdnConfig,
     cfg: TrafficConfig,
-    /// Subscribers per district (from the plan), cached.
-    district_subscribers: Vec<f64>,
+    /// Cohort groups in (district, ISP) order.
+    groups: Vec<CohortGroup>,
+    /// `groups` slice of each district.
+    district_groups: Vec<std::ops::Range<usize>>,
+    /// Allocation indices, grouped, with their cumulative capacity
+    /// inside the group.
+    members: Vec<(u32, u32)>,
     /// Extra downstream packets per API flow per day, from the growing
     /// key-export payload (empty ⇒ no adjustment).
     export_extra_packets: Vec<f64>,
-    rng: ChaCha8Rng,
-    /// Banked Box–Muller sine variates for flow-size draws.
-    normals: NormalCache,
+    /// Keyed from the seed, at block 0; cloned and pointed at one
+    /// stream per (district, hour).
+    streams: ChaCha8Rng,
     truth: GroundTruth,
     hours: u32,
+    metrics: Option<TrafficMetrics>,
 }
 
 impl<'a> TrafficModel<'a> {
@@ -186,15 +262,42 @@ impl<'a> TrafficModel<'a> {
         cfg: TrafficConfig,
         hours: u32,
     ) -> Self {
-        use rand::SeedableRng;
+        let allocations = plan.allocations();
         let mut district_subscribers = vec![0.0f64; germany.len()];
-        for alloc in plan.allocations() {
+        for alloc in allocations {
             district_subscribers[usize::from(alloc.district.0)] += f64::from(alloc.capacity);
         }
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        // Allocation indices in (district, ISP) order, index order inside.
+        let key = |i: &u32| {
+            let a = &allocations[*i as usize];
+            (a.district.0, a.isp.0)
+        };
+        let mut order: Vec<u32> = (0..allocations.len() as u32).collect();
+        order.sort_by_key(key);
+        let mut groups = Vec::new();
+        let mut district_groups = vec![0..0; germany.len()];
+        let mut members = Vec::with_capacity(allocations.len());
+        for run in order.chunk_by(|a, b| key(a) == key(b)) {
+            let first = &allocations[run[0] as usize];
+            let d = usize::from(first.district.0);
+            if district_groups[d].is_empty() {
+                district_groups[d] = groups.len()..groups.len();
+            }
+            district_groups[d].end = groups.len() + 1;
+            let start = members.len();
+            let mut capacity = 0u32;
+            for &i in run {
+                capacity += allocations[i as usize].capacity;
+                members.push((i, capacity));
+            }
+            groups.push(CohortGroup {
+                isp: first.isp,
+                access: plan.isp(first.isp).access,
+                share: f64::from(capacity) / district_subscribers[d].max(1.0),
+                members: start..members.len(),
+            });
+        }
         let days = hours.div_ceil(24);
-        let truth = GroundTruth::new(hours, days, germany.len());
-        let _ = germany; // reserved: future district-level overrides
         TrafficModel {
             plan,
             scenario,
@@ -202,12 +305,14 @@ impl<'a> TrafficModel<'a> {
             activity,
             cdn,
             cfg,
-            district_subscribers,
+            groups,
+            district_groups,
+            members,
             export_extra_packets: Vec::new(),
-            rng,
-            normals: NormalCache::new(),
-            truth,
+            streams: ChaCha8Rng::seed_from_u64(cfg.seed),
+            truth: GroundTruth::new(hours, days, germany.len()),
             hours,
+            metrics: None,
         }
     }
 
@@ -224,8 +329,41 @@ impl<'a> TrafficModel<'a> {
         self
     }
 
-    /// Generates one hour of traffic, passing every flow event to
-    /// `sink`. Call with `hour` strictly increasing from 0.
+    /// Counts into `registry`, once per generated hour: every generated
+    /// flow event, seen or not (`simnet.traffic.flow_events` and its
+    /// `.dayNN` series, equal to [`GroundTruth::total_events`]), and the
+    /// thinning's candidates and kept pairs
+    /// (`simnet.traffic.thinning_candidates` / `thinning_kept`).
+    pub fn with_metrics(mut self, registry: &Registry) -> Self {
+        self.metrics = Some(TrafficMetrics {
+            flow_events: registry.counter("simnet.traffic.flow_events"),
+            flow_events_by_day: (0..self.hours.div_ceil(24))
+                .map(|d| registry.counter(&format!("simnet.traffic.flow_events.day{d:02}")))
+                .collect(),
+            candidates: registry.counter("simnet.traffic.thinning_candidates"),
+            kept: registry.counter("simnet.traffic.thinning_kept"),
+        });
+        self
+    }
+
+    /// Downstream size law `(median packets, σ)` of `kind` on `day`.
+    fn size_law(&self, kind: FlowKind, day: u32) -> (f64, f64) {
+        match kind {
+            FlowKind::Api => {
+                let extra = self
+                    .export_extra_packets
+                    .get(day as usize)
+                    .copied()
+                    .unwrap_or(0.0);
+                (self.cfg.api_median_packets + extra, self.cfg.api_sigma)
+            }
+            FlowKind::Website => (self.cfg.web_median_packets, self.cfg.web_sigma),
+            FlowKind::Background => (20.0, 1.2),
+        }
+    }
+
+    /// Generates one hour of traffic, passing every flow event a router
+    /// samples to `sink`. Call with `hour` strictly increasing from 0.
     pub fn generate_hour<F: FnMut(&FlowEvent)>(&mut self, hour: u32, sink: &mut F) {
         debug_assert!(hour < self.hours);
         let day = hour / 24;
@@ -234,65 +372,96 @@ impl<'a> TrafficModel<'a> {
 
         let national_media = self.scenario.national_media_factor(hour);
         let local_extras = self.scenario.local_media_extras(hour);
+        let web_national = self.activity.website_visits_per_hour(hour, national_media);
+        let api_national = self
+            .activity
+            .api_requests_per_user_hour(hod, national_media);
+        let thinning = KINDS.map(|kind| {
+            let (median, sigma) = self.size_law(kind, day);
+            PairThinning::new(median, sigma, self.cfg.sampling_interval)
+        });
 
-        for ai in 0..self.plan.allocations().len() {
-            let alloc = self.plan.allocations()[ai];
-            let d_idx = usize::from(alloc.district.0);
-            let isp = self.plan.isp(alloc.isp);
-            let subs = self.district_subscribers[d_idx].max(1.0);
-            let cohort_share = f64::from(alloc.capacity) / subs;
-
-            // Media factor seen by this cohort.
-            let mut media = national_media;
-            for &(ld, lisp, extra) in &local_extras {
-                if ld == alloc.district && (lisp.is_none() || lisp == Some(alloc.isp)) {
-                    media += extra;
-                }
-            }
-
-            // App users behind this prefix.
-            let installed_district = self.adoption.installed_in(alloc.district, hour);
-            let users = installed_district * cohort_share;
-            let lam_api = users
-                * self.activity.api_requests_per_user_hour(hod, media)
-                * self.cfg.retry_factor
-                * self.cfg.scale;
-
-            // Website visitors behind this prefix: national visit volume
-            // allocated by adoption share, modulated by the *local*
-            // media factor relative to the national one.
-            let web_national = self.activity.website_visits_per_hour(hour, national_media);
-            let local_boost = media / national_media;
-            let lam_web = web_national
-                * self.adoption.district_share[d_idx]
-                * cohort_share
-                * local_boost
-                * self.cfg.scale;
-
-            let lam_bg = (lam_api + lam_web) * self.cfg.background_ratio;
-
-            let n_api = poisson(&mut self.rng, lam_api);
-            let n_web = poisson(&mut self.rng, lam_web);
-            let n_bg = poisson(&mut self.rng, lam_bg);
-
-            for (kind, count) in [
-                (FlowKind::Api, n_api),
-                (FlowKind::Website, n_web),
-                (FlowKind::Background, n_bg),
-            ] {
-                for _ in 0..count {
-                    let ev = self.make_flow(kind, &alloc, isp.access, day, hour_start_ms);
-                    self.account_truth(&ev, hour, day);
-                    sink(&ev);
-                    // Upstream counterpart (request direction).
-                    let up = upstream_of(&ev, &mut self.rng);
-                    self.truth.total_events += 1;
-                    if up.kind == FlowKind::Background {
-                        self.truth.background_flows += 1;
+        let mut tally = HourTally::default();
+        let mut rates: Vec<[f64; 3]> = Vec::new();
+        for d in 0..self.district_groups.len() {
+            let group_range = self.district_groups[d].clone();
+            let district = DistrictId(d as u16);
+            let installed = self.adoption.installed_in(district, hour);
+            let web_district = web_national * self.adoption.district_share[d];
+            rates.clear();
+            let mut totals = [0.0f64; 3];
+            for group in &self.groups[group_range.clone()] {
+                // Media factor seen by this group's cohorts.
+                let mut media = national_media;
+                for &(ld, lisp, extra) in &local_extras {
+                    if ld == district && lisp.is_none_or(|i| i == group.isp) {
+                        media += extra;
                     }
-                    sink(&up);
                 }
+                let api_rate = if media == national_media {
+                    api_national
+                } else {
+                    self.activity.api_requests_per_user_hour(hod, media)
+                };
+                let api =
+                    installed * group.share * api_rate * self.cfg.retry_factor * self.cfg.scale;
+                // Website visitors: national visit volume allocated by
+                // adoption share, modulated by the *local* media factor
+                // relative to the national one.
+                let web = web_district * group.share * (media / national_media) * self.cfg.scale;
+                let bg = (api + web) * self.cfg.background_ratio;
+                let lam = [api, web, bg];
+                for (total, l) in totals.iter_mut().zip(lam) {
+                    *total += l;
+                }
+                rates.push(lam);
             }
+            if totals.iter().all(|&t| t <= 0.0) {
+                continue;
+            }
+
+            let mut rng = self.streams.clone();
+            rng.set_stream((u64::from(hour) << 32) | d as u64);
+            // All three totals come first, so they — the ground truth —
+            // do not depend on what the thinning draws after them.
+            let counts = totals.map(|lam| poisson(&mut rng, lam));
+            let mut normals = NormalCache::new();
+            for (ki, kind) in KINDS.into_iter().enumerate() {
+                let n = counts[ki];
+                if n == 0 {
+                    continue;
+                }
+                self.account_truth(kind, n, hour, d);
+                tally.events += 2 * n;
+                let groups = &self.groups[group_range.clone()];
+                let weights = rates.iter().map(|r| r[ki]);
+                tally.candidates += thinning[ki].thin(&mut normals, &mut rng, n, |rng, pair| {
+                    tally.kept += 1;
+                    // The cohort, in proportion to rate (high 32 bits),
+                    // and its allocation slot (low 32).
+                    let place = rng.next_u64();
+                    let group = pick_group(groups, weights.clone(), totals[ki], place);
+                    self.emit_pair(
+                        rng,
+                        kind,
+                        district,
+                        group,
+                        place as u32,
+                        pair,
+                        day,
+                        hour_start_ms,
+                        sink,
+                    );
+                });
+            }
+        }
+        if let Some(m) = &self.metrics {
+            m.flow_events.add(tally.events);
+            if let Some(c) = m.flow_events_by_day.get(day as usize) {
+                c.add(tally.events);
+            }
+            m.candidates.add(tally.candidates);
+            m.kept.add(tally.kept);
         }
     }
 
@@ -310,15 +479,43 @@ impl<'a> TrafficModel<'a> {
         self.truth
     }
 
-    fn make_flow(
-        &mut self,
+    /// Accounts `n` generated pairs of `kind` in `district` (index `d`).
+    fn account_truth(&mut self, kind: FlowKind, n: u64, hour: u32, d: usize) {
+        let truth = &mut self.truth;
+        truth.total_events += 2 * n;
+        match kind {
+            FlowKind::Api => truth.api_flows += n,
+            FlowKind::Website => truth.web_flows += n,
+            FlowKind::Background => {
+                truth.background_flows += 2 * n;
+                return;
+            }
+        }
+        truth.cwa_flows_by_hour[hour as usize] += n;
+        truth.cwa_flows_by_day_district[(hour / 24) as usize][d] += n;
+    }
+
+    /// Places one kept pair in the allocation of `group` that 32 random
+    /// `place_bits` pick in proportion to capacity, draws its address,
+    /// port, server, timing and byte fields, and emits each direction
+    /// that has a sampled packet.
+    #[allow(clippy::too_many_arguments)]
+    fn emit_pair<R: Rng, F: FnMut(&FlowEvent)>(
+        &self,
+        rng: &mut R,
         kind: FlowKind,
-        alloc: &cwa_geo::PrefixAllocation,
-        access: AccessKind,
+        district: DistrictId,
+        group: &CohortGroup,
+        place_bits: u32,
+        pair: SampledPair,
         day: u32,
         hour_start_ms: u64,
-    ) -> FlowEvent {
-        let rng = &mut self.rng;
+        sink: &mut F,
+    ) {
+        let members = &self.members[group.members.clone()];
+        let place = map_bits_u32(place_bits, members.last().map_or(1, |m| m.1));
+        let member = members[members.partition_point(|m| m.1 <= place)];
+        let alloc = &self.plan.allocations()[member.0 as usize];
         let prefix_size = 1u32 << (32 - u32::from(alloc.len));
 
         // Two independent small field draws ride one split u64: the
@@ -333,7 +530,7 @@ impl<'a> TrafficModel<'a> {
         let pool = ((f64::from(alloc.capacity) * self.cfg.active_subscriber_fraction) as u32)
             .clamp(1, alloc.capacity.max(1));
         let slot = map_bits_u32((fields >> 32) as u32, pool);
-        let host = match access {
+        let host = match group.access {
             AccessKind::StaticLease => slot % prefix_size,
             AccessKind::Dynamic24h => (slot + day * 2917) % prefix_size,
         };
@@ -351,25 +548,8 @@ impl<'a> TrafficModel<'a> {
             _ => self.cdn.server_for_day(server_bits, day),
         };
 
-        let (median, sigma) = match kind {
-            FlowKind::Api => {
-                let extra = self
-                    .export_extra_packets
-                    .get(day as usize)
-                    .copied()
-                    .unwrap_or(0.0);
-                (self.cfg.api_median_packets + extra, self.cfg.api_sigma)
-            }
-            FlowKind::Website => (self.cfg.web_median_packets, self.cfg.web_sigma),
-            FlowKind::Background => (20.0, 1.2),
-        };
-        let (packets, bytes) = flow_size_with(
-            &mut self.normals,
-            rng,
-            median,
-            sigma,
-            self.cfg.bytes_per_packet,
-        );
+        // Bytes-per-packet jitter around the configured mean.
+        let bpp = (self.cfg.bytes_per_packet * (0.85 + 0.3 * rng.gen::<f64>())).max(60.0);
 
         // Start offset within the hour (high 32 bits) and duration
         // (low 32) share one more split u64.
@@ -381,7 +561,7 @@ impl<'a> TrafficModel<'a> {
             FlowKind::Background => 500 + u64::from(map_bits_u32(timing as u32, 59_500)),
         };
 
-        FlowEvent {
+        let down = FlowEvent {
             key: FlowKey {
                 src_ip: server,
                 dst_ip: client,
@@ -389,57 +569,61 @@ impl<'a> TrafficModel<'a> {
                 dst_port: 1024 + map_bits_u32(fields as u32, 63_977) as u16,
                 protocol: Protocol::Tcp,
             },
-            packets,
-            bytes,
+            packets: pair.packets,
+            bytes: (pair.packets as f64 * bpp) as u64,
+            sampled: pair.sampled,
+            sampling_interval: self.cfg.sampling_interval,
             start_ms,
             duration_ms,
             kind,
-            district: alloc.district,
-            isp: alloc.isp,
+            district,
+            isp: group.isp,
             downstream: true,
-        }
-    }
+        };
 
-    fn account_truth(&mut self, ev: &FlowEvent, hour: u32, day: u32) {
-        self.truth.total_events += 1;
-        match ev.kind {
-            FlowKind::Api => {
-                self.truth.api_flows += 1;
-                self.truth.cwa_flows_by_hour[hour as usize] += 1;
-                self.truth.cwa_flows_by_day_district[day as usize][usize::from(ev.district.0)] += 1;
-            }
-            FlowKind::Website => {
-                self.truth.web_flows += 1;
-                self.truth.cwa_flows_by_hour[hour as usize] += 1;
-                self.truth.cwa_flows_by_day_district[day as usize][usize::from(ev.district.0)] += 1;
-            }
-            FlowKind::Background => {
-                self.truth.background_flows += 1;
-            }
+        // The upstream (request) direction: per-packet byte jitter (high
+        // 32 bits) and start backoff (low 32) share one split u64.
+        let bits = rng.next_u64();
+        let up = FlowEvent {
+            key: down.key.reversed(),
+            packets: pair.upstream_packets,
+            bytes: pair.upstream_packets * (80 + u64::from(map_bits_u32((bits >> 32) as u32, 60))),
+            sampled: pair.upstream_sampled,
+            start_ms: start_ms.saturating_sub(u64::from(map_bits_u32(bits as u32, 50))),
+            downstream: false,
+            ..down
+        };
+        if down.sampled > 0 {
+            sink(&down);
+        }
+        if up.sampled > 0 {
+            sink(&up);
         }
     }
 }
 
-/// Builds the upstream (client→server) counterpart of a downstream flow.
-fn upstream_of<R: Rng>(ev: &FlowEvent, rng: &mut R) -> FlowEvent {
-    let packets = (ev.packets / 2).max(2);
-    // Per-packet byte jitter (high 32 bits) and start backoff (low 32)
-    // share one split u64.
-    let bits = rng.next_u64();
-    let bytes = packets * (80 + u64::from(map_bits_u32((bits >> 32) as u32, 60)));
-    FlowEvent {
-        key: ev.key.reversed(),
-        packets,
-        bytes,
-        start_ms: ev
-            .start_ms
-            .saturating_sub(u64::from(map_bits_u32(bits as u32, 50))),
-        duration_ms: ev.duration_ms,
-        kind: ev.kind,
-        district: ev.district,
-        isp: ev.isp,
-        downstream: false,
+/// Picks a cohort group in proportion to its rate: a uniform made from
+/// the high 32 of `bits` against the running sum of `weights`, which
+/// total `total`.
+fn pick_group(
+    groups: &[CohortGroup],
+    weights: impl Iterator<Item = f64>,
+    total: f64,
+    bits: u64,
+) -> &CohortGroup {
+    let target = (bits >> 32) as f64 * (1.0 / (1u64 << 32) as f64) * total;
+    let mut acc = 0.0;
+    let mut last = 0;
+    for (i, w) in weights.enumerate() {
+        if w > 0.0 {
+            acc += w;
+            last = i;
+            if target < acc {
+                break;
+            }
+        }
     }
+    &groups[last]
 }
 
 #[cfg(test)]
@@ -473,11 +657,13 @@ mod tests {
         (g, plan, scenario, adoption)
     }
 
-    fn run_scaled(scale: f64, hours: u32) -> (Vec<FlowEvent>, GroundTruth) {
+    /// Runs `hours` hours at `scale`, sampling 1 in `interval`.
+    fn run_sampled(scale: f64, hours: u32, interval: u32) -> (Vec<FlowEvent>, GroundTruth) {
         let (g, plan, scenario, adoption) = small_setup();
         let cfg = TrafficConfig {
             scale,
             seed: 7,
+            sampling_interval: interval,
             ..TrafficConfig::default()
         };
         let model = TrafficModel::new(
@@ -495,6 +681,11 @@ mod tests {
         (events, truth)
     }
 
+    /// Unsampled (1:1) runs emit every generated flow.
+    fn run_scaled(scale: f64, hours: u32) -> (Vec<FlowEvent>, GroundTruth) {
+        run_sampled(scale, hours, 1)
+    }
+
     #[test]
     fn flows_appear_after_release() {
         let (_, truth) = run_scaled(0.0005, 72);
@@ -506,6 +697,7 @@ mod tests {
 
     #[test]
     fn event_stream_matches_truth_counts() {
+        // Unsampled, every generated flow is emitted with all its packets.
         let (events, truth) = run_scaled(0.0005, 48);
         let down_cwa = events
             .iter()
@@ -513,6 +705,42 @@ mod tests {
             .count() as u64;
         assert_eq!(down_cwa, truth.api_flows + truth.web_flows);
         assert_eq!(events.len() as u64, truth.total_events);
+        assert!(events
+            .iter()
+            .all(|e| e.sampled == e.packets && e.sampling_interval == 1));
+    }
+
+    #[test]
+    fn ground_truth_does_not_depend_on_the_sampling_interval() {
+        let (all, truth) = run_scaled(0.002, 48);
+        assert_eq!(all.len() as u64, truth.total_events);
+        for interval in [100, 1000] {
+            let (seen, sampled_truth) = run_sampled(0.002, 48, interval);
+            assert_eq!(sampled_truth, truth, "1:{interval}");
+            assert!(seen.len() < all.len() / 4, "1:{interval}: {}", seen.len());
+        }
+    }
+
+    #[test]
+    fn heavy_sampling_drops_most_small_flows() {
+        // At 1:1000 a pair of ~16–24-packet flows is seen with a few
+        // percent probability, and a seen flow shows about one packet.
+        let (events, truth) = run_sampled(0.004, 48, 1000);
+        let pairs = truth.total_events / 2;
+        let down = events.iter().filter(|e| e.downstream).count() as u64;
+        let up = events.len() as u64 - down;
+        let seen_share = down.max(up) as f64 / pairs as f64;
+        assert!(
+            (0.005..0.08).contains(&seen_share),
+            "{down} down / {up} up events of {pairs} pairs"
+        );
+        let sampled: u64 = events.iter().map(|e| e.sampled).sum();
+        let avg = sampled as f64 / events.len() as f64;
+        assert!(avg < 1.2, "avg sampled packets {avg}");
+        for e in &events {
+            assert!(e.sampled >= 1 && e.sampled <= e.packets, "{e:?}");
+            assert_eq!(e.sampling_interval, 1000);
+        }
     }
 
     #[test]
@@ -522,11 +750,11 @@ mod tests {
         let up = events.iter().filter(|e| !e.downstream).count();
         assert_eq!(down, up);
         // Upstream flows reverse the 5-tuple and carry fewer bytes.
-        let d = events.iter().find(|e| e.downstream).unwrap();
-        let u = events
-            .iter()
-            .find(|e| !e.downstream && e.key == d.key.reversed());
-        if let Some(u) = u {
+        for pair in events.chunks(2) {
+            let (d, u) = (&pair[0], &pair[1]);
+            assert!(d.downstream && !u.downstream);
+            assert_eq!(u.key, d.key.reversed());
+            assert_eq!(u.packets, (d.packets / 2).max(2));
             assert!(u.bytes < d.bytes);
         }
     }
@@ -562,6 +790,7 @@ mod tests {
         let cfg = TrafficConfig {
             scale: 0.0005,
             seed: 9,
+            sampling_interval: 1,
             ..TrafficConfig::default()
         };
         let model = TrafficModel::new(
@@ -576,7 +805,7 @@ mod tests {
         );
         let mut ok = 0u64;
         let mut total = 0u64;
-        let truth = model.run(&mut |ev| {
+        model.run(&mut |ev| {
             if ev.downstream {
                 total += 1;
                 if let Some(a) = plan.lookup(ev.key.dst_ip) {
@@ -591,7 +820,6 @@ mod tests {
             ok, total,
             "every client address maps back to its allocation"
         );
-        let _ = truth;
     }
 
     #[test]
@@ -604,14 +832,93 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (a, _) = run_scaled(0.0005, 24);
-        let (b, _) = run_scaled(0.0005, 24);
+        let (a, _) = run_sampled(0.002, 24, 1000);
+        let (b, _) = run_sampled(0.002, 24, 1000);
+        assert!(!a.is_empty());
         assert_eq!(a, b);
     }
 
     #[test]
+    fn each_hour_is_its_own_stream() {
+        // One RNG stream per (district, hour): an hour generated alone
+        // equals the same hour of a full run.
+        let (g, plan, scenario, adoption) = small_setup();
+        let model = || {
+            TrafficModel::new(
+                &g,
+                &plan,
+                &scenario,
+                &adoption,
+                ActivityModel::default(),
+                CdnConfig::default(),
+                TrafficConfig {
+                    scale: 0.003,
+                    seed: 11,
+                    ..TrafficConfig::default()
+                },
+                40,
+            )
+        };
+        let mut full = Vec::new();
+        let mut m = model();
+        for hour in 0..=37 {
+            full.clear();
+            m.generate_hour(hour, &mut |ev| full.push(*ev));
+        }
+        let mut alone = Vec::new();
+        model().generate_hour(37, &mut |ev| alone.push(*ev));
+        assert!(!alone.is_empty());
+        assert_eq!(full, alone);
+    }
+
+    #[test]
+    fn thinning_counters_add_up() {
+        let (g, plan, scenario, adoption) = small_setup();
+        let registry = Registry::new();
+        let model = TrafficModel::new(
+            &g,
+            &plan,
+            &scenario,
+            &adoption,
+            ActivityModel::default(),
+            CdnConfig::default(),
+            TrafficConfig {
+                scale: 0.002,
+                ..TrafficConfig::default()
+            },
+            48,
+        )
+        .with_metrics(&registry);
+        let mut down = 0u64;
+        let mut up = 0u64;
+        let truth = model.run(&mut |ev| {
+            if ev.downstream {
+                down += 1;
+            } else {
+                up += 1;
+            }
+        });
+        let count = |name: &str| registry.counter(name).get();
+        assert_eq!(count("simnet.traffic.flow_events"), truth.total_events);
+        assert_eq!(
+            count("simnet.traffic.flow_events.day00") + count("simnet.traffic.flow_events.day01"),
+            truth.total_events
+        );
+        let (candidates, kept) = (
+            count("simnet.traffic.thinning_candidates"),
+            count("simnet.traffic.thinning_kept"),
+        );
+        assert!(kept <= candidates && candidates < truth.total_events / 2);
+        // Every kept pair emits at least one direction, at most both.
+        assert!(
+            down.max(up) <= kept && kept <= down + up,
+            "{down} {up} {kept}"
+        );
+    }
+
+    #[test]
     fn diurnal_pattern_visible() {
-        let (_, truth) = run_scaled(0.002, 264);
+        let (_, truth) = run_sampled(0.002, 264, 1000);
         // Compare 03:00 vs 20:00 on a post-release day (day 5).
         let night = truth.cwa_flows_by_hour[5 * 24 + 3];
         let evening = truth.cwa_flows_by_hour[5 * 24 + 20];

@@ -122,9 +122,10 @@ fn starved_scenarios_surface_as_starved_cells_not_errors() {
 /// pipeline is built to survive exactly this churn (the paper's
 /// rationale for same-day address stability), so the headline claims
 /// must hold; only the sparse persistence/outbreak tails starve at
-/// test_small granularity. (Re-pinned once for the exact-sampler swap:
-/// the new seeded stream leaves C6b's cell just above its support
-/// threshold, so it now passes instead of starving.)
+/// test_small granularity. (Re-pinned for the exact-sampler swap, when
+/// C6b's cell landed just above its support threshold and passed, and
+/// again for sampling at generation, whose stream leaves it just below:
+/// C6b starves.)
 #[test]
 fn dsl_reconnect_row_is_pinned() {
     let matrix = ScenarioMatrix::parse(MATRIX).expect("matrix parses");
@@ -145,7 +146,7 @@ fn dsl_reconnect_row_is_pinned() {
         ("C5a", "pass"),
         ("C5b", "starved"),
         ("C6a", "pass"),
-        ("C6b", "pass"),
+        ("C6b", "starved"),
         ("C6c", "starved"),
         ("C7a", "pass"),
         ("C7b", "pass"),
@@ -159,13 +160,16 @@ fn dsl_reconnect_row_is_pinned() {
     assert_eq!(got, expected, "dsl-reconnect survival row drifted");
 }
 
-/// The ISSUE's regression scales: sparse-but-populated studies must
+/// The sparse regression scales: sparse-but-populated studies must
 /// produce a full report whose claims are each `pass` or `starved` —
 /// never NaN-driven bogus failures — and exit-style success (no
-/// failures) holds without strict mode.
+/// failures) holds without strict mode. One cell is pinned as a
+/// genuine failure: at 0.01 the seeded stream puts C6b (Gütersloh
+/// growth / national growth, a district cell just above its support
+/// threshold) out of its band with a finite value and full support.
 #[test]
 fn sparse_scales_degrade_instead_of_failing() {
-    for scale in [0.005f64, 0.01] {
+    for (scale, pinned_failures) in [(0.005f64, &[][..]), (0.01, &["C6b"][..])] {
         let mut config = StudyConfig::test_small();
         config.sim.scale = scale;
         config.persistence_prefix_len = persistence_len_for_scale(scale);
@@ -175,21 +179,23 @@ fn sparse_scales_degrade_instead_of_failing() {
         assert!(report.matching_flows > 0, "scale {scale} is populated");
         for claim in &report.claims {
             assert!(
+                claim.measured.is_finite() || claim.verdict.is_starved(),
+                "scale {scale}, claim {}: only a starved claim may carry NaN",
+                claim.id.code()
+            );
+            if pinned_failures.contains(&claim.id.code()) {
+                continue;
+            }
+            assert!(
                 claim.verdict.is_pass() || claim.verdict.is_starved(),
                 "scale {scale}, claim {}: expected pass or starved, got fail \
                  (measured {})",
                 claim.id.code(),
                 claim.measured
             );
-            if claim.verdict.is_pass() {
-                assert!(
-                    claim.measured.is_finite(),
-                    "scale {scale}, claim {}: a passing claim cannot carry NaN",
-                    claim.id.code()
-                );
-            }
         }
-        assert!(report.failures().is_empty());
+        let failures: Vec<&str> = report.failures().iter().map(|c| c.id.code()).collect();
+        assert_eq!(failures, pinned_failures, "scale {scale}");
     }
 }
 
