@@ -7,9 +7,11 @@
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104 / FIPS 198-1).
 //! * [`hkdf`] — HKDF extract-and-expand (RFC 5869), used by the Exposure
 //!   Notification key schedule (`RPIK`/`AEMK` derivation).
-//! * [`aes`] — AES-128 block encryption (FIPS 197), used by the Exposure
-//!   Notification spec for Rolling Proximity Identifier derivation and by
-//!   the Crypto-PAn prefix-preserving IP anonymizer in `cwa-netflow`.
+//! * [`aes`] — AES-128 block encryption (FIPS 197) on 32-bit round
+//!   tables, used by the Exposure Notification spec for Rolling Proximity
+//!   Identifier derivation and, through a batch entry that returns byte 0
+//!   of each ciphertext, by the Crypto-PAn prefix-preserving IP
+//!   anonymizer in `cwa-netflow`.
 //! * [`ctr`] — AES-128 in CTR mode, used for Associated Encrypted
 //!   Metadata (AEM) in the Exposure Notification spec.
 //! * [`p256`] — ECDSA over NIST P-256 with RFC 6979 deterministic
@@ -28,8 +30,9 @@
 //! ## Security disclaimer
 //!
 //! These implementations favour clarity and testability. They are **not
-//! hardened** (no constant-time guarantees beyond what the straightforward
-//! code provides) and must not be used outside this research context.
+//! hardened** and must not be used outside this research context. In
+//! particular nothing is constant-time: the AES round tables are indexed
+//! by key- and data-dependent bytes, so timing and cache state leak both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -86,7 +86,7 @@ impl GeoEntry {
 }
 
 /// The geolocation database, keyed by `/len` prefix network address.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GeoDb {
     /// Prefix length the DB is keyed on.
     pub prefix_len: u8,

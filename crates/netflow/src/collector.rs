@@ -85,8 +85,11 @@ pub struct EngineStats {
 /// A collector accumulating anonymized flow records.
 pub struct Collector {
     /// Anonymizer applied to client addresses (None = store raw).
-    /// Memoized: repeated client addresses / shared /24s skip most of
-    /// the 32-AES-block Crypto-PAn walk (see [`CachedCryptoPan`]).
+    /// A cold address costs the 32-AES-block Crypto-PAn walk; the memo
+    /// cuts that to 0 blocks for a repeated address, 8 for a new host
+    /// in a seen /24 and 16 for a new /24 in a seen /16 (see
+    /// [`CachedCryptoPan`]). A record has one client address, or two
+    /// when neither end is a server prefix.
     anonymizer: Option<CachedCryptoPan>,
     /// Server-side prefixes: addresses inside are *not* anonymized
     /// (the CWA CDN prefixes are public knowledge; only clients are
@@ -658,8 +661,8 @@ mod tests {
         }
         let (hits, misses) = col.cryptopan_cache_stats();
         assert!(hits >= 10, "second visits hit: {hits}");
-        // All clients share a /24, so only the very first address pays
-        // the full 32-block walk.
+        // All clients share a /24, so only the very first address walks
+        // past the /24 memo (a miss: 32 blocks on a cold /16).
         assert_eq!(misses, 1, "one cold /24");
         assert_eq!(
             registry

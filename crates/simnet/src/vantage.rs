@@ -687,37 +687,59 @@ impl VantagePoint {
 /// map, the ground-truth "router location" of a prefix is its *serving*
 /// router's district, which for rural prefixes may be the neighbouring
 /// district — the imprecision §3 of the paper warns about.
+///
+/// One Crypto-PAn walk per allocation network serves both tables. It
+/// goes only as deep as the longer of the allocation's mask and the geo
+/// DB's, and the sorted allocations share their leading flips
+/// ([`CryptoPan::anonymize_prefixes`]). Geo DB keys outside the plan, if
+/// any, go through a full [`CryptoPan::anonymize`].
 pub fn side_tables_with(
     cryptopan: &CryptoPan,
     plan: &AddressPlan,
     geodb: &GeoDb,
     routers: Option<&cwa_geo::RouterMap>,
 ) -> (GeoDb, HashMap<u32, IspSideEntry>) {
-    let geodb_anon = geodb.rekeyed(|a| cryptopan.anonymize(a));
-    let mut isp_table = HashMap::with_capacity(plan.allocations().len());
-    for alloc in plan.allocations() {
-        let anon_net = cwa_geo::geodb::mask(cryptopan.anonymize(alloc.network), alloc.len);
-        let is_gt = plan.isp(alloc.isp).ground_truth_routers;
-        let router_district = if is_gt {
-            match routers {
-                Some(map) => map
-                    .router_of(u32::from(alloc.network))
-                    .map(|r| r.district)
-                    .or(Some(alloc.district)),
-                None => Some(alloc.district),
-            }
-        } else {
-            None
-        };
-        isp_table.insert(
-            anon_net,
-            IspSideEntry {
-                isp: alloc.isp,
-                router_district,
-            },
-        );
+    let allocs = plan.allocations();
+    let networks = allocs.iter().map(|a| {
+        let net = cwa_geo::geodb::mask(a.network, a.len);
+        (net, a.len.max(geodb.prefix_len))
+    });
+    let anon_networks = cryptopan.anonymize_prefixes(networks.clone());
+    let mut anon_of = HashMap::with_capacity(allocs.len());
+    let mut isp_table = HashMap::with_capacity(allocs.len());
+    for ((alloc, (net, _)), anon) in allocs.iter().zip(networks).zip(anon_networks) {
+        anon_of.insert(net, anon);
+        let anon_net = cwa_geo::geodb::mask(Ipv4Addr::from(anon), alloc.len);
+        isp_table.insert(anon_net, isp_side_entry(plan, alloc, routers));
     }
+    let geodb_anon = geodb.rekeyed(|a| match anon_of.get(&u32::from(a)) {
+        Some(&anon) => Ipv4Addr::from(anon),
+        None => cryptopan.anonymize(a),
+    });
     (geodb_anon, isp_table)
+}
+
+/// The ISP side-table entry of one allocation.
+fn isp_side_entry(
+    plan: &AddressPlan,
+    alloc: &cwa_geo::PrefixAllocation,
+    routers: Option<&cwa_geo::RouterMap>,
+) -> IspSideEntry {
+    let router_district = if plan.isp(alloc.isp).ground_truth_routers {
+        match routers {
+            Some(map) => map
+                .router_of(u32::from(alloc.network))
+                .map(|r| r.district)
+                .or(Some(alloc.district)),
+            None => Some(alloc.district),
+        }
+    } else {
+        None
+    };
+    IspSideEntry {
+        isp: alloc.isp,
+        router_district,
+    }
 }
 
 /// Messages the sharded driver sends to shard workers.
@@ -1154,6 +1176,52 @@ mod tests {
                 assert_eq!(entry.router_district, Some(alloc.district));
             } else {
                 assert_eq!(entry.router_district, None);
+            }
+        }
+    }
+
+    /// The construction `side_tables_with` replaced: every geo DB key and
+    /// every allocation network through its own full 32-block walk.
+    fn side_tables_two_walks(
+        cp: &CryptoPan,
+        plan: &AddressPlan,
+        geodb: &GeoDb,
+        routers: Option<&cwa_geo::RouterMap>,
+    ) -> (GeoDb, HashMap<u32, IspSideEntry>) {
+        let geodb_anon = geodb.rekeyed(|a| cp.anonymize(a));
+        let isp_table = plan
+            .allocations()
+            .iter()
+            .map(|alloc| {
+                let anon_net = cwa_geo::geodb::mask(cp.anonymize(alloc.network), alloc.len);
+                (anon_net, isp_side_entry(plan, alloc, routers))
+            })
+            .collect();
+        (geodb_anon, isp_table)
+    }
+
+    #[test]
+    fn side_tables_equal_two_walk_construction() {
+        use cwa_geo::{AddressPlanConfig, GeoDbConfig, Germany, RouterMap, RouterMapConfig};
+        let g = Germany::build();
+        let cp = CryptoPan::new(&VantageConfig::default().anon_key);
+        let test_small = AddressPlanConfig {
+            persons_per_subscription: 2.0,
+            prefix_capacity: 16_384,
+            prefix_len: 18,
+        };
+        for plan_config in [AddressPlanConfig::default(), test_small] {
+            let plan = AddressPlan::build(&g, plan_config);
+            let geodb = GeoDb::build(&g, &plan, GeoDbConfig::default());
+            let routers = RouterMap::build(&g, &plan, RouterMapConfig::default());
+            for map in [Some(&routers), None] {
+                let (geo, isp) = side_tables_with(&cp, &plan, &geodb, map);
+                let (geo_oracle, isp_oracle) = side_tables_two_walks(&cp, &plan, &geodb, map);
+                let len = plan_config.prefix_len;
+                assert_eq!(geo.len(), plan.allocations().len(), "/{len}");
+                assert!(geo == geo_oracle, "/{len}: geo DB differs");
+                assert_eq!(isp.len(), plan.allocations().len(), "/{len}");
+                assert!(isp == isp_oracle, "/{len}: ISP table differs");
             }
         }
     }
