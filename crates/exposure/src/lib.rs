@@ -23,8 +23,9 @@
 //!
 //! Role in the reproduction: the paper measures the *network traffic* this
 //! protocol causes (daily diagnosis-key downloads from the CDN, §1 and
-//! Fig. 1). `cwa-simnet`'s CDN model builds and signs each day's export
-//! from freshly drawn TEKs with this crate, so key-download flow sizes
+//! Fig. 1). `cwa-simnet`'s CDN model builds each day's export from
+//! freshly drawn TEKs with this crate and sizes the download as the
+//! signed export.bin + export.sig pair, so key-download flow sizes
 //! follow the real wire format. Phones are not simulated device by
 //! device: the traffic model works on prefix cohorts.
 

@@ -87,7 +87,20 @@ pub fn sign_export(
 ) -> SignedExport {
     let export_bin = export.encode();
     let signature = key.sign(&export_bin);
+    SignedExport {
+        export_sig: encode_signature_list(export, info, &signature.to_bytes()),
+        export_bin,
+    }
+}
 
+/// Encodes the export.sig file of `export`: a `TEKSignatureList` holding
+/// one signature, `signature` in its `r ‖ s` form. Every P-256 signature
+/// is 64 bytes, so the file's length does not depend on its value.
+pub fn encode_signature_list(
+    export: &TemporaryExposureKeyExport,
+    info: &SignatureInfo,
+    signature: &[u8; 64],
+) -> Vec<u8> {
     // TEKSignatureList { repeated TEKSignature signatures = 1 }
     // TEKSignature { SignatureInfo signature_info = 1;
     //                int32 batch_num = 2; int32 batch_size = 3;
@@ -102,15 +115,11 @@ pub fn sign_export(
     tek_sig.field_message(1, &si);
     tek_sig.field_int32(2, export.batch_num);
     tek_sig.field_int32(3, export.batch_size);
-    tek_sig.field_bytes(4, &signature.to_bytes());
+    tek_sig.field_bytes(4, signature);
 
     let mut list = Writer::new();
     list.field_message(1, &tek_sig);
-
-    SignedExport {
-        export_bin,
-        export_sig: list.finish().to_vec(),
-    }
+    list.finish().to_vec()
 }
 
 /// Verifies the pair against a pinned key and, on success, parses the

@@ -14,21 +14,18 @@
 //!
 //! Cost: one AES block per bit position, 32 per address. The flip of bit
 //! `p` depends only on the top `p` bits, never on an earlier PRF output,
-//! so the blocks of one address are independent and go through the AES
-//! kernel eight at a time ([`Aes128::encrypt_byte0_batch`]). The same
-//! property lets callers skip positions whose flips they already know:
-//! [`CachedCryptoPan`] memoizes /16 and /24 masks, and
+//! so the PRF calls form a binary trie: the node at depth `p` on an
+//! address's path decides bit `p`, and addresses that share a prefix
+//! share the nodes above it. The blocks one address needs are
+//! independent and go through the AES kernel in runs of 8, 4, 2 or 1
+//! ([`Aes128::encrypt_byte0_batch`]). [`CachedCryptoPan`] memoizes the
+//! trie node by node, so each node costs one block, paid once, and
 //! [`CryptoPan::anonymize_prefixes`] walks a sorted run of networks only
 //! as deep as each needs, reusing the flips neighbours share.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use cwa_crypto::Aes128;
-
-/// PRF inputs per AES batch. Every count of blocks the memo levels ask
-/// for (8, 16, 24, 32) is a multiple of it.
-const LANES: u32 = 8;
 
 /// A keyed Crypto-PAn anonymizer.
 ///
@@ -71,32 +68,31 @@ impl CryptoPan {
     /// Flip mask for bit positions `start..end` (0 = most significant).
     ///
     /// The flip of bit `pos` depends only on the top `pos` bits of
-    /// `orig` — the prefix-preservation property — which is what makes
-    /// the mask for positions `0..24` cacheable per /24 prefix (see
-    /// [`CachedCryptoPan`]). One AES block per position, run through the
-    /// kernel [`LANES`] at a time.
+    /// `orig` — the prefix-preservation property — which is what lets
+    /// [`CachedCryptoPan`] memoize flips per trie node. One AES block per
+    /// position, run through the kernel 8, 4, 2 or 1 at a time.
     fn flips_in_range(&self, orig: u32, start: u32, end: u32) -> u32 {
         let mut result = 0u32;
         let mut pos = start;
-        while pos + LANES <= end {
-            let blocks: [[u8; 16]; LANES as usize] =
-                std::array::from_fn(|i| self.prf_input(orig, pos + i as u32));
-            let prf = self.aes.encrypt_byte0_batch(&blocks);
-            for (i, byte) in prf.into_iter().enumerate() {
-                result |= flip_bit(byte, pos + i as u32);
-            }
-            pos += LANES;
-        }
-        for pos in pos..end {
-            result |= self.flip(orig, pos);
+        while pos < end {
+            let (flips, lanes) = match end - pos {
+                8.. => (self.flip_run::<8>(orig, pos), 8),
+                4.. => (self.flip_run::<4>(orig, pos), 4),
+                2.. => (self.flip_run::<2>(orig, pos), 2),
+                _ => (self.flip_run::<1>(orig, pos), 1),
+            };
+            result |= flips;
+            pos += lanes;
         }
         result
     }
 
-    /// The flip of bit `pos` alone, as a mask with at most that bit set.
-    fn flip(&self, orig: u32, pos: u32) -> u32 {
-        let [prf] = self.aes.encrypt_byte0_batch(&[self.prf_input(orig, pos)]);
-        flip_bit(prf, pos)
+    /// The flips of the `N` positions from `pos` on, one batch of `N`
+    /// AES blocks.
+    fn flip_run<const N: usize>(&self, orig: u32, pos: u32) -> u32 {
+        let blocks: [[u8; 16]; N] = std::array::from_fn(|i| self.prf_input(orig, pos + i as u32));
+        let prf = self.aes.encrypt_byte0_batch(&blocks);
+        (0..N).fold(0, |acc, i| acc | flip_bit(prf[i], pos + i as u32))
     }
 
     /// The PRF input deciding bit `pos`: the first `pos` bits of the
@@ -152,7 +148,7 @@ impl CryptoPan {
         let mut orig = 0u32;
         for pos in 0..32u32 {
             // anonymized bit = original bit ^ flip  ⇒  original = anon ^ flip
-            orig |= (target ^ self.flip(orig, pos)) & (1 << (31 - pos));
+            orig |= (target ^ self.flip_run::<1>(orig, pos)) & (1 << (31 - pos));
         }
         Ipv4Addr::from(orig)
     }
@@ -174,75 +170,158 @@ pub fn common_prefix_len(a: Ipv4Addr, b: Ipv4Addr) -> u32 {
     (u32::from(a) ^ u32::from(b)).leading_zeros()
 }
 
-/// A memoizing wrapper around [`CryptoPan`].
+/// Eight levels of the prefix trie below one fixed prefix, 48 bytes: the
+/// flips of its 255 nodes in heap order — node `(1 << d) | path` decides
+/// the position `d` levels below the prefix, for the `d`-bit `path`
+/// beneath it — and which of its 128 leaf-parents (depth-7 nodes) are
+/// known. Nodes are filled a whole path at a time, root to leaf-parent,
+/// so a node is known exactly when a known leaf-parent lies under it.
+#[derive(Default)]
+struct SubTrie {
+    flips: [u64; 4],
+    known: u128,
+}
+
+impl SubTrie {
+    /// How many nodes of `byte`'s path, from the root down, are known
+    /// (`0..=8`): one more than the longest prefix its leaf-parent shares
+    /// with a known one, and the nearest known one on either side shares
+    /// the longest.
+    fn known_depth(&self, byte: u32) -> u32 {
+        let leaf = byte >> 1;
+        if self.known >> leaf & 1 == 1 {
+            return 8;
+        }
+        // Common prefix of two distinct 7-bit leaf-parent numbers.
+        let shared = |other: u32| (other ^ leaf).leading_zeros() - 25;
+        let below = self.known & (u128::MAX >> (127 - leaf));
+        let above = self.known >> leaf;
+        let mut depth = 0;
+        if below != 0 {
+            depth = 1 + shared(127 - below.leading_zeros());
+        }
+        if above != 0 {
+            depth = depth.max(1 + shared(leaf + above.trailing_zeros()));
+        }
+        depth
+    }
+
+    /// The flips along `byte`'s path as one byte, the root's in bit 7.
+    fn path_flips(&self, byte: u32) -> u32 {
+        (0..8).fold(0, |acc, d| {
+            let node = (1 << d) | (byte >> (8 - d));
+            (acc << 1) | (self.flips[node as usize / 64] >> (node % 64) & 1) as u32
+        })
+    }
+
+    /// Stores the flips of `byte`'s path from depth `from` on (`flips` laid
+    /// out as [`path_flips`](SubTrie::path_flips) returns them) and marks
+    /// the path known. The nodes above `from` must be known already.
+    fn fill(&mut self, byte: u32, flips: u32, from: u32) {
+        for d in from..8 {
+            let node = (1 << d) | (byte >> (8 - d));
+            self.flips[node as usize / 64] |= u64::from(flips >> (7 - d) & 1) << (node % 64);
+        }
+        self.known |= 1 << (byte >> 1);
+    }
+}
+
+/// The memo of one /16, 1,088 bytes: the flips of positions 0..16, the
+/// sub-trie of positions 16..24, and one slot per /24 beneath it.
+struct Slash16 {
+    /// Flips of positions 0..16, as a mask of the top 16 address bits.
+    flips: u32,
+    /// Positions 16..24, a path per /24 ever memoized under this /16.
+    trie: SubTrie,
+    /// Per /24: 1 + its index in [`CachedCryptoPan`]'s /24 level, 0 =
+    /// not memoized.
+    children: [u32; 256],
+}
+
+/// A memoizing wrapper around [`CryptoPan`]: the PRF trie, kept node by
+/// node, so each node costs one AES block, paid by whichever address
+/// reaches it first.
 ///
 /// Crypto-PAn costs 32 AES blocks per address, and the collector
 /// anonymizes every client address it stores (one per record, two when
-/// neither end is a service prefix). Exactly because the construction is
-/// prefix-preserving, the flip mask for bit positions `0..k` depends
-/// only on the address's top `k` bits, so three memo levels cut the
-/// walk short:
+/// neither end is a service prefix). The memo holds three levels:
+///
+/// * a /16 index: a 512-byte table by the top address byte, then a
+///   1 KiB table per visited /8;
+/// * a 1,088-byte node per /16 with the flips of positions 0..16, an
+///   8-level sub-trie for positions 16..24 and 256 child slots;
+/// * a 48-byte sub-trie per /24 for positions 24..32.
+///
+/// A lookup pays only for the nodes on its path the memo lacks:
 ///
 /// | lookup | AES blocks | counted as |
 /// |---|---|---|
-/// | address seen before | 0 | `addr_hits` |
-/// | new address in a memoized /24 | 8 (host bits) | `prefix_hits` |
-/// | new /24 in a memoized /16 | 16 (bits 16..32) | `misses` |
+/// | its /31 seen before (the address, or its neighbour) | 0 | `addr_hits` |
+/// | new /31 in a memoized /24, sharing `24 + s` bits with a seen address | `7 − s` (1 to 7) | `prefix_hits` |
+/// | new /24 in a memoized /16, sharing `16 + s` bits with a memoized /24 | `15 − s` (8 to 15) | `misses` |
 /// | new /16 | 32 | `misses` |
 ///
-/// A miss is a /24 walk whichever level it starts from, so
-/// [`hits`](CachedCryptoPan::hits)`/(hits + misses)` reads the same with
-/// or without the /16 level. Output is bit-identical to the uncached
-/// [`CryptoPan::anonymize`] — the caches only short-circuit a pure
-/// function — so record streams are unchanged by construction
-/// (asserted by tests).
+/// A miss is a lookup that creates a /24, whichever level it starts from,
+/// so [`hits`](CachedCryptoPan::hits)`/(hits + misses)` counts /24 reuse.
+/// The memo also counts the AES blocks it computes; the collector
+/// publishes them as `netflow.collector.cryptopan_blocks`.
+/// Output is bit-identical to the uncached [`CryptoPan::anonymize`] — the
+/// memo only short-circuits a pure function — so record streams are
+/// unchanged by construction (asserted by tests).
 ///
-/// The address and /24 maps are bounded: on reaching capacity they are
-/// cleared whole (a deterministic epoch reset, no eviction order to get
-/// wrong). The /16 map holds at most 65,536 keys, so it needs no bound.
+/// The /24 level is bounded: on reaching its capacity it is cleared whole
+/// (a deterministic epoch reset, no eviction order to get wrong). The /16
+/// level survives the reset, flips and sub-tries included; it holds at
+/// most 65,536 nodes, so it needs no bound.
 pub struct CachedCryptoPan {
     inner: CryptoPan,
-    /// `addr → anonymized addr`, the full-address memo.
-    addrs: HashMap<u32, u32>,
-    /// `addr >> 8 → flip mask for bit positions 0..24`.
-    prefixes: HashMap<u32, u32>,
-    /// `addr >> 16 → flip mask for bit positions 0..16`.
-    wide_prefixes: HashMap<u32, u32>,
-    addr_cap: usize,
-    prefix_cap: usize,
-    /// Lookups served from the full-address memo (0 AES blocks).
+    /// The /16 index by the address's top byte: 1 + the index of that
+    /// /8's table in `index_tables`, 0 = none yet.
+    index_top: [u16; 256],
+    /// Per visited /8, by the address's second byte: 1 + the /16's index
+    /// in `slash16s`, 0 = none yet.
+    index_tables: Vec<[u32; 256]>,
+    slash16s: Vec<Slash16>,
+    /// Sub-tries of positions 24..32, one per memoized /24.
+    slash24s: Vec<SubTrie>,
+    capacity: usize,
+    /// Lookups that needed no AES block: their /31 was seen before.
     pub addr_hits: u64,
-    /// Address misses whose /24 flip mask was memoized (8 AES blocks).
+    /// Other lookups whose /24 was memoized (1 to 7 AES blocks).
     pub prefix_hits: u64,
-    /// Lookups that walked bits 16..32 or more (16 or 32 AES blocks).
+    /// Lookups that created a /24 (8 to 32 AES blocks).
     pub misses: u64,
-    /// Misses whose /16 flip mask was memoized (16 AES blocks).
+    /// Misses whose /16 was memoized (8 to 15 AES blocks).
     pub(crate) wide_hits: u64,
+    /// AES blocks computed.
+    pub(crate) blocks: u64,
 }
 
 impl CachedCryptoPan {
-    /// Default bound on the address and /24 maps (~1 M entries ≈ 8 MB
-    /// apiece).
+    /// Default bound on the /24 level: 2^20 sub-tries, 48 MiB at most.
+    /// The scale-1.0 study visits 131,085 /24s.
     pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
-    /// Wraps an anonymizer with the default cache bounds.
+    /// Wraps an anonymizer with the default bound.
     pub fn new(inner: CryptoPan) -> Self {
-        Self::with_capacity(inner, Self::DEFAULT_CAPACITY, Self::DEFAULT_CAPACITY)
+        Self::with_capacity(inner, Self::DEFAULT_CAPACITY)
     }
 
-    /// Wraps an anonymizer with explicit cache bounds (tests).
-    pub fn with_capacity(inner: CryptoPan, addr_cap: usize, prefix_cap: usize) -> Self {
+    /// Wraps an anonymizer with an explicit bound on the number of
+    /// memoized /24s (tests).
+    pub fn with_capacity(inner: CryptoPan, capacity: usize) -> Self {
         CachedCryptoPan {
             inner,
-            addrs: HashMap::new(),
-            prefixes: HashMap::new(),
-            wide_prefixes: HashMap::new(),
-            addr_cap: addr_cap.max(1),
-            prefix_cap: prefix_cap.max(1),
+            index_top: [0; 256],
+            index_tables: Vec::new(),
+            slash16s: Vec::new(),
+            slash24s: Vec::new(),
+            capacity: capacity.max(1),
             addr_hits: 0,
             prefix_hits: 0,
             misses: 0,
             wide_hits: 0,
+            blocks: 0,
         }
     }
 
@@ -251,56 +330,94 @@ impl CachedCryptoPan {
         &self.inner
     }
 
-    /// Lookups served from the address or /24 memo.
+    /// Lookups whose /24 was memoized.
     pub fn hits(&self) -> u64 {
         self.addr_hits + self.prefix_hits
     }
 
-    /// Anonymizes one address through the memo caches. Bit-identical to
+    /// Anonymizes one address through the memo. Bit-identical to
     /// `self.inner().anonymize(addr)`.
     pub fn anonymize(&mut self, addr: Ipv4Addr) -> Ipv4Addr {
         Ipv4Addr::from(self.anonymize_u32(u32::from(addr)))
     }
 
-    /// `u32` form of [`anonymize`](CachedCryptoPan::anonymize) — what
-    /// columnar callers use directly.
+    /// `u32` form of [`anonymize`](CachedCryptoPan::anonymize).
     pub fn anonymize_u32(&mut self, orig: u32) -> u32 {
-        if let Some(&anon) = self.addrs.get(&orig) {
-            self.addr_hits += 1;
-            return anon;
-        }
-        let high = match self.prefixes.get(&(orig >> 8)) {
-            Some(&mask) => {
-                self.prefix_hits += 1;
-                mask
-            }
-            None => {
+        let (b24, host) = (orig >> 8 & 0xFF, orig & 0xFF);
+        let (w, cold) = self.slash16(orig);
+        // The /24's sub-trie, and the first position whose flip the memo
+        // lacks: every position from there on is unknown too.
+        let (s, start) = match self.slash16s[w].children[b24 as usize] {
+            0 => {
                 self.misses += 1;
-                let wide = match self.wide_prefixes.get(&(orig >> 16)) {
-                    Some(&mask) => {
-                        self.wide_hits += 1;
-                        mask
-                    }
-                    None => {
-                        let mask = self.inner.flips_in_range(orig, 0, 16);
-                        self.wide_prefixes.insert(orig >> 16, mask);
-                        mask
-                    }
+                let start = if cold {
+                    0
+                } else {
+                    self.wide_hits += 1;
+                    16 + self.slash16s[w].trie.known_depth(b24)
                 };
-                let mask = wide | self.inner.flips_in_range(orig, 16, 24);
-                if self.prefixes.len() >= self.prefix_cap {
-                    self.prefixes.clear();
+                (self.insert_slash24(w, b24), start)
+            }
+            slot => {
+                let s = slot as usize - 1;
+                let start = 24 + self.slash24s[s].known_depth(host);
+                if start == 32 {
+                    self.addr_hits += 1;
+                } else {
+                    self.prefix_hits += 1;
                 }
-                self.prefixes.insert(orig >> 8, mask);
-                mask
+                (s, start)
             }
         };
-        let anon = orig ^ high ^ self.inner.flips_in_range(orig, 24, 32);
-        if self.addrs.len() >= self.addr_cap {
-            self.addrs.clear();
+        if start < 32 {
+            let flips = self.inner.flips_in_range(orig, start, 32);
+            self.blocks += u64::from(32 - start);
+            let wide = &mut self.slash16s[w];
+            if start < 16 {
+                wide.flips = flips & 0xFFFF_0000;
+            }
+            if start < 24 {
+                wide.trie
+                    .fill(b24, flips >> 8 & 0xFF, start.saturating_sub(16));
+            }
+            self.slash24s[s].fill(host, flips & 0xFF, start.saturating_sub(24));
         }
-        self.addrs.insert(orig, anon);
-        anon
+        let wide = &self.slash16s[w];
+        orig ^ wide.flips ^ (wide.trie.path_flips(b24) << 8) ^ self.slash24s[s].path_flips(host)
+    }
+
+    /// The index of `orig`'s /16 node, and whether it was just added.
+    fn slash16(&mut self, orig: u32) -> (usize, bool) {
+        let top = &mut self.index_top[(orig >> 24) as usize];
+        if *top == 0 {
+            self.index_tables.push([0; 256]);
+            *top = self.index_tables.len() as u16;
+        }
+        let slot = &mut self.index_tables[usize::from(*top) - 1][(orig >> 16 & 0xFF) as usize];
+        if *slot != 0 {
+            return (*slot as usize - 1, false);
+        }
+        self.slash16s.push(Slash16 {
+            flips: 0,
+            trie: SubTrie::default(),
+            children: [0; 256],
+        });
+        *slot = self.slash16s.len() as u32;
+        (self.slash16s.len() - 1, true)
+    }
+
+    /// Adds an empty /24 sub-trie under /16 node `w`, returning its
+    /// index. At capacity the /24 level is cleared first.
+    fn insert_slash24(&mut self, w: usize, b24: u32) -> usize {
+        if self.slash24s.len() >= self.capacity {
+            self.slash24s.clear();
+            for wide in &mut self.slash16s {
+                wide.children = [0; 256];
+            }
+        }
+        self.slash24s.push(SubTrie::default());
+        self.slash16s[w].children[b24 as usize] = self.slash24s.len() as u32;
+        self.slash24s.len() - 1
     }
 }
 
@@ -423,7 +540,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         // Random addresses with repeats, shared /24s and shared /16s,
         // visited twice so every memo level gets exercised.
-        let addrs: Vec<Ipv4Addr> = (0..3000)
+        let mut addrs: Vec<Ipv4Addr> = (0..3000)
             .map(|i| match i % 3 {
                 // cluster in a handful of /24s
                 0 => Ipv4Addr::from((rng.gen::<u32>() & 0xFF) | 0x5400_1000),
@@ -431,6 +548,18 @@ mod tests {
                 _ => Ipv4Addr::from(rng.gen::<u32>()),
             })
             .collect();
+        // Then neighbours of those sharing exactly their top 25 to 31
+        // bits, so lookups stop at every depth of the /24 sub-trie.
+        for _ in 0..1000 {
+            let base = u32::from(addrs[rng.gen_range(0..3000usize)]);
+            let shared = rng.gen_range(25..32u32);
+            // Base's top `shared` bits, then the opposite of its next bit.
+            let next = 1 << (31 - shared);
+            let rest = rng.gen::<u32>() & (next - 1);
+            addrs.push(Ipv4Addr::from(
+                (base & high_bits(shared)) | (!base & next) | rest,
+            ));
+        }
         for &a in addrs.iter().chain(addrs.iter()) {
             assert_eq!(cached.anonymize(a), cp.anonymize(a), "{a}");
         }
@@ -440,6 +569,12 @@ mod tests {
         assert!(cached.misses > 0 && cached.misses <= 3000);
         assert!(cached.wide_hits > 500, "/16 hits {}", cached.wide_hits);
         assert!(cached.wide_hits < cached.misses);
+        // Every node is paid once: far fewer blocks than 32 per lookup.
+        assert!(
+            cached.blocks < 32 * cached.misses,
+            "{} blocks",
+            cached.blocks
+        );
     }
 
     #[test]
@@ -459,9 +594,65 @@ mod tests {
     }
 
     #[test]
+    fn each_trie_node_costs_one_block() {
+        let cp = cp();
+        let mut cached = CachedCryptoPan::new(cp.clone());
+        // (address, AES blocks for the trie nodes on its path the memo
+        // lacks); position p's node is shared by the addresses that agree
+        // on their top p bits.
+        let steps = [
+            // A cold /16: all 32 positions.
+            ([84, 17, 2, 3], 32),
+            // The same address, then its /31 neighbour: nothing new.
+            ([84, 17, 2, 3], 0),
+            ([84, 17, 2, 2], 0),
+            // 100 = 0b0110_0100 shares one host bit with 3 (same /25):
+            // positions 24 and 25 are known, 26..32 are paid.
+            ([84, 17, 2, 100], 6),
+            // 103 = 0b0110_0111 is in 100's /30: only position 31 is new.
+            ([84, 17, 2, 103], 1),
+            // A new /24 under the seen /23 84.17.2.0/23: positions 16..24
+            // are known, the eight of the new /24 are paid.
+            ([84, 17, 3, 9], 8),
+            // 200 = 0b1100_1000 leaves the seen /17: only position 16, the
+            // /16's own node, is known.
+            ([84, 17, 200, 9], 15),
+            // A new /16 pays all 32, even in a seen /8.
+            ([84, 18, 2, 3], 32),
+        ];
+        let mut total = 0;
+        for (raw, cost) in steps {
+            let a = Ipv4Addr::from(raw);
+            assert_eq!(cached.anonymize(a), cp.anonymize(a), "{a}");
+            total += cost;
+            assert_eq!(cached.blocks, total, "{a} costs {cost} blocks");
+        }
+        let counts = |c: &CachedCryptoPan| (c.addr_hits, c.prefix_hits, c.misses, c.wide_hits);
+        assert_eq!(counts(&cached), (2, 2, 4, 2));
+    }
+
+    #[test]
+    fn capacity_reset_keeps_the_slash16_level() {
+        let cp = cp();
+        let mut cached = CachedCryptoPan::with_capacity(cp.clone(), 1);
+        // The second /24 clears the first; coming back to it is a miss
+        // again, but its /16 still knows positions 0..24.
+        for (raw, blocks) in [
+            ([84, 17, 2, 3], 32),
+            ([84, 17, 3, 9], 40),
+            ([84, 17, 2, 3], 48),
+        ] {
+            let a = Ipv4Addr::from(raw);
+            assert_eq!(cached.anonymize(a), cp.anonymize(a), "{a}");
+            assert_eq!(cached.blocks, blocks, "{a}");
+        }
+        assert_eq!((cached.hits(), cached.misses, cached.wide_hits), (0, 3, 2));
+    }
+
+    #[test]
     fn cached_survives_capacity_resets() {
         let cp = cp();
-        let mut cached = CachedCryptoPan::with_capacity(cp.clone(), 8, 4);
+        let mut cached = CachedCryptoPan::with_capacity(cp.clone(), 4);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for i in 0..1000 {
             let a = if i % 2 == 0 {
@@ -472,6 +663,44 @@ mod tests {
             assert_eq!(cached.anonymize(a), cp.anonymize(a), "{a}");
         }
         assert!(cached.wide_hits > 400, "/16 hits {}", cached.wide_hits);
+    }
+
+    #[test]
+    fn known_depth_matches_its_definition() {
+        // Node d of a path is known when some known leaf-parent agrees
+        // with the path's leaf-parent on its top d bits (of 7).
+        let brute = |known: u128, byte: u32| {
+            (0..128u32)
+                .filter(|l| known >> l & 1 == 1)
+                .map(|l| 1 + ((l ^ (byte >> 1)).leading_zeros() - 25))
+                .max()
+                .unwrap_or(0)
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for round in 0..200 {
+            let mut trie = SubTrie::default();
+            for _ in 0..round % 5 {
+                trie.known |= 1 << rng.gen_range(0..128u32);
+            }
+            if round % 50 == 0 {
+                trie.known = rng.gen();
+            }
+            for byte in 0..256 {
+                assert_eq!(
+                    trie.known_depth(byte),
+                    brute(trie.known, byte),
+                    "{:#x} {byte}",
+                    trie.known
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memo_layout_sizes() {
+        // The per-/24 and per-/16 costs the docs quote.
+        assert_eq!(std::mem::size_of::<SubTrie>(), 48);
+        assert_eq!(std::mem::size_of::<Slash16>(), 1088);
     }
 
     /// The key of the reference implementation's `sample.cpp` (Xu et al.).

@@ -14,6 +14,7 @@
 //! classification of app vs. website traffic was infeasible.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -66,13 +67,64 @@ pub struct CacheStats {
     pub expired_flush: u64,
 }
 
+/// The flow cache's key hasher, multiply-rotate in the style of FxHash:
+/// a few cycles per key word where SipHash takes tens. It resists no
+/// chosen keys, and needs not: every key comes from the simulator, so
+/// nothing adversarial reaches the map. Export order never depends on it
+/// (expiry sorts by key).
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits at the top; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
 /// A router flow cache. Feed it (sampled) packets via
 /// [`FlowCache::account`]; collect expired [`FlowRecord`]s via
 /// [`FlowCache::take_expired`].
 #[derive(Debug)]
 pub struct FlowCache {
     config: FlowCacheConfig,
-    entries: HashMap<FlowKey, Entry>,
+    /// Live entries, hashed with [`KeyHasher`] rather than SipHash.
+    entries: HashMap<FlowKey, Entry, BuildHasherDefault<KeyHasher>>,
     expired: Vec<FlowRecord>,
     stats: CacheStats,
 }
@@ -82,7 +134,7 @@ impl FlowCache {
     pub fn new(config: FlowCacheConfig) -> Self {
         FlowCache {
             config,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             expired: Vec::new(),
             stats: CacheStats::default(),
         }
@@ -142,33 +194,29 @@ impl FlowCache {
     pub fn sweep(&mut self, now_ms: u64) {
         let inactive = self.config.inactive_timeout_ms;
         let active = self.config.active_timeout_ms;
-        let mut dead: Vec<FlowKey> = Vec::new();
-        for (key, entry) in &self.entries {
+        let first = self.expired.len();
+        let (expired, stats) = (&mut self.expired, &mut self.stats);
+        self.entries.retain(|&key, entry| {
             if now_ms.saturating_sub(entry.last_ms) >= inactive {
-                dead.push(*key);
-                self.stats.expired_inactive += 1;
+                stats.expired_inactive += 1;
             } else if now_ms.saturating_sub(entry.first_ms) >= active {
-                dead.push(*key);
-                self.stats.expired_active += 1;
+                stats.expired_active += 1;
+            } else {
+                return true;
             }
-        }
-        // Deterministic export order regardless of hash-map iteration.
-        dead.sort_unstable();
-        for key in dead {
-            let entry = self.entries.remove(&key).expect("key listed for expiry");
-            self.expired.push(record(key, &entry));
-        }
+            expired.push(record(key, entry));
+            false
+        });
+        sort_by_key(&mut self.expired[first..]);
     }
 
     /// Flushes every remaining entry (end of measurement).
     pub fn flush(&mut self) {
-        let mut keys: Vec<FlowKey> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let entry = self.entries.remove(&key).expect("key listed for flush");
-            self.expired.push(record(key, &entry));
-            self.stats.expired_flush += 1;
-        }
+        let first = self.expired.len();
+        self.stats.expired_flush += self.entries.len() as u64;
+        self.expired
+            .extend(self.entries.drain().map(|(key, entry)| record(key, &entry)));
+        sort_by_key(&mut self.expired[first..]);
     }
 
     /// Expires the oldest ~1/32 of entries to make room (emulating
@@ -205,6 +253,12 @@ impl FlowCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
+}
+
+/// Puts records expired together into key order, whatever order the map
+/// yielded them in: the export order is deterministic.
+fn sort_by_key(records: &mut [FlowRecord]) {
+    records.sort_unstable_by_key(|r| r.key);
 }
 
 fn record(key: FlowKey, entry: &Entry) -> FlowRecord {
@@ -301,6 +355,42 @@ mod tests {
         let recs = cache.take_expired();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].key, key(1));
+    }
+
+    #[test]
+    fn sweep_and_flush_export_in_key_order_after_inline_expiry() {
+        let hosts = |order: &[u8]| order.iter().map(|&h| key(h)).collect::<Vec<_>>();
+        for turn in 0..6 {
+            // The same keys inserted in six different orders.
+            let mut swept: Vec<u8> = (0..6).collect();
+            let mut flushed: Vec<u8> = (50..55).collect();
+            swept.rotate_left(turn);
+            flushed.rotate_left(turn % 5);
+            if turn % 2 == 1 {
+                swept.reverse();
+                flushed.reverse();
+            }
+            let mut cache = FlowCache::new(cfg());
+            cache.account(key(100), 100, 0, 0);
+            for (i, &h) in swept.iter().enumerate() {
+                cache.account(key(h), 100, 0, 1_000 + i as u64);
+            }
+            // 20 s idle: key(100)'s first record expires inline.
+            cache.account(key(100), 100, 0, 20_000);
+            // The swept hosts are 29 s idle; key(100) only 10 s.
+            cache.sweep(30_000);
+            for &h in &flushed {
+                cache.account(key(h), 100, 0, 31_000);
+            }
+            cache.flush();
+            let got: Vec<FlowKey> = cache.take_expired().iter().map(|r| r.key).collect();
+            let mut want = vec![key(100)];
+            want.extend(hosts(&[0, 1, 2, 3, 4, 5]));
+            want.extend(hosts(&[50, 51, 52, 53, 54, 100]));
+            assert_eq!(got, want, "insertion order {swept:?} then {flushed:?}");
+            assert_eq!(cache.stats().expired_inactive, 7);
+            assert_eq!(cache.stats().expired_flush, 6);
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub struct CollectorMetrics {
     decode_errors: Arc<Counter>,
     cryptopan_hits: Arc<Counter>,
     cryptopan_misses: Arc<Counter>,
+    cryptopan_blocks: Arc<Counter>,
 }
 
 impl CollectorMetrics {
@@ -45,6 +46,7 @@ impl CollectorMetrics {
             decode_errors: registry.counter("netflow.collector.decode_errors"),
             cryptopan_hits: registry.counter("netflow.collector.cryptopan_cache_hits"),
             cryptopan_misses: registry.counter("netflow.collector.cryptopan_cache_misses"),
+            cryptopan_blocks: registry.counter("netflow.collector.cryptopan_blocks"),
         }
     }
 }
@@ -85,11 +87,12 @@ pub struct EngineStats {
 /// A collector accumulating anonymized flow records.
 pub struct Collector {
     /// Anonymizer applied to client addresses (None = store raw).
-    /// A cold address costs the 32-AES-block Crypto-PAn walk; the memo
-    /// cuts that to 0 blocks for a repeated address, 8 for a new host
-    /// in a seen /24 and 16 for a new /24 in a seen /16 (see
-    /// [`CachedCryptoPan`]). A record has one client address, or two
-    /// when neither end is a server prefix.
+    /// A cold /16 costs the 32-AES-block Crypto-PAn walk; after that the
+    /// memo pays one block per prefix-trie node it has not seen: 0 for
+    /// an address whose /31 was seen, 1–7 for a new host in a seen /24,
+    /// 8–15 for a new /24 in a seen /16 (see [`CachedCryptoPan`]). It
+    /// holds 48 bytes per /24 and about 1.1 KiB per /16. A record has one
+    /// client address, or two when neither end is a server prefix.
     anonymizer: Option<CachedCryptoPan>,
     /// Server-side prefixes: addresses inside are *not* anonymized
     /// (the CWA CDN prefixes are public knowledge; only clients are
@@ -104,9 +107,9 @@ pub struct Collector {
     chunk_capacity: usize,
     /// Reusable chunk scratch for `drain_into`.
     chunk: FlowChunk,
-    /// Cache hit/miss totals already published to the metric counters.
-    published_hits: u64,
-    published_misses: u64,
+    /// Memo hit, miss and AES-block totals already published to the
+    /// metric counters.
+    published: [u64; 3],
 }
 
 impl Collector {
@@ -122,8 +125,7 @@ impl Collector {
             peak_resident: 0,
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
             chunk: FlowChunk::default(),
-            published_hits: 0,
-            published_misses: 0,
+            published: [0; 3],
         }
     }
 
@@ -141,8 +143,7 @@ impl Collector {
             peak_resident: 0,
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
             chunk: FlowChunk::default(),
-            published_hits: 0,
-            published_misses: 0,
+            published: [0; 3],
         }
     }
 
@@ -292,17 +293,19 @@ impl Collector {
         self.publish_cache_deltas();
     }
 
-    /// Publishes the memo cache's hit/miss growth since the last call
-    /// to the metric counters (cheap: two adds per export datagram).
+    /// Publishes the memo's hit, miss and AES-block growth since the
+    /// last call to the metric counters (cheap: three adds per export
+    /// datagram).
     fn publish_cache_deltas(&mut self) {
         let (Some(m), Some(cp)) = (&self.metrics, &self.anonymizer) else {
             return;
         };
-        let (hits, misses) = (cp.hits(), cp.misses);
-        m.cryptopan_hits.add(hits - self.published_hits);
-        m.cryptopan_misses.add(misses - self.published_misses);
-        self.published_hits = hits;
-        self.published_misses = misses;
+        let totals = [cp.hits(), cp.misses, cp.blocks];
+        let [hits, misses, blocks] = self.published;
+        m.cryptopan_hits.add(totals[0] - hits);
+        m.cryptopan_misses.add(totals[1] - misses);
+        m.cryptopan_blocks.add(totals[2] - blocks);
+        self.published = totals;
     }
 
     /// All records collected so far.
@@ -675,6 +678,13 @@ mod tests {
                 .counter("netflow.collector.cryptopan_cache_misses")
                 .get(),
             misses
+        );
+        // 32 blocks for the first host, then one per new trie node: 1, 2,
+        // 1, 3 and 1 for .2, .4, .6, .8 and .10, none for a host whose
+        // /31 was seen.
+        assert_eq!(
+            registry.counter("netflow.collector.cryptopan_blocks").get(),
+            40
         );
         // Caching is invisible in the record stream: same outputs as an
         // identically keyed uncached walk.

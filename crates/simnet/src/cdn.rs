@@ -10,8 +10,9 @@
 //! * two synthetic IPv4 service prefixes with a handful of server
 //!   addresses each,
 //! * the two DNS names (API endpoint and website),
-//! * daily diagnosis-key export files, sized with the *actual* export
-//!   wire format from `cwa-exposure` so download flow sizes are honest.
+//! * daily diagnosis-key export files, sized as the signed
+//!   export.bin + export.sig pair in the *actual* wire format from
+//!   `cwa-exposure`, so download flow sizes are honest.
 
 use std::net::Ipv4Addr;
 
@@ -20,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use cwa_crypto::p256::SigningKey;
 use cwa_exposure::export::TemporaryExposureKeyExport;
-use cwa_exposure::signature::{sign_export, SignatureInfo};
+use cwa_exposure::signature::{encode_signature_list, SignatureInfo};
 use cwa_exposure::tek::{DiagnosisKey, TemporaryExposureKey};
 use cwa_exposure::time::EnIntervalNumber;
 
@@ -112,27 +113,35 @@ impl CdnConfig {
     }
 
     /// Builds the day's key-export file for a given number of published
-    /// keys, **signs it** (export.bin + export.sig, as on the real CDN),
-    /// and returns the total download size in bytes. The flow generator
-    /// uses this to size key-download responses; real key counts come
-    /// from the upload pipeline.
+    /// keys and returns the download size of the signed pair the real CDN
+    /// serves (export.bin + export.sig, in its zip container), in bytes.
+    /// The flow generator uses this to size key-download responses; real
+    /// key counts come from the upload pipeline.
+    ///
+    /// Nothing is signed: a P-256 signature is always 64 bytes, so the
+    /// export.sig is encoded around a placeholder of that length. Its
+    /// size equals that of [`sign_export`] under
+    /// [`signing_key`](CdnConfig::signing_key) (asserted by tests).
+    ///
+    /// [`sign_export`]: cwa_exposure::signature::sign_export
     pub fn export_size_bytes<R: RngCore>(&self, rng: &mut R, day: u32, n_keys: usize) -> usize {
-        let start = EnIntervalNumber(((1_592_179_200 / 600) as u32) + day * 144);
-        let keys: Vec<DiagnosisKey> = (0..n_keys)
-            .map(|_| {
-                let tek = TemporaryExposureKey::generate(rng, start);
-                DiagnosisKey::new(tek, 5)
-            })
-            .collect();
-        let export = TemporaryExposureKeyExport::new_de(
-            u64::from(day) * 86_400,
-            (u64::from(day) + 1) * 86_400,
-            keys,
-        );
-        let signed = sign_export(&export, &Self::signing_key(), &SignatureInfo::default());
+        let export = day_export(rng, day, n_keys);
+        let export_sig = encode_signature_list(&export, &SignatureInfo::default(), &[0; 64]);
         // Plus the zip container overhead observed on the real CDN.
-        signed.export_bin.len() + signed.export_sig.len() + 150
+        export.encode().len() + export_sig.len() + 150
     }
+}
+
+/// The key export of `day` holding `n_keys` freshly drawn TEKs.
+fn day_export<R: RngCore>(rng: &mut R, day: u32, n_keys: usize) -> TemporaryExposureKeyExport {
+    let start = EnIntervalNumber(((1_592_179_200 / 600) as u32) + day * 144);
+    let keys: Vec<DiagnosisKey> = (0..n_keys)
+        .map(|_| {
+            let tek = TemporaryExposureKey::generate(rng, start);
+            DiagnosisKey::new(tek, 5)
+        })
+        .collect();
+    TemporaryExposureKeyExport::new_de(u64::from(day) * 86_400, (u64::from(day) + 1) * 86_400, keys)
 }
 
 #[cfg(test)]
@@ -191,6 +200,32 @@ mod tests {
         assert!(hundred > ten);
         let per_key = (hundred - ten) as f64 / 90.0;
         assert!((24.0..40.0).contains(&per_key), "per-key {per_key}");
+    }
+
+    #[test]
+    fn export_size_is_that_of_the_signed_pair() {
+        use cwa_exposure::signature::sign_export;
+        let cdn = CdnConfig::default();
+        for day in 0..11 {
+            for n_keys in [0, 1, 32, 38, 57, 1000] {
+                // The same TEK draws on both sides.
+                let mut rng = ChaCha8Rng::seed_from_u64(u64::from(day) * 1000 + n_keys as u64);
+                let mut oracle_rng = rng.clone();
+                let export = day_export(&mut oracle_rng, day, n_keys);
+                let key = CdnConfig::signing_key();
+                let signed = sign_export(&export, &key, &SignatureInfo::default());
+                assert_eq!(
+                    cdn.export_size_bytes(&mut rng, day, n_keys),
+                    signed.export_bin.len() + signed.export_sig.len() + 150,
+                    "day {day}, {n_keys} keys"
+                );
+                assert_eq!(
+                    rng.next_u64(),
+                    oracle_rng.next_u64(),
+                    "day {day}, {n_keys} keys: same draws"
+                );
+            }
+        }
     }
 
     #[test]

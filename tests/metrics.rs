@@ -195,3 +195,29 @@ fn sharded_trace_covers_every_stage() {
         assert!(json.contains(&marker), "no spans for shard pid {pid}");
     }
 }
+
+/// The Crypto-PAn memo pays one AES block per prefix-trie node it lacks:
+/// a streaming run computes some, never more than the 32 per address an
+/// unmemoized walk would, and the same seed computes the same number.
+#[test]
+fn cryptopan_block_counter_is_bounded_and_deterministic() {
+    let run = || {
+        let registry = Arc::new(Registry::new());
+        Study::new(StudyConfig::test_small())
+            .with_metrics(Arc::clone(&registry))
+            .run_streaming()
+            .expect("small study produces matching flows");
+        let count = |name: &str| registry.counter(name).get();
+        (
+            count("netflow.collector.cryptopan_blocks"),
+            count("netflow.collector.anonymized_addresses"),
+        )
+    };
+    let (blocks, anonymized) = run();
+    assert!(blocks > 0, "no AES block counted");
+    assert!(
+        blocks <= 32 * anonymized,
+        "{blocks} blocks for {anonymized} addresses"
+    );
+    assert_eq!(run(), (blocks, anonymized), "same seed, same blocks");
+}
