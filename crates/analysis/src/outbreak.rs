@@ -42,6 +42,18 @@ pub struct OutbreakAnalysis {
 }
 
 impl OutbreakAnalysis {
+    /// Empty tables over `districts` districts and study days
+    /// `[0, days)`, for callers that fill them from counts kept
+    /// elsewhere (the live window's, for one).
+    pub fn new(districts: usize, days: u32) -> Self {
+        OutbreakAnalysis {
+            district_flows: vec![vec![0; districts]; days as usize],
+            state_flows: vec![[0; 16]; days as usize],
+            berlin_isp_flows: HashMap::new(),
+            days,
+        }
+    }
+
     /// Builds the tables from records via the geolocation pipeline.
     /// `isp_of` resolves a client address to an ISP id (from the side
     /// table), mirroring what the vantage-point operator knows.
@@ -390,12 +402,7 @@ mod tests {
 
     #[test]
     fn nan_on_zero_baseline() {
-        let a = OutbreakAnalysis {
-            district_flows: vec![vec![0; 401]; 11],
-            state_flows: vec![[0; 16]; 11],
-            berlin_isp_flows: HashMap::new(),
-            days: 11,
-        };
+        let a = OutbreakAnalysis::new(401, 11);
         assert!(a.national_growth(0..3, 3..6).is_nan());
         assert!(a.district_growth(DistrictId(0), 0..3, 3..6).is_nan());
     }

@@ -11,8 +11,12 @@
 //! interpret the numbers (`scripts/ci.sh` only enforces a speedup
 //! floor when `host_cpus >= 2`).
 //!
-//! Plain `harness = false` binary with manual timing, same as the
-//! streaming bench. Results go to `BENCH_sharded.json`.
+//! Plain `harness = false` binary with manual timing. Each scale first
+//! runs one untimed warm-up round of every path; then each of the
+//! `REPS` repetitions times the streaming baseline and every shard
+//! count back to back, so slow and fast phases of the host fall on all
+//! paths alike. Each row reports its median with the quartiles beside
+//! it. Results go to `BENCH_sharded.json`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,13 +29,33 @@ use cwa_simnet::{ShardKeyMode, Simulation};
 
 const SCALES: [f64; 2] = [0.005, 0.02];
 const SHARDS: [usize; 3] = [1, 2, 4];
-const REPS: usize = 3;
+const REPS: usize = 11;
+
+/// Median and quartiles of one path's wall times, in ms.
+#[derive(Serialize)]
+struct Wall {
+    q1_ms: f64,
+    median_ms: f64,
+    q3_ms: f64,
+}
+
+impl Wall {
+    fn of(mut samples: Vec<f64>) -> Self {
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let at = |q: usize| round3(samples[(samples.len() - 1) * q / 4]);
+        Wall {
+            q1_ms: at(1),
+            median_ms: at(2),
+            q3_ms: at(3),
+        }
+    }
+}
 
 #[derive(Serialize)]
 struct ShardRow {
     shards: usize,
-    wall_ms: f64,
-    /// Wall-time ratio `run_streaming / run_sharded(n)`.
+    wall: Wall,
+    /// Median wall-time ratio `run_streaming / run_sharded(n)`.
     speedup: f64,
     /// Largest per-shard export-hour chunk — the sharded path's memory
     /// bound (each worker holds at most one chunk of its own shard).
@@ -41,7 +65,7 @@ struct ShardRow {
 #[derive(Serialize)]
 struct RunRow {
     scale: f64,
-    streaming_wall_ms: f64,
+    streaming_wall: Wall,
     total_records: u64,
     matching_flows: u64,
     sharded: Vec<ShardRow>,
@@ -59,20 +83,20 @@ struct BenchDoc {
     runs: Vec<RunRow>,
 }
 
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    samples[samples.len() / 2]
+fn round3(v: f64) -> f64 {
+    (v * 1e3).round() / 1e3
 }
 
-fn time_runs<F: FnMut() -> u64>(mut run: F) -> (f64, u64) {
-    let mut samples = Vec::with_capacity(REPS);
-    let mut check = 0;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        check = black_box(run());
-        samples.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (median_ms(samples), check)
+/// One timed study run: wall ms and the matching-flow count.
+fn timed(config: StudyConfig, shards: Option<usize>) -> (f64, u64) {
+    let study = Study::new(config);
+    let t = Instant::now();
+    let report = match shards {
+        None => study.run_streaming(),
+        Some(n) => study.run_sharded(n),
+    };
+    let flows = black_box(report.expect("study failed").matching_flows);
+    (t.elapsed().as_secs_f64() * 1e3, flows)
 }
 
 fn main() {
@@ -80,35 +104,42 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let mut rows = Vec::new();
-    println!("host cpus: {host_cpus}");
-    println!("scale    shards  wall_ms    speedup  max_shard_resident");
+    println!("host cpus: {host_cpus}, {REPS} interleaved reps per path");
+    println!("scale    shards  q1_ms      median_ms  q3_ms      speedup  max_shard_resident");
     for scale in SCALES {
         let config = StudyConfig::at_scale(scale);
+        let paths: Vec<Option<usize>> = std::iter::once(None)
+            .chain(SHARDS.iter().map(|&n| Some(n)))
+            .collect();
 
-        let (stream_ms, stream_flows) = time_runs(|| {
-            Study::new(config)
-                .run_streaming()
-                .expect("study failed")
-                .matching_flows
-        });
-        println!("{scale:<8} stream  {stream_ms:<10.1} 1.00");
+        let (_, stream_flows) = timed(config, None);
+        for &path in &paths[1..] {
+            timed(config, path);
+        }
+        let mut samples = vec![Vec::with_capacity(REPS); paths.len()];
+        for _ in 0..REPS {
+            for (&path, out) in paths.iter().zip(&mut samples) {
+                let (ms, flows) = timed(config, path);
+                assert_eq!(
+                    flows, stream_flows,
+                    "sharded and streaming must agree on the matching-flow count"
+                );
+                out.push(ms);
+            }
+        }
+        let mut walls = samples.into_iter().map(Wall::of);
+        let streaming_wall = walls.next().expect("baseline row");
+        println!(
+            "{scale:<8} stream  {:<10.1} {:<10.1} {:<10.1} 1.00",
+            streaming_wall.q1_ms, streaming_wall.median_ms, streaming_wall.q3_ms
+        );
 
         let prepared = Simulation::new(config.sim).prepare();
         let mut counting = CountingSink::default();
         let (_truth, _stats) = prepared.run_traffic(&mut counting);
 
         let mut sharded_rows = Vec::new();
-        for shards in SHARDS {
-            let (wall_ms, flows) = time_runs(|| {
-                Study::new(config)
-                    .run_sharded(shards)
-                    .expect("study failed")
-                    .matching_flows
-            });
-            assert_eq!(
-                flows, stream_flows,
-                "sharded and streaming must agree on the matching-flow count"
-            );
+        for (shards, wall) in SHARDS.into_iter().zip(walls) {
             let (_truth, results) = prepared
                 .run_traffic_sharded(ShardKeyMode::Common, vec![CountingSink::default(); shards]);
             let max_peak = results
@@ -116,19 +147,22 @@ fn main() {
                 .map(|(_, stats)| stats.peak_resident_records)
                 .max()
                 .unwrap_or(0);
-            let speedup = stream_ms / wall_ms;
-            println!("{scale:<8} {shards:<7} {wall_ms:<10.1} {speedup:<8.2} {max_peak}");
+            let speedup = round3(streaming_wall.median_ms / wall.median_ms);
+            println!(
+                "{scale:<8} {shards:<7} {:<10.1} {:<10.1} {:<10.1} {speedup:<8.2} {max_peak}",
+                wall.q1_ms, wall.median_ms, wall.q3_ms
+            );
             sharded_rows.push(ShardRow {
                 shards,
-                wall_ms: (wall_ms * 1e3).round() / 1e3,
-                speedup: (speedup * 1e3).round() / 1e3,
+                wall,
+                speedup,
                 max_shard_peak_resident_records: max_peak,
             });
         }
 
         rows.push(RunRow {
             scale,
-            streaming_wall_ms: (stream_ms * 1e3).round() / 1e3,
+            streaming_wall,
             total_records: counting.records,
             matching_flows: stream_flows,
             sharded: sharded_rows,
@@ -136,11 +170,11 @@ fn main() {
     }
 
     let doc = BenchDoc {
-        schema: "cwa-bench-sharded/v1",
+        schema: "cwa-bench-sharded/v2",
         generated_by: "cargo bench -p cwa-bench --bench sharded",
         host_cpus,
         reps_per_path: REPS,
-        statistic: "median wall ms",
+        statistic: "wall ms quartiles over interleaved reps after one warm-up round; speedup = median ratio",
         runs: rows,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharded.json");

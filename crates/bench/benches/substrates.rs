@@ -1,13 +1,13 @@
 //! Micro-benchmarks of every substrate the reproduction is built on:
 //! crypto primitives, Crypto-PAn, the flow cache, the v5 and v9 codecs,
-//! the Exposure Notification key schedule and key-export codec, and the
-//! traffic generator's samplers.
+//! the Exposure Notification key-export codec, and the traffic
+//! generator's samplers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
-use cwa_crypto::{aes128_ctr, hkdf_sha256, hmac_sha256, sha256, Aes128};
+use cwa_crypto::{hmac_sha256, sha256, Aes128};
 use cwa_exposure::tek::{DiagnosisKey, TemporaryExposureKey};
 use cwa_exposure::time::EnIntervalNumber;
 use cwa_netflow::cache::{FlowCache, FlowCacheConfig};
@@ -32,17 +32,10 @@ fn crypto_benches(c: &mut Criterion) {
     g.bench_function("hmac_sha256/64B_msg", |b| {
         b.iter(|| hmac_sha256(black_box(b"key"), black_box(&data_1k[..64])))
     });
-    g.bench_function("hkdf/16B_okm", |b| {
-        b.iter(|| hkdf_sha256(None, black_box(b"temporary exposure key"), b"EN-RPIK", 16))
-    });
 
     let aes = Aes128::new(&[7u8; 16]);
     g.bench_function("aes128/block", |b| {
         b.iter(|| aes.encrypt_block(black_box(&[1u8; 16])))
-    });
-    g.throughput(Throughput::Bytes(1024));
-    g.bench_function("aes128_ctr/1KiB", |b| {
-        b.iter(|| aes128_ctr(&[7u8; 16], &[0u8; 16], black_box(&data_1k)))
     });
     g.finish();
 }
@@ -119,10 +112,6 @@ fn netflow_benches(c: &mut Criterion) {
 fn exposure_benches(c: &mut Criterion) {
     let mut g = c.benchmark_group("exposure");
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let tek = TemporaryExposureKey::generate(&mut rng, EnIntervalNumber(144 * 18_000));
-
-    g.throughput(Throughput::Elements(144));
-    g.bench_function("tek/derive_all_144_rpis", |b| b.iter(|| tek.all_rpis()));
 
     // Export encode/decode of a realistic daily file: 50 keys spread
     // over the 14-day retention window.

@@ -78,16 +78,17 @@ struct ReportEnvelope {
 }
 
 /// The sliding-window slice a set of window verdicts was evaluated
-/// over, plus the verdicts themselves. Claims whose inputs cannot be
-/// re-derived from a window (public side data, lifetime persistence)
-/// are simply absent from `verdicts`.
+/// over, plus the verdicts themselves: the report's own claim table run
+/// over the window's tables. Claims the window cannot judge (public
+/// side data, lifetime persistence, anchor days already evicted) are
+/// absent from `verdicts`.
 #[derive(Debug, Clone, Default)]
 pub struct WindowVerdicts {
     /// First day (inclusive) of the evaluated window.
     pub from_day: u64,
     /// One past the last day of the evaluated window.
     pub to_day: u64,
-    /// The window-evaluable claims, re-judged over the window only.
+    /// The claims the window can judge, judged over the window only.
     pub verdicts: Vec<Claim>,
 }
 

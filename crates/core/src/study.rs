@@ -18,10 +18,10 @@ use cwa_analysis::outbreak::{OutbreakAccumulator, OutbreakAnalysis};
 use cwa_analysis::persistence::PersistenceAnalysis;
 use cwa_analysis::stream::StreamCounts;
 use cwa_analysis::timeseries::HourlySeries;
-use cwa_analysis::windowed::{WindowSnapshot, WindowedView};
+use cwa_analysis::windowed::{WindowSnapshot, WindowedSnapshot, WindowedView};
 use cwa_epidemic::timeline::{JULY_24_DAY, MILESTONE_36H_HOUR};
 use cwa_epidemic::{AdoptionCurve, AdoptionModel, Scenario, Timeline};
-use cwa_geo::{AddressPlan, FederalState, Germany};
+use cwa_geo::{AddressPlan, Germany};
 use cwa_netflow::flow::FlowRecord;
 use cwa_netflow::sink::{FlowChunk, FlowSink};
 use cwa_simnet::{
@@ -221,11 +221,16 @@ fn isp_resolver(
     }
 }
 
+/// Days the live view's study tier covers at most: the persistence
+/// bitmap's width. Longer (endless) horizons cap the tier here.
+const STUDY_TIER_DAYS: u32 = 64;
+
 /// Everything the analysis stages produce before claim evaluation. Both
 /// the batch path ([`Study::run`] / [`Study::analyze`]) and the
 /// streaming driver ([`Study::drive`]) fill this struct and hand it to
 /// the shared report assembly, which guarantees the two paths cannot
-/// diverge in how claims are derived.
+/// diverge in how claims are derived. Live mode fills one from the
+/// sliding window too, and judges it with the same claim table.
 struct AnalysisProducts {
     series: HourlySeries,
     geo_10day: GeoResult,
@@ -234,6 +239,29 @@ struct AnalysisProducts {
     outbreak: OutbreakAnalysis,
     matching_flows: u64,
     total_records: u64,
+}
+
+impl AnalysisProducts {
+    /// The report inputs of the four study consumers over a `days`-day
+    /// horizon, after a stream whose §2 counts are `counts`.
+    fn of_consumers(
+        series: HourlySeries,
+        geo: &GeoDayAccumulator<'_>,
+        persistence: PersistenceAnalysis,
+        outbreak: OutbreakAnalysis,
+        days: u32,
+        counts: &StreamCounts,
+    ) -> Self {
+        AnalysisProducts {
+            series,
+            geo_10day: geo.result(1, days.min(11)),
+            geo_day1: geo.result(1, 2),
+            persistence,
+            outbreak,
+            matching_flows: counts.records_matched,
+            total_records: counts.records_in,
+        }
+    }
 }
 
 /// The study consumers in the order a [`StudySink`] feeds them: the
@@ -305,15 +333,14 @@ where
             Consumers::Study(c) => (c.series, c.geo, c.persistence, c.outbreak),
             Consumers::Live(view) => (view.series, view.geo, view.persistence, view.outbreak),
         };
-        AnalysisProducts {
+        AnalysisProducts::of_consumers(
             series,
-            geo_10day: geo.result(1, days.min(11)),
-            geo_day1: geo.result(1, 2),
+            &geo,
             persistence,
-            outbreak: outbreak.into_analysis(),
-            matching_flows: counts.records_matched,
-            total_records: counts.records_in,
-        }
+            outbreak.into_analysis(),
+            days,
+            counts,
+        )
     }
 }
 
@@ -455,6 +482,8 @@ struct ReportContext<'a> {
     scenario: &'a Scenario,
     downloads: &'a AdoptionCurve,
     dns: &'a DnsStudy,
+    /// The download curve through July 24, computed on first use.
+    adoption: OnceLock<AdoptionCurve>,
 }
 
 impl<'a> ReportContext<'a> {
@@ -466,6 +495,7 @@ impl<'a> ReportContext<'a> {
             scenario: &sim.scenario,
             downloads: &sim.downloads,
             dns: &sim.dns,
+            adoption: OnceLock::new(),
         }
     }
 
@@ -477,7 +507,21 @@ impl<'a> ReportContext<'a> {
             scenario: &sim.scenario,
             downloads: &sim.downloads,
             dns: &sim.dns,
+            adoption: OnceLock::new(),
         }
+    }
+
+    /// The download curve through July 24 (the C3 milestones) under the
+    /// run's own adoption parameters: a scenario overlay may have
+    /// changed the curve family. Computed once per context.
+    fn adoption_through_july(&self) -> &AdoptionCurve {
+        self.adoption.get_or_init(|| {
+            AdoptionModel::new(self.config.adoption).run(
+                self.germany,
+                self.scenario,
+                Timeline::through_july(),
+            )
+        })
     }
 }
 
@@ -512,219 +556,25 @@ impl LivePublisher<'_> {
         let snap = view.snapshot();
         crate::live::publish_figures(&self.live, &snap);
         if view.hours_seen() % 24 == 0 {
-            let days = self.ctx.config.days;
-            let products = AnalysisProducts {
-                series: view.series.clone(),
-                geo_10day: view.geo.result(1, days.min(11)),
-                geo_day1: view.geo.result(1, 2),
-                persistence: view.persistence.clone(),
-                outbreak: view.outbreak.to_analysis(),
-                matching_flows: counts.records_matched,
-                total_records: counts.records_in,
-            };
-            if let Ok(report) =
-                self.study
-                    .assemble_report_ctx(&self.ctx, products, Vec::new(), false)
+            let products = AnalysisProducts::of_consumers(
+                view.series.clone(),
+                &view.geo,
+                view.persistence.clone(),
+                view.outbreak.to_analysis(),
+                self.ctx.config.days,
+                counts,
+            );
+            if let Ok(report) = self
+                .study
+                .assemble_report(&self.ctx, products, Vec::new(), false)
             {
-                let window =
-                    evaluate_window_claims(&self.ctx, &snap.window, counts.records_matched);
-                self.live.publish_report(crate::live::render_report(
-                    &report,
-                    snap.day,
-                    snap.hours_seen,
-                    days,
-                    false,
-                    &window,
-                ));
+                self.study
+                    .publish_report(&self.live, &self.ctx, &report, &snap, false);
             }
         }
         if let Some(registry) = &self.study.metrics {
             registry.counter("live.publishes").add(1);
         }
-    }
-}
-
-/// Re-judges the window-evaluable subset of the claim table over the
-/// sliding last-N-days window of a live run, so a standing observation
-/// can distinguish "passing now" from "passed overall". Claims whose
-/// inputs cannot be re-derived from the raw window are omitted: C3/C7a/
-/// C7b read public side data, C4 needs the lifetime persistence bitmap,
-/// C5b needs a day-1 slice the window eventually evicts, and C6b needs
-/// per-district outbreak days beyond the windowed state tier. Day-
-/// anchored claims (C2, C6a, C6c) are evaluated only while their
-/// anchor days are still inside the window.
-fn evaluate_window_claims(
-    ctx: &ReportContext<'_>,
-    window: &WindowSnapshot,
-    matching_flows: u64,
-) -> WindowVerdicts {
-    let scale = ctx.config.scale;
-    let mut verdicts = Vec::new();
-
-    // C1: matching flows inside the window, scale-adjusted against the
-    // same §2 band (the window spans the paper's whole 11-day
-    // observation until days start falling off the back).
-    let window_flows = window.flows();
-    verdicts.push(
-        Claim::evaluate(
-            ClaimId::C1MatchingFlows,
-            "≈3.3M matching flows within June 15–25 (§2)",
-            Some(3.3e6),
-            window_flows as f64 / scale,
-            (1.5e6, 6.5e6),
-            format!(
-                "{window_flows} window flows at scale {scale}, days {}..{}",
-                window.from_day, window.to_day
-            ),
-        )
-        .with_starvation(
-            Cell::Flows,
-            window_flows,
-            min_support::FLOWS,
-            matching_flows,
-        ),
-    );
-
-    // C2: the release-day jump, while day 0 is still in the window.
-    if window.from_day == 0 {
-        let day0 = window.daily_flows().first().copied().unwrap_or(0);
-        verdicts.push(
-            Claim::evaluate(
-                ClaimId::C2ReleaseJump,
-                "7.5× increase of flows on June 16 (§3)",
-                Some(7.5),
-                window.release_jump(),
-                (4.0, 12.0),
-                format!("window daily flows: {:?}", window.daily_flows()),
-            )
-            .with_starvation(
-                Cell::HourlySeries,
-                day0,
-                min_support::DAY0_FLOWS,
-                matching_flows,
-            ),
-        );
-    }
-
-    // C5a: district coverage of the window itself.
-    let located = window.located_flows();
-    verdicts.push(
-        Claim::evaluate(
-            ClaimId::C5aCoverage10Day,
-            "almost all districts emit requests over 10 days (Fig. 3)",
-            None,
-            window.coverage(1),
-            (0.95, 1.0),
-            String::new(),
-        )
-        .with_starvation(
-            Cell::GeoWindow,
-            located,
-            min_support::GEO_10DAY_FLOWS,
-            matching_flows,
-        ),
-    );
-
-    // C6a: the June-23 national (non-)effect, while both comparison
-    // windows (days 5..8 pre, 8..11 post) are inside the window.
-    if window.contains_days(5..11) {
-        let growth = window.state_growth(5..8, 8..11);
-        let nrw = growth[FederalState::NordrheinWestfalen.index()];
-        let mut others: Vec<f64> = growth
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != FederalState::NordrheinWestfalen.index())
-            .map(|(_, &g)| g)
-            .filter(|g| g.is_finite())
-            .collect();
-        others.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let median_rest = others.get(others.len() / 2).copied().unwrap_or(f64::NAN);
-        let national_pre: u64 = window.state_sum(5..8).iter().sum();
-        verdicts.push(
-            Claim::evaluate(
-                ClaimId::C6aNrwVsRest,
-                "June-23 increase occurs in all states, not only NRW (§3)",
-                None,
-                nrw / median_rest,
-                (0.80, 1.25),
-                format!("NRW growth {nrw:.3}, median other states {median_rest:.3}"),
-            )
-            .with_starvation(
-                Cell::Outbreak,
-                national_pre,
-                min_support::OUTBREAK_NATIONAL_PRE,
-                matching_flows,
-            ),
-        );
-    }
-
-    // C6c: the Berlin single-ISP signature, while days 1..5 are inside
-    // the window.
-    if window.contains_days(1..5) {
-        let gt_isp = ctx
-            .plan
-            .isps
-            .iter()
-            .find(|i| i.ground_truth_routers)
-            .map(|i| i.id.0)
-            .unwrap_or(u8::MAX);
-        let berlin_growth = window.berlin_isp_growth(1..3, 3..5);
-        let gt_growth = berlin_growth
-            .iter()
-            .find(|(isp, _)| *isp == gt_isp)
-            .map(|&(_, g)| g)
-            .unwrap_or(f64::NAN);
-        let mut others: Vec<f64> = berlin_growth
-            .iter()
-            .filter(|(isp, _)| *isp != gt_isp)
-            .map(|&(_, g)| g)
-            .filter(|g| g.is_finite())
-            .collect();
-        others.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let other_median = others.get(others.len() / 2).copied().unwrap_or(f64::NAN);
-        let berlin_pre = window.berlin_sum(1..3);
-        verdicts.push(
-            Claim::evaluate(
-                ClaimId::C6cBerlinSingleIsp,
-                "Berlin June-18 outbreak visible only within a single ISP (§3)",
-                None,
-                gt_growth / other_median,
-                (1.10, 6.0),
-                format!(
-                    "ground-truth ISP growth {gt_growth:.3}, median other ISPs {other_median:.3}"
-                ),
-            )
-            .with_starvation(
-                Cell::Outbreak,
-                berlin_pre,
-                min_support::OUTBREAK_BERLIN_PRE,
-                matching_flows,
-            ),
-        );
-    }
-
-    // C7c: ground-truth attribution share of the window geolocations.
-    verdicts.push(
-        Claim::evaluate(
-            ClaimId::C7cGroundTruthShare,
-            "18% of geolocations from router ground truth (§3)",
-            Some(0.18),
-            window.ground_truth_share(),
-            (0.12, 0.25),
-            String::new(),
-        )
-        .with_starvation(
-            Cell::GeoWindow,
-            located,
-            min_support::GEO_10DAY_FLOWS,
-            matching_flows,
-        ),
-    );
-
-    WindowVerdicts {
-        from_day: window.from_day,
-        to_day: window.to_day,
-        verdicts,
     }
 }
 
@@ -974,7 +824,7 @@ impl Study {
             matching_flows: matching.len() as u64,
             total_records: sim.records.len() as u64,
         };
-        self.assemble_report(sim, products, timings)
+        self.assemble_report(&ReportContext::from_output(sim), products, timings, true)
     }
 
     /// Runs the fused simulate+analyze streaming pipeline.
@@ -1097,7 +947,7 @@ impl Study {
                             &pipeline,
                             resolver,
                             cfg.persistence_prefix_len,
-                            days.min(64),
+                            days.min(STUDY_TIER_DAYS),
                             opts.window,
                         ))),
                     };
@@ -1192,24 +1042,13 @@ impl Study {
         // Side data (DNS study, download curve, plan ground truth) for
         // claim evaluation; `records` stays empty by construction.
         let sim = prepared.into_output(Vec::new(), truth);
-        let report = self.assemble_report(&sim, products, timings)?;
+        let ctx = ReportContext::from_output(&sim);
+        let report = self.assemble_report(&ctx, products, timings, true)?;
         if let (Some(live), Some(snapshot)) = (mailbox, final_snapshot) {
             // The served end state is exactly the returned report.
             let _span = self.metrics.as_ref().map(|m| m.span("live.publish_ns"));
-            let window = evaluate_window_claims(
-                &ReportContext::from_output(&sim),
-                &snapshot.window,
-                report.matching_flows,
-            );
             crate::live::publish_figures(live, &snapshot);
-            live.publish_report(crate::live::render_report(
-                &report,
-                snapshot.day,
-                snapshot.hours_seen,
-                days,
-                true,
-                &window,
-            ));
+            self.publish_report(live, &ctx, &report, &snapshot, true);
             if let Some(registry) = &self.metrics {
                 registry.counter("live.publishes").add(1);
             }
@@ -1248,22 +1087,13 @@ impl Study {
 
     /// Claim evaluation, figures, and manifest assembly — shared
     /// verbatim by the batch and streaming paths so both produce the
-    /// exact same report from the same analysis products.
+    /// exact same report from the same analysis products. The side data
+    /// is borrowed, so live mode can evaluate the claim table mid-run
+    /// from a [`PreparedSim`]. `finalize` marks the end-of-run call: only
+    /// that one enforces `--strict` and flips the `sim.progress.done`
+    /// gauge (an interim report must not make `/progress` claim
+    /// completion).
     fn assemble_report(
-        &self,
-        sim: &SimOutput,
-        products: AnalysisProducts,
-        timings: Vec<PhaseTiming>,
-    ) -> Result<StudyReport, StudyError> {
-        self.assemble_report_ctx(&ReportContext::from_output(sim), products, timings, true)
-    }
-
-    /// [`assemble_report`](Study::assemble_report) over borrowed side
-    /// data, so live mode can evaluate the claim table mid-run from a
-    /// [`PreparedSim`]. `finalize` marks the end-of-run call: only that
-    /// one enforces `--strict` and flips the `sim.progress.done` gauge
-    /// (an interim report must not make `/progress` claim completion).
-    fn assemble_report_ctx(
         &self,
         sim: &ReportContext<'_>,
         products: AnalysisProducts,
@@ -1277,18 +1107,9 @@ impl Study {
             });
         }
         let cfg = &self.config;
-        let days = sim.config.days;
-        let hours = days * 24;
-        let scale = sim.config.scale;
-        let AnalysisProducts {
-            series,
-            geo_10day,
-            geo_day1,
-            persistence,
-            outbreak,
-            matching_flows,
-            total_records,
-        } = products;
+        let hours = sim.config.days * 24;
+        let series = &products.series;
+        let geo_10day = &products.geo_10day;
 
         // Endless live runs cap the study tier at 64 days (the
         // persistence bitmap's width), so Figure 2 covers at most the
@@ -1298,61 +1119,109 @@ impl Study {
         let downloads_hourly: Vec<f64> = (0..figure_hours)
             .map(|h| sim.downloads.downloads_at(h))
             .collect();
-        let figure2 = Figure2::assemble(&series, &downloads_hourly, 48);
-        let figure3 = Figure3::assemble(sim.germany, &geo_10day);
+        let figure2 = Figure2::assemble(series, &downloads_hourly, 48);
+        let figure3 = Figure3::assemble(sim.germany, geo_10day);
 
-        // Adoption milestones need the curve through July 24, under the
-        // run's own adoption parameters (a scenario overlay may have
-        // changed the curve family).
+        // The C3 curve is built once per context, so a live run's later
+        // interim reports (and its window verdicts) time a lookup here.
         let t = Instant::now();
-        let adoption_long = AdoptionModel::new(sim.config.adoption).run(
-            sim.germany,
-            sim.scenario,
-            Timeline::through_july(),
-        );
+        sim.adoption_through_july();
         self.record_phase(&mut timings, "analysis.adoption", t.elapsed());
 
-        // Per-cell support: how many observations each claim's input
-        // cell actually carries. A cell below its threshold (see
-        // [`min_support`]) starves the claims reading it — reported as
-        // `Verdict::Starved`, never as NaN or a bogus pass/fail.
-        let daily = series.daily_flows();
-        let day0_flows = daily.first().copied().unwrap_or(0);
-        let geo10_flows: u64 = geo_10day.district_flows.iter().sum();
-        let geo1_flows: u64 = geo_day1.district_flows.iter().sum();
-        let prefix_support = persistence.prefix_count() as u64;
-        let national_pre: u64 = (5..8)
-            .filter_map(|d| outbreak.state_flows.get(d))
-            .map(|states| states.iter().sum::<u64>())
-            .sum();
-        let guetersloh_idx = sim
-            .germany
-            .by_name("Gütersloh")
-            .map(|d| usize::from(d.id.0));
-        let guetersloh_pre: u64 = (5..8)
-            .filter_map(|d| outbreak.district_flows.get(d))
-            .map(|row| {
-                guetersloh_idx
-                    .and_then(|i| row.get(i))
-                    .copied()
-                    .unwrap_or(0)
-            })
-            .sum();
-        let berlin_pre: u64 = outbreak
-            .berlin_isp_flows
-            .values()
-            .map(|per_day| (1..3).filter_map(|d| per_day.get(d)).sum::<u64>())
-            .sum();
-
         if std::env::var_os("CWA_DEBUG_SUPPORT").is_some() {
+            let s = Support::of(&products, sim.germany);
             eprintln!(
-                "SUPPORT scale={scale} matching={matching_flows} day0={day0_flows} \
-                 prefixes={prefix_support} geo10={geo10_flows} geo1={geo1_flows} \
-                 national_pre={national_pre} guetersloh_pre={guetersloh_pre} \
-                 berlin_pre={berlin_pre}"
+                "SUPPORT scale={} matching={} day0={} prefixes={} geo10={} geo1={} \
+                 national_pre={} guetersloh_pre={} berlin_pre={}",
+                sim.config.scale,
+                products.matching_flows,
+                s.day0_flows,
+                s.prefixes,
+                s.geo10_flows,
+                s.geo1_flows,
+                s.national_pre,
+                s.guetersloh_pre,
+                s.berlin_pre
             );
         }
+        let claims = self.claim_table(sim, &products, products.matching_flows);
+        let measured = |id: ClaimId| {
+            claims
+                .iter()
+                .find(|c| c.id == id)
+                .map(|c| c.measured)
+                .expect("the claim table judges every claim")
+        };
 
+        // Run manifest: provenance + timings. The hash covers the
+        // configuration as actually simulated (callers can analyze a
+        // SimOutput produced under a different config than `self`).
+        let effective = StudyConfig {
+            sim: *sim.config,
+            persistence_prefix_len: cfg.persistence_prefix_len,
+        };
+        let config_json = serde_json::to_string(&effective).expect("config serializes");
+        let digest = cwa_crypto::sha256(config_json.as_bytes());
+        let config_hash: String = digest[..8].iter().map(|b| format!("{b:02x}")).collect();
+        let manifest = RunManifest {
+            seed: sim.config.seed,
+            scale: sim.config.scale,
+            days: sim.config.days,
+            config_hash,
+            phase_timings: timings,
+        };
+
+        // Live telemetry: the run is complete — `/progress` flips to
+        // "done" and `/healthz` stops treating flat record counters as
+        // a stall. Interim (non-finalizing) assemblies must not flip it.
+        if finalize {
+            if let Some(registry) = &self.metrics {
+                registry.gauge("sim.progress.done").set(1);
+            }
+        }
+
+        Ok(StudyReport {
+            config: *cfg,
+            manifest,
+            figure2,
+            figure3,
+            persistence_median: measured(ClaimId::C4aPersistenceMedian),
+            persistence_p75: measured(ClaimId::C4bPersistenceP75),
+            ground_truth_share: measured(ClaimId::C7cGroundTruthShare),
+            release_jump: measured(ClaimId::C2ReleaseJump),
+            claims,
+            matching_flows: products.matching_flows,
+            total_records: products.total_records,
+            district_flows: products.geo_10day.district_flows,
+            api_rank_by_day: sim.dns.api_rank.clone(),
+            website_rank_by_day: sim.dns.website_rank.clone(),
+        })
+    }
+
+    /// The claim table: each claim's statement, paper value, band,
+    /// input cell, support threshold and measured value, written once.
+    /// The report judges its cumulative products with it, and live mode
+    /// its sliding window ([`Study::window_verdicts`]). A starved verdict
+    /// names `context`, the run's §2 matching-flow count.
+    fn claim_table(
+        &self,
+        sim: &ReportContext<'_>,
+        products: &AnalysisProducts,
+        context: u64,
+    ) -> Vec<Claim> {
+        let scale = sim.config.scale;
+        let AnalysisProducts {
+            series,
+            geo_10day,
+            geo_day1,
+            persistence,
+            outbreak,
+            matching_flows,
+            ..
+        } = products;
+        let matching_flows = *matching_flows;
+        let support = Support::of(products, sim.germany);
+        let adoption_long = sim.adoption_through_july();
         let mut claims = Vec::new();
 
         // ---- C1: ≈3.3 M matching flows (scale-adjusted). ----
@@ -1366,30 +1235,24 @@ impl Study {
                 (1.5e6, 6.5e6),
                 format!("{matching_flows} records at scale {scale}"),
             )
-            .with_starvation(
-                Cell::Flows,
-                matching_flows,
-                min_support::FLOWS,
-                matching_flows,
-            ),
+            .with_starvation(Cell::Flows, matching_flows, min_support::FLOWS, context),
         );
 
         // ---- C2: 7.5× release-day jump. ----
-        let jump = series.release_jump();
         claims.push(
             Claim::evaluate(
                 ClaimId::C2ReleaseJump,
                 "7.5× increase of flows on June 16 (§3)",
                 Some(7.5),
-                jump,
+                series.release_jump(),
                 (4.0, 12.0),
                 format!("daily flows: {:?}", series.daily_flows()),
             )
             .with_starvation(
                 Cell::HourlySeries,
-                day0_flows,
+                support.day0_flows,
                 min_support::DAY0_FLOWS,
-                matching_flows,
+                context,
             ),
         );
 
@@ -1414,26 +1277,24 @@ impl Study {
         ));
 
         // ---- C4: prefix persistence quantiles. ----
-        let median = persistence.fraction_quantile(0.5);
-        let p75 = persistence.fraction_quantile(0.75);
         claims.push(
             Claim::evaluate(
                 ClaimId::C4aPersistenceMedian,
                 "50% of prefixes occur in 67% of possible days (§3)",
                 Some(0.67),
-                median,
+                persistence.fraction_quantile(0.5),
                 (0.45, 0.90),
                 format!(
                     "{} prefixes at /{}",
                     persistence.prefix_count(),
-                    cfg.persistence_prefix_len
+                    self.config.persistence_prefix_len
                 ),
             )
             .with_starvation(
                 Cell::Persistence,
-                prefix_support,
+                support.prefixes,
                 min_support::PREFIXES,
-                matching_flows,
+                context,
             ),
         );
         claims.push(
@@ -1441,15 +1302,15 @@ impl Study {
                 ClaimId::C4bPersistenceP75,
                 "75% of prefixes occur in ≤80% of possible days (§3)",
                 Some(0.80),
-                p75,
+                persistence.fraction_quantile(0.75),
                 (0.60, 1.0),
                 String::new(),
             )
             .with_starvation(
                 Cell::Persistence,
-                prefix_support,
+                support.prefixes,
                 min_support::PREFIXES,
-                matching_flows,
+                context,
             ),
         );
 
@@ -1466,9 +1327,9 @@ impl Study {
             )
             .with_starvation(
                 Cell::GeoWindow,
-                geo10_flows,
+                support.geo10_flows,
                 min_support::GEO_10DAY_FLOWS,
-                matching_flows,
+                context,
             ),
         );
         let cov1 = geo_day1.coverage(1);
@@ -1483,9 +1344,9 @@ impl Study {
             )
             .with_starvation(
                 Cell::GeoWindow,
-                geo1_flows,
+                support.geo1_flows,
                 min_support::GEO_DAY1_FLOWS,
-                matching_flows,
+                context,
             ),
         );
 
@@ -1504,9 +1365,9 @@ impl Study {
             )
             .with_starvation(
                 Cell::Outbreak,
-                national_pre,
+                support.national_pre,
                 min_support::OUTBREAK_NATIONAL_PRE,
-                matching_flows,
+                context,
             ),
         );
 
@@ -1531,9 +1392,9 @@ impl Study {
             )
             .with_starvation(
                 Cell::Outbreak,
-                guetersloh_pre,
+                support.guetersloh_pre,
                 min_support::OUTBREAK_DISTRICT_PRE,
-                matching_flows,
+                context,
             ),
         );
 
@@ -1573,9 +1434,9 @@ impl Study {
         )
         .with_starvation(
             Cell::Outbreak,
-            berlin_pre,
+            support.berlin_pre,
             min_support::OUTBREAK_BERLIN_PRE,
-            matching_flows,
+            context,
         ));
 
         // ---- C7: DNS / side-data claims. ----
@@ -1607,55 +1468,132 @@ impl Study {
             )
             .with_starvation(
                 Cell::GeoWindow,
-                geo10_flows,
+                support.geo10_flows,
                 min_support::GEO_10DAY_FLOWS,
-                matching_flows,
+                context,
             ),
         );
+        claims
+    }
 
-        // Run manifest: provenance + timings. The hash covers the
-        // configuration as actually simulated (callers can analyze a
-        // SimOutput produced under a different config than `self`).
-        let effective = StudyConfig {
-            sim: *sim.config,
-            persistence_prefix_len: cfg.persistence_prefix_len,
+    /// Re-judges the claim table over the sliding window of a live run,
+    /// so a standing observation can tell "passing now" from "passed
+    /// overall". The window's tables ([`WindowSnapshot::series`],
+    /// [`geo`](WindowSnapshot::geo), [`outbreak`](WindowSnapshot::outbreak))
+    /// go through [`Study::claim_table`], and only the claims the window
+    /// can judge are kept: C1, C5a and C7c always, C2 while day 0 is in
+    /// the window, C6a while days 5..11 are and C6c while days 1..5 are.
+    /// The rest read public side data (C3, C7a, C7b), the lifetime
+    /// persistence bitmap (C4), a day-1 slice the window eventually
+    /// evicts (C5b) or per-district days the window tier does not keep
+    /// (C6b). A starved verdict names the run's cumulative
+    /// `matching_flows`.
+    fn window_verdicts(
+        &self,
+        ctx: &ReportContext<'_>,
+        window: &WindowSnapshot,
+        matching_flows: u64,
+    ) -> WindowVerdicts {
+        let study_days = ctx.config.days.min(STUDY_TIER_DAYS);
+        let geo = window.geo();
+        let products = AnalysisProducts {
+            series: window.series(study_days),
+            // C5b's day-1 slice is not kept by the window, and C5b is
+            // not judged over it.
+            geo_day1: geo.clone(),
+            geo_10day: geo,
+            persistence: PersistenceAnalysis::new(self.config.persistence_prefix_len, 0),
+            outbreak: window.outbreak(study_days),
+            matching_flows: window.hourly_flows.iter().sum(),
+            // Not read by the claim table.
+            total_records: 0,
         };
-        let config_json = serde_json::to_string(&effective).expect("config serializes");
-        let digest = cwa_crypto::sha256(config_json.as_bytes());
-        let config_hash: String = digest[..8].iter().map(|b| format!("{b:02x}")).collect();
-        let manifest = RunManifest {
-            seed: sim.config.seed,
-            scale: sim.config.scale,
-            days: sim.config.days,
-            config_hash,
-            phase_timings: timings,
-        };
-
-        // Live telemetry: the run is complete — `/progress` flips to
-        // "done" and `/healthz` stops treating flat record counters as
-        // a stall. Interim (non-finalizing) assemblies must not flip it.
-        if finalize {
-            if let Some(registry) = &self.metrics {
-                registry.gauge("sim.progress.done").set(1);
-            }
+        let covers =
+            |days: std::ops::Range<u64>| window.from_day <= days.start && days.end <= window.to_day;
+        let verdicts = self
+            .claim_table(ctx, &products, matching_flows)
+            .into_iter()
+            .filter(|claim| match claim.id {
+                ClaimId::C1MatchingFlows
+                | ClaimId::C5aCoverage10Day
+                | ClaimId::C7cGroundTruthShare => true,
+                ClaimId::C2ReleaseJump => covers(0..1),
+                ClaimId::C6aNrwVsRest => covers(5..11),
+                ClaimId::C6cBerlinSingleIsp => covers(1..5),
+                _ => false,
+            })
+            .collect();
+        WindowVerdicts {
+            from_day: window.from_day,
+            to_day: window.to_day,
+            verdicts,
         }
+    }
 
-        Ok(StudyReport {
-            config: *cfg,
-            manifest,
-            figure2,
-            figure3,
-            claims,
-            matching_flows,
-            total_records,
-            district_flows: geo_10day.district_flows.clone(),
-            persistence_median: median,
-            persistence_p75: p75,
-            ground_truth_share: geo_10day.ground_truth_share(),
-            release_jump: jump,
-            api_rank_by_day: sim.dns.api_rank.clone(),
-            website_rank_by_day: sim.dns.website_rank.clone(),
-        })
+    /// Publishes the `/report` envelope: `report` beside the window
+    /// verdicts over `snap`'s sliding window.
+    fn publish_report(
+        &self,
+        live: &LiveSnapshot,
+        ctx: &ReportContext<'_>,
+        report: &StudyReport,
+        snap: &WindowedSnapshot,
+        done: bool,
+    ) {
+        let window = self.window_verdicts(ctx, &snap.window, report.matching_flows);
+        live.publish_report(crate::live::render_report(
+            report,
+            snap.day,
+            snap.hours_seen,
+            ctx.config.days,
+            done,
+            &window,
+        ));
+    }
+}
+
+/// Per-cell support: how many observations each claim's input cell
+/// carries. A cell below its threshold (see [`min_support`]) starves the
+/// claims reading it — reported as `Verdict::Starved`, never as NaN or a
+/// bogus pass/fail.
+struct Support {
+    day0_flows: u64,
+    geo10_flows: u64,
+    geo1_flows: u64,
+    prefixes: u64,
+    national_pre: u64,
+    guetersloh_pre: u64,
+    berlin_pre: u64,
+}
+
+impl Support {
+    fn of(products: &AnalysisProducts, germany: &Germany) -> Self {
+        let outbreak = &products.outbreak;
+        let guetersloh_idx = germany.by_name("Gütersloh").map(|d| usize::from(d.id.0));
+        Support {
+            day0_flows: products.series.daily_flows().first().copied().unwrap_or(0),
+            geo10_flows: products.geo_10day.district_flows.iter().sum(),
+            geo1_flows: products.geo_day1.district_flows.iter().sum(),
+            prefixes: products.persistence.prefix_count() as u64,
+            national_pre: (5..8)
+                .filter_map(|d| outbreak.state_flows.get(d))
+                .map(|states| states.iter().sum::<u64>())
+                .sum(),
+            guetersloh_pre: (5..8)
+                .filter_map(|d| outbreak.district_flows.get(d))
+                .map(|row| {
+                    guetersloh_idx
+                        .and_then(|i| row.get(i))
+                        .copied()
+                        .unwrap_or(0)
+                })
+                .sum(),
+            berlin_pre: outbreak
+                .berlin_isp_flows
+                .values()
+                .map(|per_day| (1..3).filter_map(|d| per_day.get(d)).sum::<u64>())
+                .sum(),
+        }
     }
 }
 

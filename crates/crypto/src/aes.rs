@@ -1,14 +1,9 @@
 //! AES-128 block cipher (FIPS 197), encryption direction only.
 //!
-//! The two consumers in this workspace are:
-//!
-//! * the Exposure Notification spec (`RPI = AES128(RPIK, padded data)`,
-//!   and AES-CTR for metadata), and
-//! * the Crypto-PAn prefix-preserving IP anonymizer, which uses AES as a
-//!   pseudo-random function.
-//!
-//! Neither requires decryption, so only the forward direction is
-//! implemented (CTR mode gives us "decryption" for AEM for free).
+//! The one consumer in this workspace is the Crypto-PAn
+//! prefix-preserving IP anonymizer, which uses AES as a pseudo-random
+//! function. It never decrypts, so only the forward direction is
+//! implemented.
 //!
 //! ## Kernel
 //!
@@ -27,7 +22,7 @@
 //! Like the rest of the crate this is not hardened (see the crate docs).
 //!
 //! Verified against the FIPS 197 Appendix B/C vectors, NIST SP 800-38A
-//! ECB/CTR vectors, and the byte-wise oracle on random keys and blocks.
+//! ECB vectors, and the byte-wise oracle on random keys and blocks.
 
 /// AES S-box (FIPS 197 Figure 7).
 const SBOX: [u8; 256] = [

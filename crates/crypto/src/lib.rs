@@ -3,17 +3,14 @@
 //! This crate implements, **from scratch**, the small set of cryptographic
 //! primitives required by the rest of the workspace:
 //!
-//! * [`mod@sha256`] — SHA-256 (FIPS 180-4), used by HMAC/HKDF.
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104 / FIPS 198-1).
-//! * [`hkdf`] — HKDF extract-and-expand (RFC 5869), used by the Exposure
-//!   Notification key schedule (`RPIK`/`AEMK` derivation).
+//! * [`mod@sha256`] — SHA-256 (FIPS 180-4), used by HMAC, by the
+//!   key-export signatures and for the report's config hash.
+//! * [`hmac`] — HMAC-SHA256 (RFC 2104 / FIPS 198-1), used for the
+//!   RFC 6979 nonces of [`p256`].
 //! * [`aes`] — AES-128 block encryption (FIPS 197) on 32-bit round
-//!   tables, used by the Exposure Notification spec for Rolling Proximity
-//!   Identifier derivation and, through a batch entry that returns byte 0
-//!   of each ciphertext, by the Crypto-PAn prefix-preserving IP
-//!   anonymizer in `cwa-netflow`.
-//! * [`ctr`] — AES-128 in CTR mode, used for Associated Encrypted
-//!   Metadata (AEM) in the Exposure Notification spec.
+//!   tables, used by the Crypto-PAn prefix-preserving IP anonymizer in
+//!   `cwa-netflow`: one block for its pad, and a batch entry that
+//!   returns byte 0 of each ciphertext for its per-bit flips.
 //! * [`p256`] — ECDSA over NIST P-256 with RFC 6979 deterministic
 //!   nonces (on [`u256`] fixed-width arithmetic), as used to sign the
 //!   real CWA key-export files.
@@ -22,8 +19,8 @@
 //!
 //! The reproduction environment provides a fixed offline crate set
 //! (`rand`, `proptest`, `criterion`, …) with no crypto crates. Both the
-//! Exposure Notification protocol (the real reason CWA phones talk to the
-//! CDN the paper measures) and Crypto-PAn anonymization (the paper's
+//! Exposure Notification key exports (the signed files CWA phones fetch
+//! from the CDN the paper measures) and Crypto-PAn anonymization (the paper's
 //! traces are prefix-preserving anonymized) require these primitives, so
 //! we implement them here with official test vectors.
 //!
@@ -38,16 +35,12 @@
 #![warn(missing_docs)]
 
 pub mod aes;
-pub mod ctr;
-pub mod hkdf;
 pub mod hmac;
 pub mod p256;
 pub mod sha256;
 pub mod u256;
 
 pub use aes::Aes128;
-pub use ctr::aes128_ctr;
-pub use hkdf::hkdf_sha256;
 pub use hmac::hmac_sha256;
 pub use p256::{Signature, SigningKey, VerifyingKey};
 pub use sha256::{sha256, Sha256};

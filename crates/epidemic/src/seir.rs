@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use cwa_geo::{CommutingMatrix, DistrictId, Germany};
+use cwa_geo::{CommutingMatrix, Germany};
 
 use crate::events::Scenario;
 
@@ -75,14 +75,6 @@ pub struct EpidemicRun {
 }
 
 impl EpidemicRun {
-    /// Total detected cases in a district over the run.
-    pub fn total_detected(&self, district: DistrictId) -> u64 {
-        self.detected
-            .iter()
-            .map(|day| u64::from(day[usize::from(district.0)]))
-            .sum()
-    }
-
     /// National detected cases on a day.
     pub fn national_detected(&self, day: u32) -> u64 {
         self.detected[day as usize]

@@ -7,10 +7,11 @@
 //!
 //! * [`time`] — 10-minute **interval numbers** and the 144-interval
 //!   (24 h) TEK rolling period.
-//! * [`tek`] — **Temporary Exposure Keys** and the key schedule:
-//!   `RPIK = HKDF(tek, "EN-RPIK")`, `AEMK = HKDF(tek, "EN-AEMK")`,
-//!   `RPI_j = AES128(RPIK, "EN-RPI" ‖ pad ‖ ENIN_j)`,
-//!   `AEM = AES128-CTR(AEMK, RPI, metadata)`.
+//! * [`tek`] — **Temporary Exposure Keys** and diagnosis keys (a TEK
+//!   plus its transmission-risk level), the records a key export
+//!   carries. Phones derive their broadcast identifiers from a TEK; no
+//!   figure or claim reads those, so that key schedule is not
+//!   reproduced.
 //! * [`protobuf`] — a hand-rolled protobuf wire-format codec (varints,
 //!   length-delimited fields), since no protobuf crate is available
 //!   offline.
@@ -40,5 +41,5 @@ pub mod time;
 
 pub use export::TemporaryExposureKeyExport;
 pub use signature::{sign_export, verify_export, SignedExport};
-pub use tek::{DiagnosisKey, RollingProximityIdentifier, TemporaryExposureKey};
+pub use tek::{DiagnosisKey, TemporaryExposureKey};
 pub use time::{EnIntervalNumber, TEK_ROLLING_PERIOD};

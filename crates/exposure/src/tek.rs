@@ -1,35 +1,16 @@
-//! Temporary Exposure Keys and the EN v1.2 key schedule.
+//! Temporary Exposure Keys and diagnosis keys.
 //!
-//! Per the Exposure Notification Cryptography Specification v1.2:
-//!
-//! * A fresh 16-byte **TEK** is drawn from a CRNG at each rolling-period
-//!   boundary (once per 24 h) and is identified by its
-//!   `rolling_start_interval_number`.
-//! * The **Rolling Proximity Identifier Key** is
-//!   `RPIK = HKDF-SHA256(tek, salt=None, info="EN-RPIK", 16)`.
-//! * The **Rolling Proximity Identifier** broadcast during interval `j` is
-//!   `RPI_j = AES128(RPIK, PaddedData_j)` with
-//!   `PaddedData_j = "EN-RPI" ‖ 0x000000000000 ‖ ENIN_j(LE)`.
-//! * The **Associated Encrypted Metadata Key** is
-//!   `AEMK = HKDF-SHA256(tek, salt=None, info="EN-AEMK", 16)` and
-//!   metadata is encrypted as `AEM = AES128-CTR(AEMK, RPI_j, metadata)`.
+//! Per the Exposure Notification Cryptography Specification v1.2, a
+//! fresh 16-byte **TEK** is drawn from a CRNG at each rolling-period
+//! boundary (once per 24 h) and is identified by its
+//! `rolling_start_interval_number`. A **diagnosis key** is a TEK its
+//! owner uploaded after a positive test; the CDN's daily key exports
+//! carry them.
 
-use cwa_crypto::{aes128_ctr, hkdf_sha256, Aes128};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::time::{EnIntervalNumber, TEK_ROLLING_PERIOD};
-
-/// HKDF info string for RPIK derivation (spec §3.3).
-const RPIK_INFO: &[u8] = b"EN-RPIK";
-/// HKDF info string for AEMK derivation (spec §3.5).
-const AEMK_INFO: &[u8] = b"EN-AEMK";
-/// Fixed prefix of the padded data encrypted into an RPI (spec §3.4).
-const RPI_PREFIX: &[u8; 6] = b"EN-RPI";
-
-/// A 16-byte Rolling Proximity Identifier as broadcast over BLE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RollingProximityIdentifier(pub [u8; 16]);
 
 /// A Temporary Exposure Key: the per-day secret from which all of a
 /// phone's pseudonymous identifiers for that day are derived.
@@ -56,79 +37,6 @@ impl TemporaryExposureKey {
             rolling_period: TEK_ROLLING_PERIOD,
         }
     }
-
-    /// Derives the Rolling Proximity Identifier Key (spec §3.3).
-    pub fn rpik(&self) -> [u8; 16] {
-        let okm = hkdf_sha256(None, &self.key, RPIK_INFO, 16);
-        let mut out = [0u8; 16];
-        out.copy_from_slice(&okm);
-        out
-    }
-
-    /// Derives the Associated Encrypted Metadata Key (spec §3.5).
-    pub fn aemk(&self) -> [u8; 16] {
-        let okm = hkdf_sha256(None, &self.key, AEMK_INFO, 16);
-        let mut out = [0u8; 16];
-        out.copy_from_slice(&okm);
-        out
-    }
-
-    /// Derives the RPI for interval `enin` (spec §3.4).
-    ///
-    /// Note: the spec derives RPIs for any interval within the key's
-    /// validity window; callers should check [`Self::covers`] first when
-    /// that semantic matters.
-    pub fn rpi(&self, enin: EnIntervalNumber) -> RollingProximityIdentifier {
-        let aes = Aes128::new(&self.rpik());
-        RollingProximityIdentifier(aes.encrypt_block(&padded_data(enin)))
-    }
-
-    /// Derives all RPIs over the key's validity window, in interval order.
-    pub fn all_rpis(&self) -> Vec<RollingProximityIdentifier> {
-        let aes = Aes128::new(&self.rpik());
-        (0..self.rolling_period)
-            .map(|i| {
-                let enin = EnIntervalNumber(self.rolling_start_interval_number + i);
-                RollingProximityIdentifier(aes.encrypt_block(&padded_data(enin)))
-            })
-            .collect()
-    }
-
-    /// True if `enin` lies in this key's validity window.
-    pub fn covers(&self, enin: EnIntervalNumber) -> bool {
-        enin.within(
-            EnIntervalNumber(self.rolling_start_interval_number),
-            self.rolling_period,
-        )
-    }
-
-    /// Encrypts 4 bytes of BLE metadata into the Associated Encrypted
-    /// Metadata for the RPI of interval `enin` (spec §3.6).
-    pub fn encrypt_metadata(&self, enin: EnIntervalNumber, metadata: &[u8; 4]) -> [u8; 4] {
-        let rpi = self.rpi(enin);
-        let ct = aes128_ctr(&self.aemk(), &rpi.0, metadata);
-        let mut out = [0u8; 4];
-        out.copy_from_slice(&ct);
-        out
-    }
-
-    /// Decrypts Associated Encrypted Metadata. Only possible once the TEK
-    /// is published as a diagnosis key — by design, passive observers
-    /// cannot read the metadata.
-    pub fn decrypt_metadata(&self, rpi: &RollingProximityIdentifier, aem: &[u8; 4]) -> [u8; 4] {
-        let pt = aes128_ctr(&self.aemk(), &rpi.0, aem);
-        let mut out = [0u8; 4];
-        out.copy_from_slice(&pt);
-        out
-    }
-}
-
-/// Builds `PaddedData_j = "EN-RPI" ‖ 0x00⁶ ‖ ENIN_j(LE)` (spec §3.4).
-fn padded_data(enin: EnIntervalNumber) -> [u8; 16] {
-    let mut block = [0u8; 16];
-    block[..6].copy_from_slice(RPI_PREFIX);
-    block[12..16].copy_from_slice(&enin.to_le_bytes());
-    block
 }
 
 /// A diagnosis key: a TEK that its owner, after a verified positive test,
@@ -183,85 +91,6 @@ mod tests {
         let c = TemporaryExposureKey::generate(&mut ChaCha8Rng::seed_from_u64(10), now);
         assert_eq!(a.key, b.key);
         assert_ne!(a.key, c.key);
-    }
-
-    #[test]
-    fn rpik_and_aemk_differ_and_are_stable() {
-        let tek = tek_fixed();
-        assert_ne!(tek.rpik(), tek.aemk());
-        assert_eq!(tek.rpik(), tek.rpik());
-    }
-
-    #[test]
-    fn padded_data_layout() {
-        let pd = padded_data(EnIntervalNumber(0x0403_0201));
-        assert_eq!(&pd[..6], b"EN-RPI");
-        assert_eq!(&pd[6..12], &[0u8; 6]);
-        assert_eq!(&pd[12..], &[1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn rpis_unique_within_day() {
-        let tek = tek_fixed();
-        let rpis = tek.all_rpis();
-        assert_eq!(rpis.len(), 144);
-        let set: std::collections::HashSet<_> = rpis.iter().collect();
-        assert_eq!(set.len(), 144, "all RPIs of a day must be distinct");
-    }
-
-    #[test]
-    fn all_rpis_matches_single_rpi() {
-        let tek = tek_fixed();
-        let rpis = tek.all_rpis();
-        for i in [0u32, 1, 77, 143] {
-            let enin = EnIntervalNumber(tek.rolling_start_interval_number + i);
-            assert_eq!(rpis[i as usize], tek.rpi(enin));
-        }
-    }
-
-    #[test]
-    fn different_teks_give_disjoint_rpis() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let now = EnIntervalNumber(144 * 5);
-        let a = TemporaryExposureKey::generate(&mut rng, now);
-        let b = TemporaryExposureKey::generate(&mut rng, now);
-        let set_a: std::collections::HashSet<_> = a.all_rpis().into_iter().collect();
-        assert!(b.all_rpis().iter().all(|r| !set_a.contains(r)));
-    }
-
-    #[test]
-    fn covers_window() {
-        let tek = tek_fixed();
-        let start = tek.rolling_start_interval_number;
-        assert!(tek.covers(EnIntervalNumber(start)));
-        assert!(tek.covers(EnIntervalNumber(start + 143)));
-        assert!(!tek.covers(EnIntervalNumber(start + 144)));
-        assert!(!tek.covers(EnIntervalNumber(start - 1)));
-    }
-
-    #[test]
-    fn metadata_roundtrip() {
-        let tek = tek_fixed();
-        let enin = EnIntervalNumber(tek.rolling_start_interval_number + 10);
-        let meta = [0x40, 0xF4, 0x00, 0x00]; // version 1.0, tx power -12 dBm
-        let aem = tek.encrypt_metadata(enin, &meta);
-        assert_ne!(aem, meta);
-        let rpi = tek.rpi(enin);
-        assert_eq!(tek.decrypt_metadata(&rpi, &aem), meta);
-    }
-
-    #[test]
-    fn metadata_ciphertext_changes_with_interval() {
-        // Same metadata encrypted in different intervals must differ (the
-        // RPI acts as the CTR IV), otherwise metadata would be linkable.
-        let tek = tek_fixed();
-        let meta = [1, 2, 3, 4];
-        let a = tek.encrypt_metadata(EnIntervalNumber(tek.rolling_start_interval_number), &meta);
-        let b = tek.encrypt_metadata(
-            EnIntervalNumber(tek.rolling_start_interval_number + 1),
-            &meta,
-        );
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -1,21 +1,14 @@
 //! Exposure Notification time discretization.
 //!
 //! The EN crypto spec v1.2 divides time into 10-minute windows:
-//! `ENIntervalNumber(t) = floor(t / (60 * 10))` for a Unix timestamp `t`.
+//! `ENIntervalNumber(t) = floor(t / 600)` for a Unix timestamp `t`.
 //! Temporary Exposure Keys roll every `TEKRollingPeriod = 144` intervals,
 //! i.e. every 24 hours, aligned to interval boundaries.
 
 use serde::{Deserialize, Serialize};
 
-/// Seconds per exposure-notification interval (10 minutes).
-pub const INTERVAL_SECONDS: u64 = 600;
-
 /// Number of intervals a Temporary Exposure Key is valid for (24 h).
 pub const TEK_ROLLING_PERIOD: u32 = 144;
-
-/// Number of days keys/encounters are retained on the phone (§1 of the
-/// paper: "Phones locally store these received identifiers for 14 days").
-pub const RETENTION_DAYS: u32 = 14;
 
 /// A 10-minute Exposure Notification interval number.
 ///
@@ -24,70 +17,16 @@ pub const RETENTION_DAYS: u32 = 14;
 pub struct EnIntervalNumber(pub u32);
 
 impl EnIntervalNumber {
-    /// Derives the interval number from a Unix timestamp (seconds).
-    pub fn from_unix(timestamp: u64) -> Self {
-        EnIntervalNumber((timestamp / INTERVAL_SECONDS) as u32)
-    }
-
-    /// The Unix timestamp (seconds) at which this interval begins.
-    pub fn unix_start(&self) -> u64 {
-        u64::from(self.0) * INTERVAL_SECONDS
-    }
-
     /// Aligns down to the enclosing TEK rolling-period boundary
     /// (i.e. the `rolling_start_interval_number` of the enclosing TEK).
     pub fn rolling_period_start(&self) -> Self {
         EnIntervalNumber((self.0 / TEK_ROLLING_PERIOD) * TEK_ROLLING_PERIOD)
     }
-
-    /// True if `self` lies within `[start, start + period)`.
-    pub fn within(&self, start: EnIntervalNumber, period: u32) -> bool {
-        self.0 >= start.0 && self.0 < start.0.saturating_add(period)
-    }
-
-    /// The little-endian byte encoding used in RPI derivation (spec §3.2:
-    /// `ENIN` is encoded as a 32-bit little-endian unsigned integer).
-    pub fn to_le_bytes(&self) -> [u8; 4] {
-        self.0.to_le_bytes()
-    }
-
-    /// Interval distance `self - other` in whole days (rounded toward
-    /// zero), used for days-since-exposure risk bucketing.
-    pub fn days_since(&self, other: EnIntervalNumber) -> i64 {
-        (i64::from(self.0) - i64::from(other.0)) / i64::from(TEK_ROLLING_PERIOD)
-    }
-
-    /// Advances by `n` intervals.
-    pub fn advance(&self, n: u32) -> Self {
-        EnIntervalNumber(self.0.saturating_add(n))
-    }
 }
-
-/// Unix timestamp (UTC seconds) for midnight of 2020-06-15, the first day
-/// of the paper's measurement window. Kept here because many exposure /
-/// traffic components anchor their clocks to the study window.
-pub const STUDY_EPOCH_UNIX: u64 = 1_592_179_200; // 2020-06-15T00:00:00Z
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interval_from_unix() {
-        assert_eq!(EnIntervalNumber::from_unix(0).0, 0);
-        assert_eq!(EnIntervalNumber::from_unix(599).0, 0);
-        assert_eq!(EnIntervalNumber::from_unix(600).0, 1);
-        // Spec example magnitude check: 2020-06-15 is interval ~2.65M.
-        let enin = EnIntervalNumber::from_unix(STUDY_EPOCH_UNIX);
-        assert_eq!(enin.0, (STUDY_EPOCH_UNIX / 600) as u32);
-    }
-
-    #[test]
-    fn unix_start_roundtrip() {
-        let enin = EnIntervalNumber::from_unix(STUDY_EPOCH_UNIX + 12_345);
-        assert!(enin.unix_start() <= STUDY_EPOCH_UNIX + 12_345);
-        assert!(enin.unix_start() + INTERVAL_SECONDS > STUDY_EPOCH_UNIX + 12_345);
-    }
 
     #[test]
     fn rolling_period_alignment() {
@@ -95,38 +34,5 @@ mod tests {
         assert_eq!(enin.rolling_period_start().0, 144 * 10);
         // A boundary maps to itself.
         assert_eq!(EnIntervalNumber(144 * 3).rolling_period_start().0, 144 * 3);
-    }
-
-    #[test]
-    fn study_epoch_is_midnight_aligned_to_intervals() {
-        // 1592179200 / 600 = 2653632, exactly: midnight is an interval edge.
-        assert_eq!(STUDY_EPOCH_UNIX % INTERVAL_SECONDS, 0);
-        // And a TEK boundary (divisible by 86400).
-        assert_eq!(
-            STUDY_EPOCH_UNIX % (u64::from(TEK_ROLLING_PERIOD) * INTERVAL_SECONDS),
-            0
-        );
-    }
-
-    #[test]
-    fn within_window() {
-        let start = EnIntervalNumber(1000);
-        assert!(EnIntervalNumber(1000).within(start, 144));
-        assert!(EnIntervalNumber(1143).within(start, 144));
-        assert!(!EnIntervalNumber(1144).within(start, 144));
-        assert!(!EnIntervalNumber(999).within(start, 144));
-    }
-
-    #[test]
-    fn days_since() {
-        let base = EnIntervalNumber(144 * 100);
-        assert_eq!(EnIntervalNumber(144 * 103).days_since(base), 3);
-        assert_eq!(EnIntervalNumber(144 * 100 + 143).days_since(base), 0);
-        assert_eq!(base.days_since(EnIntervalNumber(144 * 103)), -3);
-    }
-
-    #[test]
-    fn le_encoding() {
-        assert_eq!(EnIntervalNumber(0x0403_0201).to_le_bytes(), [1, 2, 3, 4]);
     }
 }

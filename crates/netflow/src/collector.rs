@@ -313,11 +313,6 @@ impl Collector {
         &self.records
     }
 
-    /// Consumes the collector, returning its records.
-    pub fn into_records(self) -> Vec<FlowRecord> {
-        self.records
-    }
-
     /// Streams every resident record into `sink` (in collection order)
     /// as columnar [`FlowChunk`]s of at most `chunk_capacity` records,
     /// then clears the buffer, keeping its capacity. This is the

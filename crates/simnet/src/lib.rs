@@ -60,6 +60,6 @@ pub use sim::{
 };
 pub use traffic::{GroundTruth, TrafficConfig};
 pub use vantage::{
-    run_sharded_into, shard_keys, ExportFormat, IspSideEntry, ShardKeyMode, VantageConfig,
-    VantagePoint, VantageRunStats,
+    run_sharded_into, ExportFormat, IspSideEntry, ShardKeyMode, VantageConfig, VantagePoint,
+    VantageRunStats,
 };

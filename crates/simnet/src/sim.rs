@@ -485,20 +485,23 @@ impl PreparedSim {
 
     /// Sharded form of [`run_traffic`](PreparedSim::run_traffic): splits
     /// the vantage fleet into `sinks.len()` shards (each with its own
-    /// collector, worker thread and — per `key_mode` — Crypto-PAn key)
-    /// and streams every shard's records into its own sink, in chunks of
-    /// one export hour. Each sink's `finish()` is called by its worker
-    /// after the final flush. Returns the traffic ground truth plus
-    /// every shard's `(sink, run statistics)` in shard order.
+    /// collector and worker thread) and streams every shard's records
+    /// into its own sink, in chunks of one export hour. Each sink's
+    /// `finish()` is called by its worker after the final flush. Returns
+    /// the traffic ground truth plus every shard's `(sink, run
+    /// statistics)` in shard order.
     ///
-    /// Under [`ShardKeyMode::Common`] the union of the shards' record
-    /// streams is exactly the records of [`run_traffic`]
-    /// — same set, partitioned by owning router.
+    /// Every shard anonymizes under the common key
+    /// ([`ShardKeyMode::Common`], the only mode), so the union of the
+    /// shards' record streams is exactly the records of
+    /// [`run_traffic`](PreparedSim::run_traffic) — same set,
+    /// partitioned by owning router.
     pub fn run_traffic_sharded<S: FlowSink + Send>(
         &self,
         key_mode: ShardKeyMode,
         sinks: Vec<S>,
     ) -> (GroundTruth, Vec<(S, VantageRunStats)>) {
+        let ShardKeyMode::Common = key_mode;
         let cfg = self.config;
         let timeline = Timeline { days: cfg.days };
         let mut vantages = VantagePoint::shard(
@@ -506,7 +509,6 @@ impl PreparedSim {
             self.cdn.service_prefixes.to_vec(),
             cfg.plan.prefix_len,
             sinks.len(),
-            key_mode,
         );
         if let Some(cap) = self.chunk_capacity {
             for vantage in &mut vantages {
@@ -985,27 +987,6 @@ mod tests {
             let first = per_router.get_or_insert_with(|| sampled.clone());
             assert_eq!(*first, sampled, "per-router counts at {shards} shards");
         }
-    }
-
-    #[test]
-    fn per_shard_keys_change_anonymization_but_not_volume() {
-        let base = SimConfig {
-            days: 2,
-            ..SimConfig::test_small()
-        };
-        let common = Simulation::new(base)
-            .prepare()
-            .run_traffic_sharded(ShardKeyMode::Common, vec![Vec::<FlowRecord>::new(); 2]);
-        let keyed = Simulation::new(base)
-            .prepare()
-            .run_traffic_sharded(ShardKeyMode::PerShard, vec![Vec::<FlowRecord>::new(); 2]);
-        for ((a, _), (b, _)) in common.1.iter().zip(&keyed.1) {
-            assert_eq!(a.len(), b.len(), "keying never changes record volume");
-        }
-        // Every per-shard key is derived (none equals the base key), so
-        // each shard's addresses must actually re-anonymize.
-        assert_ne!(common.1[0].0, keyed.1[0].0);
-        assert_ne!(common.1[1].0, keyed.1[1].0);
     }
 
     #[test]

@@ -102,26 +102,6 @@ pub enum ShardKeyMode {
     /// prefix maps to one anonymized prefix fleet-wide, so merged
     /// per-shard analyses equal the single-vantage run exactly.
     Common,
-    /// Each shard derives its own key from the base key (§2's
-    /// per-engine anonymization). Realistic, but one client prefix
-    /// observed by two shards anonymizes to two different prefixes, so
-    /// cross-shard prefix analyses are no longer merge-exact.
-    PerShard,
-}
-
-/// The per-shard Crypto-PAn keys for an `n`-shard fleet.
-pub fn shard_keys(base: &[u8; 32], n: usize, mode: ShardKeyMode) -> Vec<[u8; 32]> {
-    match mode {
-        ShardKeyMode::Common => vec![*base; n],
-        ShardKeyMode::PerShard => (0..n)
-            .map(|i| {
-                let mut material = Vec::with_capacity(40);
-                material.extend_from_slice(base);
-                material.extend_from_slice(&(i as u64).to_le_bytes());
-                cwa_crypto::sha256(&material)
-            })
-            .collect(),
-    }
 }
 
 /// One side-table entry per routing prefix.
@@ -448,46 +428,39 @@ impl VantagePoint {
 
     /// Splits the vantage fleet into `n` shards, each owning a
     /// contiguous range of the global router ids (sizes differing by at
-    /// most one) with its own collector and — per `key_mode` — its own
-    /// Crypto-PAn key. Routers keep their *global* ids, so every
-    /// router sees the same events as in the unsharded fleet; under
-    /// [`ShardKeyMode::Common`] the union of all shards' records is
-    /// therefore exactly the unsharded record set.
+    /// most one) with its own collector under the common Crypto-PAn key.
+    /// Routers keep their *global* ids, so every router sees the same
+    /// events as in the unsharded fleet, and the union of all shards'
+    /// records is exactly the unsharded record set.
     pub fn shard(
         cfg: VantageConfig,
         server_prefixes: Vec<(Ipv4Addr, u8)>,
         plan_prefix_len: u8,
         n: usize,
-        key_mode: ShardKeyMode,
     ) -> Vec<VantagePoint> {
         let total = usize::from(cfg.routers);
         assert!(
             (1..=total).contains(&n),
             "shard count {n} must be in 1..={total} (the router count)"
         );
-        let keys = shard_keys(&cfg.anon_key, n, key_mode);
         let base_size = total / n;
         let remainder = total % n;
         let mut shards = Vec::with_capacity(n);
         let mut next_router = 0usize;
-        for (i, key) in keys.into_iter().enumerate() {
+        for i in 0..n {
             let size = base_size + usize::from(i < remainder);
-            let shard_cfg = VantageConfig {
-                anon_key: key,
-                ..cfg
-            };
             let routers: Vec<Router> = (0..size)
-                .map(|k| Router::new((next_router + k) as u8, &shard_cfg))
+                .map(|k| Router::new((next_router + k) as u8, &cfg))
                 .collect();
             shards.push(VantagePoint {
                 router_base: next_router,
                 total_routers: total,
                 routers,
-                collector: Collector::new_anonymizing(&key, server_prefixes.clone()),
+                collector: Collector::new_anonymizing(&cfg.anon_key, server_prefixes.clone()),
                 plan_prefix_len,
                 format: cfg.format,
                 v9_decoder: V9Decoder::new(),
-                transport: Transport::new(&shard_cfg),
+                transport: Transport::new(&cfg),
                 metrics: None,
                 trace: None,
             });
@@ -530,15 +503,6 @@ impl VantagePoint {
     /// point — the drivers call this once the thread layout is known).
     pub(crate) fn trace_collector_onto(&mut self, tracer: &Tracer, buf: Arc<TraceBuf>) {
         self.collector.set_trace(CollectorTrace::new(tracer, buf));
-    }
-
-    /// Fault-injection statistics: `(datagrams dropped in transport,
-    /// v9 datagrams undecodable due to lost templates)`.
-    pub fn transport_stats(&self) -> (u64, u64) {
-        (
-            self.transport.dropped_datagrams,
-            self.transport.undecodable_datagrams,
-        )
     }
 
     /// Feeds one wire datagram into the collector, decoding per the
@@ -634,24 +598,17 @@ impl VantagePoint {
     /// Flushes all caches (end of measurement) and returns every
     /// collected, anonymized record.
     pub fn finish(self, final_hour: u32) -> Vec<FlowRecord> {
-        self.finish_with_stats(final_hour).0
-    }
-
-    /// [`VantagePoint::finish`] that also reports the run's aggregate
-    /// cache and transport statistics (captured *after* the final flush,
-    /// so flush evictions are included).
-    pub fn finish_with_stats(self, final_hour: u32) -> (Vec<FlowRecord>, VantageRunStats) {
         let mut records = Vec::new();
-        let stats = self.finish_into(final_hour, &mut records);
-        (records, stats)
+        self.finish_into(final_hour, &mut records);
+        records
     }
 
-    /// Streaming form of [`finish_with_stats`]: flushes all caches,
-    /// drains the remaining records into `sink` (without signalling
-    /// `sink.finish()` — the caller owns the stream's lifecycle) and
-    /// reports the run's aggregate statistics.
-    ///
-    /// [`finish_with_stats`]: VantagePoint::finish_with_stats
+    /// Streaming form of [`finish`](VantagePoint::finish): flushes all
+    /// caches, drains the remaining records into `sink` (without
+    /// signalling `sink.finish()` — the caller owns the stream's
+    /// lifecycle) and reports the run's aggregate cache and transport
+    /// statistics (captured *after* the final flush, so flush evictions
+    /// are included).
     pub fn finish_into(mut self, final_hour: u32, sink: &mut dyn FlowSink) -> VantageRunStats {
         for i in 0..self.routers.len() {
             let wires = self.routers[i].finish(final_hour);

@@ -88,6 +88,91 @@ fn live_replay_ends_bit_identical_to_streaming() {
     }
 }
 
+/// The window verdicts are the report's own claim code run over the
+/// window: on the final envelope of a replay whose window covers the
+/// whole study, the day-anchored claims measure exactly what the report
+/// measures, and every window verdict carries its report claim's
+/// statement, paper value and band. C5a and C7c differ by design — the
+/// window counts day 0, the report's ten-day map (days 1..11) does not —
+/// so over a superset of days the window's district coverage can only
+/// be higher.
+#[test]
+fn window_verdicts_share_the_report_claim_code() {
+    for shards in [1usize, 2] {
+        let live = Arc::new(LiveSnapshot::new());
+        let opts = LiveOptions {
+            shards,
+            publish: Some(Arc::clone(&live)),
+            ..LiveOptions::default()
+        };
+        let report = Study::new(StudyConfig::test_small())
+            .run_live(&opts)
+            .expect("small study produces matching flows");
+        let body = live.report().expect("final report published");
+        let envelope: serde_json::Value = serde_json::from_str(&body).expect("valid JSON");
+        assert_eq!(num(envelope.get("window_from_day")), Some(0));
+        assert!(num(envelope.get("window_to_day")) > Some(u64::from(report.config.sim.days)));
+        let claims = envelope
+            .get("report")
+            .and_then(|r| r.get("claims"))
+            .and_then(|c| c.as_array())
+            .expect("report claims");
+        let window = envelope
+            .get("window_verdicts")
+            .and_then(|v| v.as_array())
+            .expect("window_verdicts");
+        let id = |c: &serde_json::Value| c.get("id").and_then(|v| v.as_str()).map(str::to_owned);
+        let ids: Vec<_> = window.iter().filter_map(id).collect();
+        assert_eq!(
+            ids,
+            [
+                "C1MatchingFlows",
+                "C2ReleaseJump",
+                "C5aCoverage10Day",
+                "C6aNrwVsRest",
+                "C6cBerlinSingleIsp",
+                "C7cGroundTruthShare",
+            ],
+            "shards={shards}: a whole-study window judges all six"
+        );
+        for verdict in window {
+            let code = id(verdict).expect("verdict id");
+            let claim = claims
+                .iter()
+                .find(|c| id(c).as_deref() == Some(code.as_str()))
+                .expect("the report judges every window claim");
+            for field in ["paper_statement", "paper_value", "band"] {
+                assert_eq!(
+                    verdict.get(field),
+                    claim.get(field),
+                    "shards={shards} {code}: {field}"
+                );
+            }
+            // NaN serializes as null, so equal JSON values count NaN as
+            // equal to NaN.
+            let measured = |c: &serde_json::Value| c.get("measured").cloned();
+            match code.as_str() {
+                "C5aCoverage10Day" => {
+                    let as_f64 = |c: &serde_json::Value| match c.get("measured") {
+                        Some(serde_json::Value::Num(n)) => n.as_f64(),
+                        other => panic!("{code}: non-numeric measured {other:?}"),
+                    };
+                    assert!(
+                        as_f64(verdict) >= as_f64(claim),
+                        "shards={shards}: window coverage below the ten-day map's"
+                    );
+                }
+                "C7cGroundTruthShare" => {}
+                _ => assert_eq!(
+                    measured(verdict),
+                    measured(claim),
+                    "shards={shards} {code}: measured"
+                ),
+            }
+        }
+    }
+}
+
 /// The sharded live driver publishes merged interim state once per
 /// simulated day: mid-run envelopes are well-formed and advance
 /// monotonically, and the publish count is exactly `days` interim

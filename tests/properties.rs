@@ -1,18 +1,17 @@
 //! Property-based tests (proptest) on the core invariants of every
 //! substrate: crypto, Crypto-PAn, the NetFlow codec and cache, the
-//! Exposure Notification key schedule and export format, and the
-//! analysis normalizations.
+//! Exposure Notification key-export format, and the analysis
+//! normalizations.
 
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 
 use cwa_repro::analysis::timeseries::HourlySeries;
-use cwa_repro::crypto::{hkdf_sha256, hmac_sha256, sha256, Aes128, Sha256};
+use cwa_repro::crypto::{hmac_sha256, sha256, Aes128, Sha256};
 use cwa_repro::exposure::export::TemporaryExposureKeyExport;
 use cwa_repro::exposure::protobuf::{Reader, Writer};
 use cwa_repro::exposure::tek::{DiagnosisKey, TemporaryExposureKey};
-use cwa_repro::exposure::time::EnIntervalNumber;
 use cwa_repro::netflow::anonymize::common_prefix_len;
 use cwa_repro::netflow::cache::{FlowCache, FlowCacheConfig};
 use cwa_repro::netflow::flow::{FlowKey, FlowRecord, Protocol};
@@ -45,19 +44,6 @@ proptest! {
     ) {
         prop_assume!(k1 != k2);
         prop_assert_ne!(hmac_sha256(&k1, &msg), hmac_sha256(&k2, &msg));
-    }
-
-    /// HKDF prefix property: a shorter output is a prefix of a longer one.
-    #[test]
-    fn hkdf_prefix_property(
-        ikm in proptest::collection::vec(any::<u8>(), 1..64),
-        info in proptest::collection::vec(any::<u8>(), 0..32),
-        short in 1usize..64,
-        extra in 1usize..64,
-    ) {
-        let a = hkdf_sha256(None, &ikm, &info, short);
-        let b = hkdf_sha256(None, &ikm, &info, short + extra);
-        prop_assert_eq!(&b[..short], &a[..]);
     }
 
     /// AES-128 is a permutation: distinct plaintexts encrypt distinctly.
@@ -175,34 +161,6 @@ proptest! {
         let export = TemporaryExposureKeyExport::new_de(start, start + span, dks);
         let back = TemporaryExposureKeyExport::decode(&export.encode()).unwrap();
         prop_assert_eq!(back, export);
-    }
-
-    /// The EN key schedule is a pure function of the TEK: equal keys give
-    /// equal RPIs; different keys give fully disjoint RPI sets.
-    #[test]
-    fn en_key_schedule_determinism(key: [u8; 16], other: [u8; 16], day in 1u32..20_000) {
-        let t1 = TemporaryExposureKey {
-            key, rolling_start_interval_number: day * 144, rolling_period: 144,
-        };
-        let t2 = TemporaryExposureKey { ..t1 };
-        prop_assert_eq!(t1.all_rpis(), t2.all_rpis());
-        if key != other {
-            let t3 = TemporaryExposureKey { key: other, ..t1 };
-            let set: std::collections::HashSet<_> = t1.all_rpis().into_iter().collect();
-            prop_assert!(t3.all_rpis().iter().all(|r| !set.contains(r)));
-        }
-    }
-
-    /// RPIs never collide with a different interval of the same key.
-    #[test]
-    fn rpi_interval_binding(key: [u8; 16], day in 1u32..20_000, i in 0u32..144, j in 0u32..144) {
-        prop_assume!(i != j);
-        let tek = TemporaryExposureKey {
-            key, rolling_start_interval_number: day * 144, rolling_period: 144,
-        };
-        let a = tek.rpi(EnIntervalNumber(day * 144 + i));
-        let b = tek.rpi(EnIntervalNumber(day * 144 + j));
-        prop_assert_ne!(a, b);
     }
 
     // ---------------- analysis ----------------
