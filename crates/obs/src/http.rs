@@ -2,10 +2,24 @@
 //!
 //! Built directly on `std::net::TcpListener` — no vendored HTTP
 //! dependency — because a Prometheus-style scrape endpoint needs
-//! nothing beyond "read one request line, write one response, close".
-//! The accept loop runs on its own thread with a nonblocking listener
-//! polled against a stop flag, so shutdown needs no self-connect
-//! trick and no platform-specific socket teardown.
+//! nothing beyond "read one request, write one response, close".
+//!
+//! One thread serves one connection at a time, blocked in `accept`
+//! between them, so a scrape is answered as soon as it arrives rather
+//! than at the next tick of a polling loop. A blocked `accept` does not
+//! see the stop flag, so [`TelemetryServer::shutdown`] sets the flag and
+//! then makes one connection to the server's own port: `accept` returns,
+//! the loop reads the flag and ends. An unspecified bind address
+//! (`0.0.0.0`, `::`) is not a destination, so that wake-up connection
+//! goes to the loopback address of the same family.
+//!
+//! The server reads the whole request head, through the blank line that
+//! ends it, before it replies. Closing a TCP socket whose receive buffer
+//! still holds unread bytes sends a reset instead of an orderly close,
+//! and a reset can discard the response before the client has read it
+//! (or fail a client still writing its request). Replying after the
+//! request line alone would do that to any client whose head outgrows
+//! the first read, or that writes its request in pieces.
 //!
 //! Endpoints:
 //!
@@ -26,8 +40,8 @@
 //! not a live run" (404) from "live, but nothing published yet" (503).
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -101,24 +115,27 @@ impl TelemetryServer {
     /// available via [`TelemetryServer::local_addr`].
     pub fn serve<A: ToSocketAddrs>(addr: A, state: TelemetryState) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
 
         let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("cwa-telemetry".into())
-            .spawn(move || {
-                while !thread_stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let _ = handle_connection(stream, &state);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            .spawn(move || loop {
+                let accepted = listener.accept();
+                // Pairs with the `Release` store in `shutdown_inner`: the
+                // flag is set before the wake-up connection is made, so
+                // the accept that returns it sees the flag.
+                if thread_stop.load(Ordering::Acquire) {
+                    break;
+                }
+                match accepted {
+                    Ok((stream, _peer)) => {
+                        let _ = handle_connection(stream, &state);
                     }
+                    // Such as running out of file descriptors: back off
+                    // instead of spinning on the same error.
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             })?;
 
@@ -134,16 +151,30 @@ impl TelemetryServer {
         self.addr
     }
 
-    /// Stops accepting and joins the server thread. In-flight
-    /// responses finish first (the accept loop only checks the flag
-    /// between connections).
+    /// Stops accepting and joins the server thread. An in-flight
+    /// response finishes first: the thread reads the stop flag only when
+    /// `accept` returns. To make an idle `accept` return, this sets the
+    /// flag and then connects once to the server's own port (on the
+    /// loopback address when the server is bound to an unspecified
+    /// one). Connections still waiting to be accepted are closed
+    /// unanswered.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
         if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::Relaxed);
+            self.stop.store(true, Ordering::Release);
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                    IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                });
+            }
+            // If this connect fails, the thread still ends at the next
+            // connection it accepts.
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = handle.join();
         }
     }
@@ -163,10 +194,7 @@ impl std::fmt::Debug for TelemetryServer {
 
 /// Reads one request, routes it, writes one response, closes.
 fn handle_connection(mut stream: TcpStream, state: &TelemetryState) -> std::io::Result<()> {
-    // Accepted sockets do not reliably inherit the listener's
-    // (nonblocking) mode on every platform; force blocking with a
-    // timeout so a stuck client cannot wedge the accept loop forever.
-    stream.set_nonblocking(false)?;
+    // A stuck client must not wedge the accept loop forever.
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
 
@@ -268,26 +296,39 @@ where
     }
 }
 
-/// Parses `GET <path> ...` off the first request line; drains nothing
-/// else (HTTP/1.0, connection closes after the response anyway).
+/// Longest request head the server reads; a longer one is cut off and
+/// answered from its request line.
+const MAX_HEAD: u64 = 8 * 1024;
+
+/// Reads one request head and returns the path of its `GET` line.
+///
+/// The head is read through the blank line that ends it, at most
+/// [`MAX_HEAD`] bytes and each read bounded by the socket's read
+/// timeout, so the close after the response finds no request bytes
+/// unread and ends in an orderly close rather than a reset (see the
+/// module docs). A request line without an `HTTP/` version (HTTP/0.9)
+/// has no head and is answered at once. Any query string is dropped.
 fn read_request_path(stream: &mut TcpStream) -> Option<String> {
-    let mut buf = [0u8; 1024];
+    let mut head = BufReader::new(stream.take(MAX_HEAD));
     let mut line = Vec::new();
-    loop {
-        let n = stream.read(&mut buf).ok()?;
-        if n == 0 {
-            break;
-        }
-        line.extend_from_slice(&buf[..n]);
-        if line.contains(&b'\n') || line.len() > 4096 {
-            break;
-        }
-    }
-    let line = String::from_utf8_lossy(&line);
-    let first = line.lines().next()?;
-    let mut parts = first.split_whitespace();
+    head.read_until(b'\n', &mut line).ok()?;
+    let request_line = String::from_utf8_lossy(&line).into_owned();
+    let mut parts = request_line.split_whitespace();
     let method = parts.next()?;
     let path = parts.next()?;
+    if parts
+        .next()
+        .is_some_and(|version| version.starts_with("HTTP/"))
+    {
+        loop {
+            line.clear();
+            match head.read_until(b'\n', &mut line) {
+                Ok(0) | Err(_) => break,
+                Ok(_) if line.trim_ascii().is_empty() => break,
+                Ok(_) => {}
+            }
+        }
+    }
     if method != "GET" {
         return None;
     }
@@ -784,6 +825,110 @@ mod tests {
         let (_, body) = get(server.local_addr(), "/healthz");
         assert!(body.contains("\"live\":null"), "got: {body}");
         server.shutdown();
+    }
+
+    /// Sends a request in `pieces`, `gap` apart, then reads the
+    /// response to EOF. Returns (status, declared Content-Length, body
+    /// length); panics on a reset or a failed write.
+    fn send_pieces(addr: SocketAddr, pieces: &[&[u8]], gap: Duration) -> (u16, usize, usize) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        for (i, piece) in pieces.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(gap);
+            }
+            stream.write_all(piece).expect("request piece written");
+        }
+        let mut response = Vec::new();
+        stream
+            .read_to_end(&mut response)
+            .expect("response read to EOF without a reset");
+        let response = String::from_utf8(response).expect("UTF-8 response");
+        let (head, body) = response.split_once("\r\n\r\n").expect("head and body");
+        let status = head
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .expect("status line");
+        let length = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|n| n.parse().ok())
+            .expect("Content-Length");
+        (status, length, body.len())
+    }
+
+    #[test]
+    fn a_long_request_head_gets_the_whole_response() {
+        let server = TelemetryServer::serve("127.0.0.1:0", test_state()).expect("bind");
+        let request = format!(
+            "GET /dashboard HTTP/1.0\r\nHost: test\r\nX-Padding: {}\r\n\r\n",
+            "p".repeat(3 * 1024)
+        );
+        for _ in 0..5 {
+            let (status, length, body) =
+                send_pieces(server.local_addr(), &[request.as_bytes()], Duration::ZERO);
+            assert_eq!(status, 200);
+            assert_eq!(body, length, "the whole body arrives");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_request_written_in_pieces_gets_the_whole_response() {
+        let server = TelemetryServer::serve("127.0.0.1:0", test_state()).expect("bind");
+        // A third piece written after a reply-and-close would meet the
+        // server's reset ("Broken pipe").
+        let splits: [&[&[u8]]; 2] = [
+            &[b"GET /metrics HTTP/1.0\r\n", b"Host: test\r\n\r\n"],
+            &[b"GET /metrics HTTP/1.0\r\n", b"Host: test\r\n", b"\r\n"],
+        ];
+        for pieces in splits {
+            let (status, length, body) =
+                send_pieces(server.local_addr(), pieces, Duration::from_millis(20));
+            assert_eq!(status, 200);
+            assert_eq!(body, length, "the whole body arrives");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_http_09_request_is_answered_at_once() {
+        let server = TelemetryServer::serve("127.0.0.1:0", test_state()).expect("bind");
+        let start = std::time::Instant::now();
+        let (status, length, body) =
+            send_pieces(server.local_addr(), &[b"GET /metrics\r\n"], Duration::ZERO);
+        let elapsed = start.elapsed();
+        assert_eq!(status, 200);
+        assert_eq!(body, length);
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "an HTTP/0.9 request has no head to wait for; took {elapsed:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_idle_server_shuts_down_promptly_on_any_bind_address() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = TelemetryServer::serve(bind, test_state()).expect("bind");
+            let loopback = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+            // One answered scrape: the thread is in its accept loop.
+            assert_eq!(get(loopback, "/healthz").0, 200, "{bind}");
+            let start = std::time::Instant::now();
+            server.shutdown();
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "{bind}: shutdown took {elapsed:?}"
+            );
+            assert!(
+                TcpStream::connect(loopback).is_err(),
+                "{bind}: the port must refuse connections after shutdown"
+            );
+        }
     }
 
     #[test]

@@ -212,6 +212,15 @@ for ep in /report /figures/adoption /figures/geo /figures/outbreak /progress /me
     grep -q "$ep" "$DASH_HTML" || { echo "/dashboard does not poll $ep"; exit 1; }
 done
 rm -f "$DASH_HTML"
+# Every scrape must get its whole response while the run publishes. A
+# server that closes before it has read the request head resets some
+# connections ("Broken pipe", "Connection reset by peer"); at ≈1.6 % of
+# calls, 50 of them catch that about half the time. The server's unit
+# tests are the deterministic guard.
+for _ in $(seq 1 50); do
+    ./target/release/cwa-repro scrape "$ADDR" /figures/adoption | grep -q '"cwa-live-figure/v1"' \
+        || { echo "/figures/adoption scrape failed during the live run"; exit 1; }
+done
 sleep 1.5
 ./target/release/cwa-repro scrape "$ADDR" /report > "$REPORT_B" || { echo "second /report scrape failed"; exit 1; }
 # `watch --claims` follows the rest of the replay and exits 0 at done.

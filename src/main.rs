@@ -682,7 +682,9 @@ fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
         .set_read_timeout(Some(timeout))
         .and_then(|_| stream.set_write_timeout(Some(timeout)))
         .map_err(|e| format!("cannot configure socket: {e}"))?;
-    write!(stream, "GET {path} HTTP/1.0\r\nHost: {addr}\r\n\r\n")
+    let request = format!("GET {path} HTTP/1.0\r\nHost: {addr}\r\n\r\n");
+    stream
+        .write_all(request.as_bytes())
         .map_err(|e| format!("request failed: {e}"))?;
     let mut response = String::new();
     stream
@@ -701,12 +703,22 @@ fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
     Ok((status, body))
 }
 
-/// `cwa-repro scrape ADDR PATH` — one-shot GET, body to stdout.
+/// `cwa-repro scrape ADDR PATH` — one-shot GET, body to stdout. A
+/// reader that stops early (`scrape … | head`) closes the pipe, which
+/// ends the output; the exit status still follows the HTTP status.
 fn scrape(_args: &[String], words: &[String]) -> ExitCode {
+    use std::io::Write;
     let (addr, path) = (&words[0], &words[1]);
     match http_get(addr, path) {
         Ok((status, body)) => {
-            print!("{body}");
+            let mut out = std::io::stdout().lock();
+            match out.write_all(body.as_bytes()).and_then(|()| out.flush()) {
+                Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                    eprintln!("cannot write the body: {e}");
+                    return ExitCode::FAILURE;
+                }
+                _ => {}
+            }
             if (200..300).contains(&status) {
                 ExitCode::SUCCESS
             } else {

@@ -8,13 +8,15 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::process::{Command, Stdio};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
 use cwa_repro::core::{Study, StudyConfig};
 use cwa_repro::obs::{
-    Heartbeat, HeartbeatConfig, LiveSnapshot, Registry, TelemetryServer, TelemetryState,
+    Heartbeat, HeartbeatConfig, HeartbeatRing, LiveSnapshot, Registry, TelemetryServer,
+    TelemetryState,
 };
 
 /// Minimal HTTP/1.0 GET against the scrape server; returns
@@ -357,4 +359,46 @@ fn scrape_server_headers_and_live_status_semantics() {
     assert!(body.contains("cwa-live/v1"));
     server.shutdown();
     heartbeat.stop();
+}
+
+/// `cwa-repro scrape ADDR PATH | head -c N`: a reader that closes the
+/// pipe early ends the output. The CLI must neither panic on the broken
+/// pipe nor fail the scrape; its exit status follows the HTTP status.
+#[test]
+fn scrape_cli_stops_quietly_when_its_reader_closes_the_pipe() {
+    let live = Arc::new(LiveSnapshot::new());
+    // Larger than a pipe's buffer, so the CLI is still writing when the
+    // reader goes away.
+    live.publish_report(format!("{{\"pad\":\"{}\"}}", "x".repeat(256 * 1024)));
+    let server = TelemetryServer::serve(
+        "127.0.0.1:0",
+        TelemetryState {
+            registry: Arc::new(Registry::new()),
+            ring: Arc::new(Mutex::new(HeartbeatRing::new(4))),
+            stall_heartbeats: 50,
+            live: Some(live),
+        },
+    )
+    .expect("server binds");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cwa-repro"))
+        .args(["scrape", &server.local_addr().to_string(), "/report"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cwa-repro starts");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut first = [0u8; 8];
+    stdout.read_exact(&mut first).expect("the body starts");
+    assert_eq!(&first, b"{\"pad\":\"");
+    drop(stdout);
+    let output = child.wait_with_output().expect("cwa-repro exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        output.status.success(),
+        "{:?}, stderr: {stderr}",
+        output.status
+    );
+    server.shutdown();
 }
