@@ -94,19 +94,6 @@ impl GeoResult {
         }
         gt / (gt + db)
     }
-
-    /// Share of records that could not be located.
-    pub fn unlocated_share(&self) -> f64 {
-        let un = *self
-            .attribution_counts
-            .get(&GeoAttribution::Unlocated)
-            .unwrap_or(&0) as f64;
-        let total: u64 = self.attribution_counts.values().sum();
-        if total == 0 {
-            return f64::NAN;
-        }
-        un / total as f64
-    }
 }
 
 /// The two-source geolocation pipeline.
@@ -562,7 +549,6 @@ mod tests {
             attribution_counts: counts,
         };
         assert!((result.ground_truth_share() - 0.18).abs() < 1e-12);
-        assert!((result.unlocated_share() - 5.0 / 105.0).abs() < 1e-12);
     }
 
     #[test]
@@ -572,6 +558,5 @@ mod tests {
             attribution_counts: HashMap::new(),
         };
         assert!(result.ground_truth_share().is_nan());
-        assert!(result.unlocated_share().is_nan());
     }
 }

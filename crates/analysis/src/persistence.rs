@@ -140,15 +140,6 @@ impl PersistenceAnalysis {
         let idx = ((fractions.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
         fractions[idx]
     }
-
-    /// Fraction of prefixes present on *every* day of their span.
-    pub fn always_present_share(&self) -> f64 {
-        let p = self.presences();
-        if p.is_empty() {
-            return f64::NAN;
-        }
-        p.iter().filter(|x| x.fraction() >= 1.0).count() as f64 / p.len() as f64
-    }
 }
 
 impl FlowSink for PersistenceAnalysis {
@@ -225,7 +216,6 @@ mod tests {
         let recs = [rec(Ipv4Addr::new(84, 1, 2, 3), 7)];
         a.ingest(recs.iter());
         assert!((a.presences()[0].fraction() - 1.0).abs() < 1e-12);
-        assert!((a.always_present_share() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -270,7 +260,6 @@ mod tests {
         assert!((a.fraction_quantile(0.5) - 0.5).abs() < 1e-12);
         assert!((a.fraction_quantile(0.0) - 0.2).abs() < 1e-12);
         assert!((a.fraction_quantile(1.0) - 1.0).abs() < 1e-12);
-        assert!((a.always_present_share() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -310,7 +299,6 @@ mod tests {
     fn empty_analysis_nan() {
         let a = PersistenceAnalysis::new(24, 11);
         assert!(a.fraction_quantile(0.5).is_nan());
-        assert!(a.always_present_share().is_nan());
         assert_eq!(a.prefix_count(), 0);
     }
 

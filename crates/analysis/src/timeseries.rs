@@ -79,11 +79,6 @@ impl HourlySeries {
         self.flows.chunks(24).map(|day| day.iter().sum()).collect()
     }
 
-    /// Bytes per day.
-    pub fn daily_bytes(&self) -> Vec<u64> {
-        self.bytes.chunks(24).map(|day| day.iter().sum()).collect()
-    }
-
     /// The series normalized to its minimum *positive* value — exactly
     /// how Fig. 2's y-axis is constructed ("normed to the minimum").
     pub fn flows_normed_to_min(&self) -> Vec<f64> {
@@ -103,16 +98,6 @@ impl HourlySeries {
             return f64::NAN;
         }
         daily[1] as f64 / daily[0] as f64
-    }
-
-    /// Diurnal peak-to-trough ratio for one day (a rough "follows the
-    /// normal diurnal pattern" check).
-    pub fn diurnal_ratio(&self, day: u32) -> f64 {
-        let start = (day * 24) as usize;
-        let slice = &self.flows[start..(start + 24).min(self.flows.len())];
-        let max = slice.iter().max().copied().unwrap_or(0) as f64;
-        let min = slice.iter().filter(|&&f| f > 0).min().copied().unwrap_or(1) as f64;
-        max / min
     }
 
     /// Extracts the average diurnal profile over days `[from_day,
@@ -256,7 +241,6 @@ mod tests {
         }
         let s = HourlySeries::from_records(records.iter(), 48);
         assert_eq!(s.daily_flows(), vec![24, 48]);
-        assert_eq!(s.daily_bytes(), vec![240, 480]);
         assert!((s.release_jump() - 2.0).abs() < 1e-12);
     }
 
@@ -278,18 +262,6 @@ mod tests {
             bytes: vec![0; 48],
         };
         assert!(s.release_jump().is_nan());
-    }
-
-    #[test]
-    fn diurnal_ratio() {
-        let mut flows = vec![10u64; 24];
-        flows[3] = 2;
-        flows[20] = 30;
-        let s = HourlySeries {
-            flows,
-            bytes: vec![0; 24],
-        };
-        assert!((s.diurnal_ratio(0) - 15.0).abs() < 1e-12);
     }
 
     #[test]

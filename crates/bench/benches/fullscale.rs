@@ -70,9 +70,10 @@ const COMPARE_REPS: usize = 3;
 /// Draws per sampler side in the microbench.
 const SAMPLER_DRAWS: u64 = 4_000_000;
 
-/// The pre-swap sampler shapes, reproduced verbatim from the seed's
-/// `cwa-simnet::stats` and `cwa-netflow::sampling` so the microbench
-/// keeps a stable before-picture after the originals are gone.
+/// The pre-swap sampler shapes, reproduced verbatim from the traffic
+/// generator's and the router sampler's original draws so the
+/// microbench keeps a stable before-picture after the originals are
+/// gone.
 mod legacy {
     use rand::Rng;
 

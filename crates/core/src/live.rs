@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use cwa_analysis::windowed::{DaySummary, WindowConfig, WindowedSnapshot};
+use cwa_analysis::windowed::{DaySummary, WindowedSnapshot};
 use cwa_obs::{LiveFigure, LiveSnapshot};
 
 use crate::claims::Claim;
@@ -39,8 +39,6 @@ pub struct LiveOptions {
     /// the scrape server's `TelemetryState::live`). `None` disables
     /// publication.
     pub publish: Option<Arc<LiveSnapshot>>,
-    /// Sliding-window retention for the live view.
-    pub window: WindowConfig,
 }
 
 impl Default for LiveOptions {
@@ -49,7 +47,6 @@ impl Default for LiveOptions {
             shards: 1,
             replay_speed: None,
             publish: None,
-            window: WindowConfig::default(),
         }
     }
 }

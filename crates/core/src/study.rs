@@ -18,7 +18,7 @@ use cwa_analysis::outbreak::{OutbreakAccumulator, OutbreakAnalysis};
 use cwa_analysis::persistence::PersistenceAnalysis;
 use cwa_analysis::stream::StreamCounts;
 use cwa_analysis::timeseries::HourlySeries;
-use cwa_analysis::windowed::{WindowSnapshot, WindowedSnapshot, WindowedView};
+use cwa_analysis::windowed::{WindowConfig, WindowSnapshot, WindowedSnapshot, WindowedView};
 use cwa_epidemic::timeline::{JULY_24_DAY, MILESTONE_36H_HOUR};
 use cwa_epidemic::{AdoptionCurve, AdoptionModel, Scenario, Timeline};
 use cwa_geo::{AddressPlan, Germany};
@@ -942,13 +942,13 @@ impl Study {
                                 days,
                             ),
                         })),
-                        Some(opts) => Consumers::Live(Box::new(WindowedView::new(
+                        Some(_) => Consumers::Live(Box::new(WindowedView::new(
                             &prepared.germany,
                             &pipeline,
                             resolver,
                             cfg.persistence_prefix_len,
                             days.min(STUDY_TIER_DAYS),
-                            opts.window,
+                            WindowConfig::default(),
                         ))),
                     };
                     // Unsharded analysis shares the study's pid 0;

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use cwa_geo::{CommutingMatrix, Germany};
+use cwa_geo::Germany;
 
 use crate::events::Scenario;
 
@@ -100,30 +100,6 @@ impl EpidemicModel {
     /// Runs `days` daily steps over all districts under `scenario`,
     /// without inter-district mixing.
     pub fn run(&self, germany: &Germany, scenario: &Scenario, days: u32) -> EpidemicRun {
-        self.run_with(germany, scenario, days, None)
-    }
-
-    /// Runs with gravity-commuting coupling: each district's force of
-    /// infection blends home prevalence with the prevalence at its
-    /// residents' commuting destinations — the mechanism by which the
-    /// Gütersloh outbreak spills into Warendorf.
-    pub fn run_coupled(
-        &self,
-        germany: &Germany,
-        scenario: &Scenario,
-        days: u32,
-        commuting: &CommutingMatrix,
-    ) -> EpidemicRun {
-        self.run_with(germany, scenario, days, Some(commuting))
-    }
-
-    fn run_with(
-        &self,
-        germany: &Germany,
-        scenario: &Scenario,
-        days: u32,
-        commuting: Option<&CommutingMatrix>,
-    ) -> EpidemicRun {
         let cfg = &self.config;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let n = germany.len();
@@ -147,17 +123,12 @@ impl EpidemicModel {
         let mut detected = vec![vec![0u32; n]; days as usize];
 
         for day in 0..days {
-            // Per-district infectious prevalence, frozen at day start so
-            // coupling is order-independent.
-            let prevalence: Vec<f64> = state
-                .iter()
-                .zip(germany.districts())
-                .map(|(c, d)| c.i / f64::from(d.population).max(1.0))
-                .collect();
-
             for (idx, district) in germany.districts().iter().enumerate() {
                 let c = &mut state[idx];
                 let pop = f64::from(district.population);
+                // Infectious prevalence at day start: seeding and
+                // importation below move S into E and leave I alone.
+                let prevalence = c.i / pop.max(1.0);
 
                 // Scenario outbreak seeding goes straight into E.
                 let seeds = f64::from(scenario.outbreak_seeds(district.id, day));
@@ -173,11 +144,7 @@ impl EpidemicModel {
                 // Transitions (expected-value flows with Poisson noise on
                 // the infection term; the compartments are large enough
                 // that this hybrid is accurate and fast).
-                let effective_prevalence = match commuting {
-                    Some(m) => m.coupled_prevalence(district.id, &prevalence),
-                    None => prevalence[idx],
-                };
-                let force = cfg.beta * effective_prevalence;
+                let force = cfg.beta * prevalence;
                 let infections = poisson(&mut rng, force * c.s) as f64;
                 let progressions = cfg.sigma * c.e;
                 let recoveries = cfg.gamma * c.i;
@@ -332,57 +299,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn commuting_spreads_guetersloh_to_warendorf() {
-        let g = Germany::build();
-        // Seed ONLY Gütersloh so any Warendorf cases beyond background
-        // must have commuted in.
-        let scenario = Scenario {
-            events: vec![crate::events::ScenarioEvent {
-                day: 2,
-                district: g.by_name("Gütersloh").unwrap().id,
-                kind: crate::events::EventKind::OutbreakSeed { seed_cases: 3000 },
-            }],
-        };
-        let matrix = cwa_geo::CommutingMatrix::build(&g, cwa_geo::CommutingConfig::default());
-        // A hotter outbreak makes the spillover measurable.
-        let cfg = EpidemicConfig {
-            beta: 0.5,
-            ..EpidemicConfig::default()
-        };
-        let model = EpidemicModel::new(cfg);
-        let uncoupled = model.run(&g, &scenario, 22);
-        let coupled = model.run_coupled(&g, &scenario, 22, &matrix);
-
-        let wa = g.by_name("Warendorf").unwrap().id;
-        let last_week = |run: &EpidemicRun| -> u64 {
-            (15..22)
-                .map(|d| u64::from(run.detected[d][usize::from(wa.0)]))
-                .sum()
-        };
-        let without = last_week(&uncoupled);
-        let with = last_week(&coupled);
-        assert!(
-            with > without + without / 4,
-            "commuting imports cases into Warendorf: uncoupled {without}, coupled {with}"
-        );
-    }
-
-    #[test]
-    fn coupling_preserves_national_magnitude() {
-        // Mixing redistributes infections; it must not blow up totals in
-        // the subcritical regime.
-        let g = Germany::build();
-        let matrix = cwa_geo::CommutingMatrix::build(&g, cwa_geo::CommutingConfig::default());
-        let model = EpidemicModel::new(EpidemicConfig::default());
-        let base = model.run(&g, &Scenario::quiet(), 15);
-        let coupled = model.run_coupled(&g, &Scenario::quiet(), 15, &matrix);
-        let total = |run: &EpidemicRun| -> u64 { (0..15).map(|d| run.national_detected(d)).sum() };
-        let a = total(&base) as f64;
-        let b = total(&coupled) as f64;
-        assert!((b / a - 1.0).abs() < 0.25, "totals comparable: {a} vs {b}");
     }
 
     #[test]

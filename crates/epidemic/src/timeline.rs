@@ -21,9 +21,6 @@ pub const STUDY_EPOCH_UNIX: u64 = 1_592_179_200;
 /// Days in the NetFlow measurement window (June 15–25 inclusive).
 pub const MEASUREMENT_DAYS: u32 = 11;
 
-/// Hours in the measurement window.
-pub const MEASUREMENT_HOURS: u32 = MEASUREMENT_DAYS * 24;
-
 /// Day index of the official app release (June 16).
 pub const RELEASE_DAY: u32 = 1;
 
@@ -63,11 +60,6 @@ impl StudyDay {
             format!("Aug {}", day_of_june - 61)
         }
     }
-
-    /// First hour index of this day.
-    pub fn start_hour(self) -> u32 {
-        self.0 * 24
-    }
 }
 
 /// Time conversion helpers over the study window.
@@ -101,17 +93,6 @@ impl Timeline {
     /// Splits an hour index into (day, hour-of-day).
     pub fn split(hour: u32) -> (StudyDay, u32) {
         (StudyDay(hour / 24), hour % 24)
-    }
-
-    /// Unix timestamp of the start of hour `hour`.
-    pub fn unix_of_hour(hour: u32) -> u64 {
-        STUDY_EPOCH_UNIX + u64::from(hour) * 3600
-    }
-
-    /// Simulation milliseconds of the start of hour `hour` (ms since
-    /// study epoch — the time base of `cwa-netflow` records).
-    pub fn ms_of_hour(hour: u32) -> u64 {
-        u64::from(hour) * 3_600_000
     }
 }
 
@@ -148,17 +129,8 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(Timeline::measurement().hours(), 264);
-        assert_eq!(Timeline::unix_of_hour(0), STUDY_EPOCH_UNIX);
-        assert_eq!(Timeline::unix_of_hour(24), STUDY_EPOCH_UNIX + 86_400);
-        assert_eq!(Timeline::ms_of_hour(2), 7_200_000);
         let (d, h) = Timeline::split(263);
         assert_eq!(d, StudyDay(10));
         assert_eq!(h, 23);
-    }
-
-    #[test]
-    fn study_day_start_hour() {
-        assert_eq!(StudyDay(0).start_hour(), 0);
-        assert_eq!(StudyDay(8).start_hour(), 192);
     }
 }

@@ -49,13 +49,6 @@ pub struct District {
     pub urban: UrbanClass,
 }
 
-impl District {
-    /// True for the paper's first outbreak district (Berlin, June 18).
-    pub fn is_berlin(&self) -> bool {
-        self.state == FederalState::Berlin
-    }
-}
-
 /// Real anchor cities: (name, state, population, lat, lon, zip prefix).
 /// Populations are city/district values around 2020.
 pub(crate) const ANCHORS: &[(&str, FederalState, u32, f64, f64, &str)] = &[
@@ -363,7 +356,6 @@ mod tests {
         let d = build_districts();
         assert_eq!(d[0].name, "Berlin");
         assert_eq!(d[0].id, DistrictId(0));
-        assert!(d[0].is_berlin());
     }
 
     #[test]

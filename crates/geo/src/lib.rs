@@ -21,8 +21,6 @@
 //!   the paper's prefix-persistence statistics. One ISP ("RegioNet",
 //!   18 % share) is the ground-truth ISP whose router locations are
 //!   known exactly, matching the paper's 18 % figure.
-//! * [`commuting`] — a gravity commuting model coupling districts (the
-//!   path by which the Gütersloh outbreak seeded Warendorf).
 //! * [`routers`] — the ground-truth ISP's customer-facing routers, with
 //!   the rural aggregation effect the paper warns about ("the router
 //!   city-location can be off the clients location").
@@ -36,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod commuting;
 pub mod district;
 pub mod geodb;
 pub mod germany;
@@ -44,7 +41,6 @@ pub mod isp;
 pub mod routers;
 pub mod state;
 
-pub use commuting::{CommutingConfig, CommutingMatrix};
 pub use district::{District, DistrictId, UrbanClass};
 pub use geodb::{GeoDb, GeoDbConfig, GeoEntry};
 pub use germany::Germany;

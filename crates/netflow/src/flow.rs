@@ -98,18 +98,6 @@ impl FlowRecord {
     pub fn duration_ms(&self) -> u64 {
         self.last_ms.saturating_sub(self.first_ms)
     }
-
-    /// True if this record describes traffic *from* any address in the
-    /// given `/len` prefix (used by the paper's "from the CDN to the
-    /// user" filter).
-    pub fn src_in_prefix(&self, prefix: Ipv4Addr, len: u8) -> bool {
-        in_prefix(self.key.src_ip, prefix, len)
-    }
-
-    /// True if the destination lies in the given prefix.
-    pub fn dst_in_prefix(&self, prefix: Ipv4Addr, len: u8) -> bool {
-        in_prefix(self.key.dst_ip, prefix, len)
-    }
 }
 
 /// Prefix membership test: does `addr` fall within `prefix/len`?
@@ -224,8 +212,5 @@ mod tests {
             tcp_flags: 0x1b,
         };
         assert_eq!(rec.duration_ms(), 3500);
-        assert!(rec.src_in_prefix(Ipv4Addr::new(81, 200, 16, 0), 22));
-        assert!(rec.dst_in_prefix(Ipv4Addr::new(93, 0, 0, 0), 8));
-        assert!(!rec.dst_in_prefix(Ipv4Addr::new(94, 0, 0, 0), 8));
     }
 }

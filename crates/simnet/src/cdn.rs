@@ -9,7 +9,6 @@
 //!
 //! * two synthetic IPv4 service prefixes with a handful of server
 //!   addresses each,
-//! * the two DNS names (API endpoint and website),
 //! * daily diagnosis-key export files, sized as the signed
 //!   export.bin + export.sig pair in the *actual* wire format from
 //!   `cwa-exposure`, so download flow sizes are honest.
@@ -20,17 +19,11 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use cwa_crypto::p256::SigningKey;
+use cwa_epidemic::timeline::STUDY_EPOCH_UNIX;
 use cwa_exposure::export::TemporaryExposureKeyExport;
 use cwa_exposure::signature::{encode_signature_list, SignatureInfo};
 use cwa_exposure::tek::{DiagnosisKey, TemporaryExposureKey};
 use cwa_exposure::time::EnIntervalNumber;
-
-/// DNS name of the key-distribution / API endpoint (modelled on the real
-/// `svc90.main.px.t-online.de`).
-pub const API_DNS_NAME: &str = "svc90.cwa-cdn.example-telekom.de";
-
-/// DNS name of the project website (modelled on `www.coronawarn.app`).
-pub const WEBSITE_DNS_NAME: &str = "www.coronawarn-app.example.de";
 
 /// The undocumented prefix CWA backend traffic migrates to under a
 /// [`CdnMigration`] scenario. Deliberately *not* in
@@ -134,7 +127,7 @@ impl CdnConfig {
 
 /// The key export of `day` holding `n_keys` freshly drawn TEKs.
 fn day_export<R: RngCore>(rng: &mut R, day: u32, n_keys: usize) -> TemporaryExposureKeyExport {
-    let start = EnIntervalNumber(((1_592_179_200 / 600) as u32) + day * 144);
+    let start = EnIntervalNumber(((STUDY_EPOCH_UNIX / 600) as u32) + day * 144);
     let keys: Vec<DiagnosisKey> = (0..n_keys)
         .map(|_| {
             let tek = TemporaryExposureKey::generate(rng, start);
@@ -226,11 +219,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn dns_names_differ() {
-        assert_ne!(API_DNS_NAME, WEBSITE_DNS_NAME);
     }
 
     #[test]

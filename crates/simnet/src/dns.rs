@@ -100,7 +100,7 @@ pub fn run_dns_study(
     days: u32,
 ) -> DnsStudy {
     let mut rng = ChaCha8Rng::seed_from_u64(model.seed);
-    let mut normals = crate::stats::NormalCache::new();
+    let mut normals = crate::samplers::NormalCache::new();
     let mut api_rank = Vec::with_capacity(days as usize);
     let mut website_rank = Vec::with_capacity(days as usize);
 

@@ -8,15 +8,14 @@
 //!
 //! * [`cdn`] — the CWA hosting infrastructure: two IPv4 service prefixes
 //!   (the paper filters §2 on "2 IPv4 prefixes mentioned in the CWA
-//!   backend documentation"), HTTPS-only servers, DNS names for API and
-//!   website, and daily diagnosis-key export files sized by the real
-//!   export format from `cwa-exposure`.
-//! * [`samplers`] / [`stats`] — seeded samplers for the traffic
-//!   generator: exact constant-draw Poisson (inversion + PTRS) and
-//!   Binomial (BINV + BTPE), paired Box–Muller normals and the
-//!   sampling-at-generation thinning live in the shared `cwa-samplers`
-//!   crate (re-exported here as [`samplers`]; [`stats`] re-exports the
-//!   common draws).
+//!   backend documentation"), HTTPS-only servers, and daily
+//!   diagnosis-key export files sized by the real export format from
+//!   `cwa-exposure`.
+//! * [`samplers`] — seeded samplers for the traffic generator: exact
+//!   constant-draw Poisson (inversion + PTRS) and Binomial (BINV +
+//!   BTPE), paired Box–Muller normals and the sampling-at-generation
+//!   thinning live in the shared `cwa-samplers` crate, re-exported
+//!   here.
 //! * [`traffic`] — the prefix-cohort traffic generator: every routing
 //!   prefix carries its district's share of app users and website
 //!   visitors; hourly flow intensities follow adoption × diurnal ×
@@ -46,7 +45,6 @@
 pub mod cdn;
 pub mod dns;
 pub mod sim;
-pub mod stats;
 pub mod traffic;
 pub mod vantage;
 

@@ -33,6 +33,7 @@ use std::sync::Arc;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use cwa_epidemic::timeline::STUDY_EPOCH_UNIX;
 use cwa_geo::{AddressPlan, DistrictId, GeoDb, IspId};
 use cwa_netflow::anonymize::CryptoPan;
 use cwa_netflow::cache::{CacheStats, FlowCache, FlowCacheConfig};
@@ -197,7 +198,7 @@ impl Router {
 
     fn export(&mut self, hour: u32) -> Vec<bytes::Bytes> {
         let expired = self.cache.take_expired();
-        let unix_secs = (1_592_179_200 + u64::from(hour + 1) * 3600) as u32;
+        let unix_secs = (STUDY_EPOCH_UNIX + u64::from(hour + 1) * 3600) as u32;
         match self.format {
             ExportFormat::V5 => {
                 if expired.is_empty() {

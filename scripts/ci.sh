@@ -223,6 +223,9 @@ for _ in $(seq 1 50); do
 done
 sleep 1.5
 ./target/release/cwa-repro scrape "$ADDR" /report > "$REPORT_B" || { echo "second /report scrape failed"; exit 1; }
+# A reader that stops early ends `watch` quietly: under pipefail a
+# watch that panics on the broken pipe (exit 101) fails the smoke.
+./target/release/cwa-repro watch "$ADDR" --interval-ms 50 | head -n 1 > /dev/null
 # `watch --claims` follows the rest of the replay and exits 0 at done.
 ./target/release/cwa-repro watch --claims "$ADDR" --interval-ms 250 > /dev/null
 wait "$LIVE_PID"

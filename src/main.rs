@@ -17,8 +17,10 @@
 
 use std::process::ExitCode;
 
+use cwa_analysis::filter::FlowFilter;
 use cwa_core::{run_seed_sweep, run_sweep, LiveOptions, ScenarioMatrix, Study, StudyConfig};
 use cwa_simnet::sim::ScenarioKind;
+use cwa_simnet::vantage::{VantageConfig, DEFAULT_SAMPLING_INTERVAL};
 use cwa_simnet::{SimConfig, Simulation};
 
 fn main() -> ExitCode {
@@ -133,7 +135,9 @@ fn usage() -> String {
      \x20 cwa-repro dns [--days N]\n\
      \x20     print the Umbrella-style DNS rank model output per day\n\
      \x20 cwa-repro ablation\n\
-     \x20     compare the paper scenario against the no-news counterfactual\n\
+     \x20     compare the paper scenario against the no-news counterfactual,\n\
+     \x20     then the §2-filtered records at router sampling 1:100, 1:1000\n\
+     \x20     and 1:4000\n\
      \x20 cwa-repro help\n"
         .to_owned()
 }
@@ -374,6 +378,14 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if opt(args, "--heartbeat-ms").is_some() && serve_addr.is_none() && heartbeat_jsonl.is_none() {
+        eprintln!("--heartbeat-ms requires --serve or --heartbeat-jsonl");
+        return ExitCode::FAILURE;
+    }
+    if opt(args, "--serve-linger-ms").is_some() && serve_addr.is_none() {
+        eprintln!("--serve-linger-ms requires --serve");
+        return ExitCode::FAILURE;
+    }
     // Live telemetry needs a registry even without --metrics.
     let want_registry = metrics_path.is_some() || serve_addr.is_some() || heartbeat_jsonl.is_some();
     let registry = want_registry.then(|| std::sync::Arc::new(cwa_obs::Registry::new()));
@@ -456,7 +468,6 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
             shards: shards.unwrap_or(1),
             replay_speed,
             publish: live_snapshot.clone(),
-            ..LiveOptions::default()
         })
     } else if let Some(n) = shards {
         study.run_sharded(n)
@@ -703,21 +714,29 @@ fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
     Ok((status, body))
 }
 
+/// Writes `text` to stdout in one `write_all` and flushes it. A reader
+/// that stops early (`… | head`) closes the pipe: that ends the output
+/// and reads `Ok(false)`, not an error.
+fn write_stdout(text: &str) -> std::io::Result<bool> {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
 /// `cwa-repro scrape ADDR PATH` — one-shot GET, body to stdout. A
 /// reader that stops early (`scrape … | head`) closes the pipe, which
 /// ends the output; the exit status still follows the HTTP status.
 fn scrape(_args: &[String], words: &[String]) -> ExitCode {
-    use std::io::Write;
     let (addr, path) = (&words[0], &words[1]);
     match http_get(addr, path) {
         Ok((status, body)) => {
-            let mut out = std::io::stdout().lock();
-            match out.write_all(body.as_bytes()).and_then(|()| out.flush()) {
-                Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
-                    eprintln!("cannot write the body: {e}");
-                    return ExitCode::FAILURE;
-                }
-                _ => {}
+            if let Err(e) = write_stdout(&body) {
+                eprintln!("cannot write the body: {e}");
+                return ExitCode::FAILURE;
             }
             if (200..300).contains(&status) {
                 ExitCode::SUCCESS
@@ -862,7 +881,8 @@ fn render_claims_frame(doc: &serde_json::Value) -> String {
 /// the run completes or the endpoint goes away after at least one
 /// successful poll (run ended and the server shut down). Default mode
 /// renders `/progress` as a per-shard rate/stall table; `--claims`
-/// renders the live `/report` claim table of a `study --live` run.
+/// renders the live `/report` claim table of a `study --live` run. A
+/// reader that stops early (`watch … | head`) ends the watch, exit 0.
 fn watch(args: &[String], words: &[String]) -> ExitCode {
     let claims_mode = flag(args, "--claims");
     let addr = &words[0];
@@ -875,6 +895,16 @@ fn watch(args: &[String], words: &[String]) -> ExitCode {
         }
     };
     let path = if claims_mode { "/report" } else { "/progress" };
+    // `Some(code)` stops the watch: the reader went away (exit 0) or
+    // stdout failed (exit 1).
+    let emit = |frame: &str| match write_stdout(frame) {
+        Ok(true) => None,
+        Ok(false) => Some(ExitCode::SUCCESS),
+        Err(e) => {
+            eprintln!("cannot write the frame: {e}");
+            Some(ExitCode::FAILURE)
+        }
+    };
     let mut successes = 0u64;
     let mut connect_failures = 0u32;
     let mut waiting_notice = false;
@@ -890,18 +920,25 @@ fn watch(args: &[String], words: &[String]) -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-                if claims_mode {
-                    print!("{}", render_claims_frame(&doc));
-                    if matches!(doc.get("done"), Some(serde_json::Value::Bool(true))) {
-                        println!("replay complete.");
-                        return ExitCode::SUCCESS;
-                    }
+                let (mut frame, done) = if claims_mode {
+                    let done = matches!(doc.get("done"), Some(serde_json::Value::Bool(true)));
+                    (render_claims_frame(&doc), done)
                 } else {
-                    print!("{}", render_progress_frame(&doc));
-                    if doc.get("state").and_then(|s| s.as_str()) == Some("done") {
-                        println!("run complete.");
-                        return ExitCode::SUCCESS;
-                    }
+                    let done = doc.get("state").and_then(|s| s.as_str()) == Some("done");
+                    (render_progress_frame(&doc), done)
+                };
+                if done {
+                    frame.push_str(if claims_mode {
+                        "replay complete.\n"
+                    } else {
+                        "run complete.\n"
+                    });
+                }
+                if let Some(code) = emit(&frame) {
+                    return code;
+                }
+                if done {
+                    return ExitCode::SUCCESS;
                 }
             }
             // 503 on /report: the live run is up but has not published
@@ -925,8 +962,8 @@ fn watch(args: &[String], words: &[String]) -> ExitCode {
             Err(e) => {
                 if successes > 0 {
                     // Watched the run and the server is gone: it ended.
-                    println!("endpoint gone after {successes} poll(s); run ended.");
-                    return ExitCode::SUCCESS;
+                    let note = format!("endpoint gone after {successes} poll(s); run ended.\n");
+                    return emit(&note).unwrap_or(ExitCode::SUCCESS);
                 }
                 connect_failures += 1;
                 if connect_failures >= 10 {
@@ -941,8 +978,8 @@ fn watch(args: &[String], words: &[String]) -> ExitCode {
 
 /// Flattens a parsed cwa-obs/v1 snapshot to `name → value` exactly
 /// like `Registry::sample` does for the live registry: counters and
-/// gauges by name, timers as `.total_ns`/`.count`, histograms as
-/// `.count`/`.sum`.
+/// gauges by name, timers as `.total_ns`/`.count`. A metric of any
+/// other type is an error that names it, never a silent gap in a diff.
 fn flatten_obs_snapshot(
     doc: &serde_json::Value,
 ) -> Result<std::collections::BTreeMap<String, i64>, String> {
@@ -959,19 +996,20 @@ fn flatten_obs_snapshot(
             Some(serde_json::Value::Num(n)) => n.as_i64().unwrap_or(0),
             _ => 0,
         };
-        match m.get("type").and_then(|t| t.as_str()).unwrap_or("") {
-            "counter" | "gauge" => {
+        match m.get("type").and_then(|t| t.as_str()) {
+            Some("counter" | "gauge") => {
                 out.insert(name.clone(), geti("value"));
             }
-            "timer" => {
+            Some("timer") => {
                 out.insert(format!("{name}.total_ns"), geti("total_ns"));
                 out.insert(format!("{name}.count"), geti("count"));
             }
-            "histogram" => {
-                out.insert(format!("{name}.count"), geti("count"));
-                out.insert(format!("{name}.sum"), geti("sum"));
+            Some(other) => {
+                return Err(format!(
+                    "metric `{name}` has type `{other}`, which obs-diff cannot read"
+                ))
             }
-            _ => {}
+            None => return Err(format!("metric `{name}` has no type")),
         }
     }
     Ok(out)
@@ -1333,6 +1371,18 @@ fn dns(args: &[String], _words: &[String]) -> ExitCode {
 }
 
 fn ablation(_args: &[String], _words: &[String]) -> ExitCode {
+    let simulate = |scenario, sampling_interval| {
+        Simulation::new(SimConfig {
+            scale: 0.008,
+            scenario,
+            vantage: VantageConfig {
+                sampling_interval,
+                ..VantageConfig::default()
+            },
+            ..SimConfig::default()
+        })
+        .run()
+    };
     println!("June-23 re-surge (Jun 23–25 / Jun 20–22 true CWA flows):");
     for (label, kind) in [
         ("paper (outbreaks + news)", ScenarioKind::Paper),
@@ -1342,16 +1392,25 @@ fn ablation(_args: &[String], _words: &[String]) -> ExitCode {
         ),
         ("quiet                   ", ScenarioKind::Quiet),
     ] {
-        let out = Simulation::new(SimConfig {
-            scale: 0.008,
-            scenario: kind,
-            ..SimConfig::default()
-        })
-        .run();
+        let out = simulate(kind, DEFAULT_SAMPLING_INTERVAL);
         let t = &out.truth.cwa_flows_by_hour;
         let pre: u64 = t[5 * 24..8 * 24].iter().sum();
         let post: u64 = t[8 * 24..11 * 24].iter().sum();
         println!("  {label}: {:.3}x", post as f64 / pre.max(1) as f64);
+    }
+    // What the researchers see of the paper scenario: the records the
+    // §2 filter keeps, and how many of them carry at most two packets.
+    println!("Router sampling interval vs. §2-filtered records:");
+    for sampling in [100u32, 1000, 4000] {
+        let out = simulate(ScenarioKind::Paper, sampling);
+        let matching = FlowFilter::cwa(out.cdn.service_prefixes.to_vec()).apply(&out.records);
+        let few = matching.iter().filter(|r| r.packets <= 2).count() as f64
+            / matching.len().max(1) as f64;
+        println!(
+            "  1:{sampling:<5} → {:>7} records, {:>5.1}% with ≤2 packets",
+            matching.len(),
+            few * 100.0
+        );
     }
     ExitCode::SUCCESS
 }
@@ -1368,7 +1427,6 @@ mod tests {
     const A: &str = r#"{"schema":"cwa-obs/v1","metrics":{
         "netflow.collector.records":{"type":"counter","value":1000},
         "queue.depth":{"type":"gauge","value":-2},
-        "sizes":{"type":"histogram","count":4,"sum":40,"min":10,"max":10,"buckets":[]},
         "phase.analyze":{"type":"timer","count":1,"total_ns":1000000,"mean_ns":1000000}}}"#;
 
     fn argv(line: &str) -> Vec<String> {
@@ -1517,8 +1575,6 @@ mod tests {
         let s = snapshot(A);
         assert_eq!(s.get("netflow.collector.records"), Some(&1000));
         assert_eq!(s.get("queue.depth"), Some(&-2));
-        assert_eq!(s.get("sizes.count"), Some(&4));
-        assert_eq!(s.get("sizes.sum"), Some(&40));
         assert_eq!(s.get("phase.analyze.total_ns"), Some(&1_000_000));
         assert_eq!(s.get("phase.analyze.count"), Some(&1));
     }
@@ -1528,6 +1584,17 @@ mod tests {
         let doc: serde_json::Value =
             serde_json::from_str(r#"{"schema":"other/v2","metrics":{}}"#).unwrap();
         assert!(flatten_obs_snapshot(&doc).is_err());
+        // A metric type obs-diff cannot read fails the load by name.
+        let with_histogram = A.replace(
+            r#""queue.depth""#,
+            r#""sizes":{"type":"histogram","count":4,"sum":40,"min":10,"max":10,"buckets":[]},
+            "queue.depth""#,
+        );
+        let doc: serde_json::Value = serde_json::from_str(&with_histogram).unwrap();
+        assert_eq!(
+            flatten_obs_snapshot(&doc),
+            Err("metric `sizes` has type `histogram`, which obs-diff cannot read".to_owned())
+        );
     }
 
     #[test]

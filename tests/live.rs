@@ -284,7 +284,6 @@ fn paced_replay_publishes_advancing_documents() {
         // takes ~0.7 s, slow enough to observe several interim states.
         replay_speed: Some(1_440_000.0),
         publish: Some(Arc::clone(&live)),
-        ..LiveOptions::default()
     };
     let worker = std::thread::spawn(move || {
         Study::new(StudyConfig::test_small())

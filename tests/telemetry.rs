@@ -361,9 +361,10 @@ fn scrape_server_headers_and_live_status_semantics() {
     heartbeat.stop();
 }
 
-/// `cwa-repro scrape ADDR PATH | head -c N`: a reader that closes the
-/// pipe early ends the output. The CLI must neither panic on the broken
-/// pipe nor fail the scrape; its exit status follows the HTTP status.
+/// `cwa-repro scrape ADDR PATH | head -c N` and `cwa-repro watch ADDR |
+/// head -c N`: a reader that closes the pipe early ends the output. The
+/// CLI must not panic on the broken pipe. A scrape's exit status follows
+/// the HTTP status; a watch ends with exit 0.
 #[test]
 fn scrape_cli_stops_quietly_when_its_reader_closes_the_pipe() {
     let live = Arc::new(LiveSnapshot::new());
@@ -381,24 +382,57 @@ fn scrape_cli_stops_quietly_when_its_reader_closes_the_pipe() {
     )
     .expect("server binds");
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cwa-repro"))
-        .args(["scrape", &server.local_addr().to_string(), "/report"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("cwa-repro starts");
-    let mut stdout = child.stdout.take().expect("piped stdout");
-    let mut first = [0u8; 8];
-    stdout.read_exact(&mut first).expect("the body starts");
-    assert_eq!(&first, b"{\"pad\":\"");
-    drop(stdout);
-    let output = child.wait_with_output().expect("cwa-repro exits");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert!(
-        output.status.success(),
-        "{:?}, stderr: {stderr}",
-        output.status
-    );
+    let addr = server.local_addr().to_string();
+    // Nothing marks the run done, so `/progress` reads "running" and the
+    // watch writes a frame every 10 ms until its reader goes away.
+    let scrape: &[&str] = &["scrape", &addr, "/report"];
+    let watch: &[&str] = &["watch", &addr, "--interval-ms", "10"];
+    for (args, starts_with) in [(scrape, &b"{\"pad\":\""[..]), (watch, &b"running"[..])] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cwa-repro"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cwa-repro starts");
+        let mut stdout = child.stdout.take().expect("piped stdout");
+        let mut first = vec![0u8; starts_with.len()];
+        stdout.read_exact(&mut first).expect("the output starts");
+        assert_eq!(first, starts_with, "{args:?}");
+        drop(stdout);
+        let output = child.wait_with_output().expect("cwa-repro exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
+        assert!(
+            output.status.success(),
+            "{args:?}: {:?}, stderr: {stderr}",
+            output.status
+        );
+    }
     server.shutdown();
+}
+
+/// `study` rejects a flag that would do nothing without another one,
+/// naming it, before the run starts: `--replay-speed` and `--days`
+/// without `--live`, `--heartbeat-ms` without `--serve` or
+/// `--heartbeat-jsonl`, and `--serve-linger-ms` without `--serve`.
+#[test]
+fn study_rejects_flags_it_would_ignore() {
+    for (flag, value) in [
+        ("--replay-speed", "10"),
+        ("--days", "2"),
+        ("--heartbeat-ms", "100"),
+        ("--serve-linger-ms", "10"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_cwa-repro"))
+            .args(["study", flag, value])
+            .output()
+            .expect("cwa-repro runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag}: stderr: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: stderr: {stderr}");
+        assert!(
+            !stderr.contains("running study"),
+            "{flag}: stderr: {stderr}"
+        );
+    }
 }
