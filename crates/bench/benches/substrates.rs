@@ -37,6 +37,15 @@ fn crypto_benches(c: &mut Criterion) {
     g.bench_function("aes128/block", |b| {
         b.iter(|| aes.encrypt_block(black_box(&[1u8; 16])))
     });
+    // Crypto-PAn's hot path, on whichever kernel this CPU runs: AES-NI
+    // where it has it, the T-tables elsewhere.
+    g.bench_function("aes128/byte0_batch1", |b| {
+        b.iter(|| aes.encrypt_byte0_batch(black_box(&[[1u8; 16]])))
+    });
+    g.throughput(Throughput::Elements(8));
+    g.bench_function("aes128/byte0_batch8", |b| {
+        b.iter(|| aes.encrypt_byte0_batch(black_box(&[[1u8; 16]; 8])))
+    });
     g.finish();
 }
 

@@ -7,3 +7,5 @@
 //! full-scale bench divides by; no bench rewrites it. The figures and
 //! the claim table are written by `cwa-repro study --out DIR`, not by a
 //! bench.
+
+#![forbid(unsafe_code)]

@@ -5,24 +5,39 @@
 //! function. It never decrypts, so only the forward direction is
 //! implemented.
 //!
-//! ## Kernel
+//! ## Kernels
 //!
-//! Rounds use the 32-bit table formulation of Rijndael (Daemen &
-//! Rijmen, *AES Proposal: Rijndael*, §5.2): SubBytes, ShiftRows and
-//! MixColumns of one output column collapse into four lookups in the
-//! tables `TE0..TE3`, which `const fn` builds from `SBOX` at compile
-//! time. [`Aes128::encrypt_byte0_batch`] runs N independent blocks
-//! through the rounds in lockstep, so their lookups overlap, and
-//! computes only what byte 0 of each ciphertext needs: column 0 in
-//! round 9, byte 0 in round 10. That is all Crypto-PAn reads of its PRF.
+//! [`Aes128::encrypt_byte0_batch`], Crypto-PAn's hot path, has two
+//! kernels over the same expanded key, and the CPU alone picks one:
+//! [`Aes128::new`] asks once whether it executes AES-NI.
+//!
+//! * **AES-NI** (x86-64 CPUs that have it): all N blocks of a batch go
+//!   through the `aesenc`/`aesenclast` round instructions in flight
+//!   together. The instructions need a `#[target_feature]` function, and
+//!   calling one needs `unsafe`: the kernel's one call site is the only
+//!   `unsafe` block in the workspace, reached only when the runtime
+//!   check held.
+//! * **T-tables** (every other CPU, and [`Aes128::encrypt_block`]
+//!   everywhere): the 32-bit table formulation of Rijndael (Daemen &
+//!   Rijmen, *AES Proposal: Rijndael*, §5.2). SubBytes, ShiftRows and
+//!   MixColumns of one output column collapse into four lookups in the
+//!   tables `TE0..TE3`, which `const fn` builds from `SBOX` at compile
+//!   time. A batch runs its N blocks through the rounds in lockstep, so
+//!   their lookups overlap, and computes only what byte 0 of each
+//!   ciphertext needs: column 0 in round 9, byte 0 in round 10. That is
+//!   all Crypto-PAn reads of its PRF. This kernel is also the reference
+//!   the AES-NI kernel is tested against.
+//!
 //! The byte-wise FIPS 197 rounds survive only as a test oracle.
 //!
-//! **Not constant-time.** Table indices depend on key and data, so an
-//! encryption's timing and cache footprint leak information about both.
-//! Like the rest of the crate this is not hardened (see the crate docs).
+//! **The table path is not constant-time.** Its table indices depend on
+//! key and data, so an encryption's timing and cache footprint leak
+//! information about both. Like the rest of the crate this is not
+//! hardened (see the crate docs).
 //!
 //! Verified against the FIPS 197 Appendix B/C vectors, NIST SP 800-38A
-//! ECB vectors, and the byte-wise oracle on random keys and blocks.
+//! ECB vectors, and the byte-wise oracle on random keys and blocks,
+//! through both kernels.
 
 /// AES S-box (FIPS 197 Figure 7).
 const SBOX: [u8; 256] = [
@@ -75,6 +90,9 @@ const TE3: [u32; 256] = round_table(24);
 
 /// An AES-128 cipher with an expanded key schedule.
 ///
+/// Whether its batches run on AES-NI is fixed in [`Aes128::new`] by the
+/// CPU; both kernels give the same bytes.
+///
 /// ```
 /// use cwa_crypto::Aes128;
 /// let key = [0u8; 16];
@@ -87,6 +105,8 @@ const TE3: [u32; 256] = round_table(24);
 pub struct Aes128 {
     /// 11 round keys, each as four big-endian column words.
     round_keys: [[u32; 4]; 11],
+    /// The AES-NI kernel, present only if this CPU executes AES-NI.
+    ni: Option<ni::Kernel>,
 }
 
 impl Aes128 {
@@ -114,7 +134,8 @@ impl Aes128 {
         for (r, rk) in round_keys.iter_mut().enumerate() {
             rk.copy_from_slice(&w[4 * r..4 * r + 4]);
         }
-        Aes128 { round_keys }
+        let ni = ni::Kernel::detect(&round_keys);
+        Aes128 { round_keys, ni }
     }
 
     /// Encrypts a single 16-byte block.
@@ -140,11 +161,21 @@ impl Aes128 {
     /// Encrypts `N` independent blocks and returns byte 0 of each
     /// ciphertext: `out[i] == self.encrypt_block(&blocks[i])[0]`.
     ///
+    /// Runs on AES-NI where the CPU has it, on the T-tables elsewhere.
+    pub fn encrypt_byte0_batch<const N: usize>(&self, blocks: &[[u8; 16]; N]) -> [u8; N] {
+        match &self.ni {
+            Some(ni) => ni.encrypt_byte0_batch(blocks),
+            None => self.table_byte0_batch(blocks),
+        }
+    }
+
+    /// The T-table kernel of [`Aes128::encrypt_byte0_batch`].
+    ///
     /// The blocks go through rounds 1–8 in lockstep, so the table
     /// lookups of different blocks overlap instead of queueing behind one
     /// another. Round 9 computes only column 0, and round 10 only byte 0:
     /// a quarter and a sixteenth of a full round.
-    pub fn encrypt_byte0_batch<const N: usize>(&self, blocks: &[[u8; 16]; N]) -> [u8; N] {
+    fn table_byte0_batch<const N: usize>(&self, blocks: &[[u8; 16]; N]) -> [u8; N] {
         let rk = &self.round_keys;
         let mut states = blocks.map(|b| whiten(&b, &rk[0]));
         for k in &rk[1..9] {
@@ -185,6 +216,87 @@ fn round(s: &[u32; 4], k: &[u32; 4]) -> [u32; 4] {
         column(s, 2) ^ k[2],
         column(s, 3) ^ k[3],
     ]
+}
+
+/// The AES-NI kernel: the round keys [`Aes128::new`] expanded, run
+/// through the CPU's AES round instructions.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use std::arch::x86_64::{
+        _mm_aesenc_si128, _mm_aesenclast_si128, _mm_cvtsi128_si32, _mm_set_epi64x, _mm_xor_si128,
+    };
+
+    /// The 11 round keys in FIPS 197 byte order. [`Kernel::detect`] is
+    /// its one constructor, so a `Kernel` exists only on a CPU that
+    /// executes AES-NI.
+    #[derive(Clone)]
+    pub(super) struct Kernel {
+        round_keys: [[u8; 16]; 11],
+    }
+
+    impl Kernel {
+        /// The kernel for `round_keys` (big-endian column words), if this
+        /// CPU has AES-NI.
+        pub(super) fn detect(round_keys: &[[u32; 4]; 11]) -> Option<Kernel> {
+            is_x86_feature_detected!("aes").then(|| Kernel {
+                round_keys: round_keys
+                    .map(|rk| std::array::from_fn(|i| (rk[i / 4] >> (24 - 8 * (i % 4))) as u8)),
+            })
+        }
+
+        /// [`super::Aes128::encrypt_byte0_batch`] on AES-NI.
+        #[allow(unsafe_code)]
+        pub(super) fn encrypt_byte0_batch<const N: usize>(
+            &self,
+            blocks: &[[u8; 16]; N],
+        ) -> [u8; N] {
+            // SAFETY: `byte0_batch` is safe Rust, but it may only run on a
+            // CPU with the `aes` feature it is compiled for. `self` exists
+            // only if `Kernel::detect`'s runtime check,
+            // `is_x86_feature_detected!("aes")`, held.
+            unsafe { byte0_batch(&self.round_keys, blocks) }
+        }
+    }
+
+    /// Byte 0 of each block's ciphertext, all `N` blocks in flight
+    /// through each round.
+    #[target_feature(enable = "aes")]
+    fn byte0_batch<const N: usize>(round_keys: &[[u8; 16]; 11], blocks: &[[u8; 16]; N]) -> [u8; N] {
+        // Byte i of the block in byte lane i, as a 16-byte load puts it.
+        let load = |bytes: &[u8; 16]| {
+            let x = u128::from_le_bytes(*bytes);
+            _mm_set_epi64x((x >> 64) as i64, x as i64)
+        };
+        let rk = round_keys.map(|k| load(&k));
+        let mut states = blocks.map(|b| _mm_xor_si128(load(&b), rk[0]));
+        for k in &rk[1..10] {
+            for s in states.iter_mut() {
+                *s = _mm_aesenc_si128(*s, *k);
+            }
+        }
+        states.map(|s| _mm_cvtsi128_si32(_mm_aesenclast_si128(s, rk[10])) as u8)
+    }
+}
+
+/// Off x86-64 no CPU has the AES-NI kernel, and the T-tables run.
+#[cfg(not(target_arch = "x86_64"))]
+mod ni {
+    /// Uninhabited: there is no AES-NI kernel here.
+    #[derive(Clone)]
+    pub(super) enum Kernel {}
+
+    impl Kernel {
+        pub(super) fn detect(_round_keys: &[[u32; 4]; 11]) -> Option<Kernel> {
+            None
+        }
+
+        pub(super) fn encrypt_byte0_batch<const N: usize>(
+            &self,
+            _blocks: &[[u8; 16]; N],
+        ) -> [u8; N] {
+            match *self {}
+        }
+    }
 }
 
 /// The byte-wise FIPS 197 rounds on a 16-byte state (byte `i` is row
@@ -281,12 +393,37 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The AES-NI kernel's byte 0s, or `None` on a CPU without AES-NI.
+    fn hardware<const N: usize>(aes: &Aes128, blocks: &[[u8; 16]; N]) -> Option<[u8; N]> {
+        aes.ni.as_ref().map(|ni| ni.encrypt_byte0_batch(blocks))
+    }
+
+    /// Says so, once per test run, when the hardware half is skipped. The
+    /// note goes straight to the stderr handle, which the test harness
+    /// does not capture, so a plain `cargo test` shows it.
+    fn note_skipped_hardware(aes: &Aes128) {
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        if aes.ni.is_none() {
+            NOTE.call_once(|| {
+                use std::io::Write;
+                let note = "this CPU has no AES-NI: the hardware kernel is not tested\n";
+                let _ = std::io::stderr().write_all(note.as_bytes());
+            });
+        }
+    }
+
     /// Checks `block` under `aes` through every entry point: the table
-    /// kernel, the byte-wise oracle and the batch's byte 0.
+    /// kernel, the byte-wise oracle, the batch's byte 0 as dispatched,
+    /// and both kernels' byte 0 on their own.
     fn encrypts_to(aes: &Aes128, block: &[u8; 16], expected: &str) {
         assert_eq!(hex(&aes.encrypt_block(block)), expected);
         assert_eq!(hex(&bytewise::encrypt_block(aes, block)), expected);
         assert_eq!(hex(&aes.encrypt_byte0_batch(&[*block])), expected[..2]);
+        assert_eq!(hex(&aes.table_byte0_batch(&[*block])), expected[..2]);
+        if let Some(byte0) = hardware(aes, &[*block]) {
+            assert_eq!(hex(&byte0), expected[..2]);
+        }
+        note_skipped_hardware(aes);
     }
 
     /// FIPS 197 Appendix B worked example.
@@ -334,6 +471,10 @@ mod tests {
         let blocks = cases.map(|(pt, _)| unhex16(pt));
         let firsts = cases.map(|(_, ct)| unhex16(ct)[0]);
         assert_eq!(aes.encrypt_byte0_batch(&blocks), firsts);
+        assert_eq!(aes.table_byte0_batch(&blocks), firsts);
+        if let Some(byte0) = hardware(&aes, &blocks) {
+            assert_eq!(byte0, firsts);
+        }
     }
 
     #[test]
@@ -365,10 +506,12 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    /// The table kernel and the batch entry (N = 1 and N = 8) against the
-    /// byte-wise oracle: 10,000 random keys, eight random blocks each.
+    /// Both kernels against the byte-wise oracle, and the AES-NI kernel
+    /// against the T-table kernel: 10,000 random keys, eight random
+    /// blocks each, in batches of 1, 2, 4 and 8. On a CPU without AES-NI
+    /// the hardware half is skipped, and the test says so.
     #[test]
-    fn table_kernel_matches_bytewise_oracle() {
+    fn kernels_match_bytewise_oracle_and_each_other() {
         // SplitMix64: a self-contained source of test keys and blocks.
         let mut state = 0x0005_eed0_fae5_u64;
         let mut next16 = || {
@@ -382,6 +525,20 @@ mod tests {
             }
             out
         };
+        /// Batches of `N` over `blocks`: the table kernel against the
+        /// oracle's byte 0s, the AES-NI kernel against the table kernel,
+        /// and the dispatched entry against the oracle.
+        fn batches<const N: usize>(aes: &Aes128, blocks: &[[u8; 16]; 8], oracle: &[u8; 8]) {
+            for (run, expected) in blocks.chunks_exact(N).zip(oracle.chunks_exact(N)) {
+                let run: &[[u8; 16]; N] = run.try_into().unwrap();
+                let table = aes.table_byte0_batch(run);
+                assert_eq!(table[..], expected[..]);
+                if let Some(ni) = hardware(aes, run) {
+                    assert_eq!(ni, table);
+                }
+                assert_eq!(aes.encrypt_byte0_batch(run)[..], expected[..]);
+            }
+        }
         for _ in 0..10_000 {
             let aes = Aes128::new(&next16());
             let blocks: [[u8; 16]; 8] = std::array::from_fn(|_| next16());
@@ -389,8 +546,12 @@ mod tests {
             for (block, expected) in blocks.iter().zip(&oracle) {
                 assert_eq!(&aes.encrypt_block(block), expected);
             }
-            assert_eq!(aes.encrypt_byte0_batch(&blocks), oracle.map(|ct| ct[0]));
-            assert_eq!(aes.encrypt_byte0_batch(&[blocks[0]]), [oracle[0][0]]);
+            let oracle0 = oracle.map(|ct| ct[0]);
+            batches::<1>(&aes, &blocks, &oracle0);
+            batches::<2>(&aes, &blocks, &oracle0);
+            batches::<4>(&aes, &blocks, &oracle0);
+            batches::<8>(&aes, &blocks, &oracle0);
         }
+        note_skipped_hardware(&Aes128::new(&[0; 16]));
     }
 }

@@ -7,10 +7,11 @@
 //!   key-export signatures and for the report's config hash.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104 / FIPS 198-1), used for the
 //!   RFC 6979 nonces of [`p256`].
-//! * [`aes`] — AES-128 block encryption (FIPS 197) on 32-bit round
-//!   tables, used by the Crypto-PAn prefix-preserving IP anonymizer in
-//!   `cwa-netflow`: one block for its pad, and a batch entry that
-//!   returns byte 0 of each ciphertext for its per-bit flips.
+//! * [`aes`] — AES-128 block encryption (FIPS 197), used by the
+//!   Crypto-PAn prefix-preserving IP anonymizer in `cwa-netflow`: one
+//!   block for its pad, on 32-bit round tables, and a batch entry that
+//!   returns byte 0 of each ciphertext for its per-bit flips, on AES-NI
+//!   where the CPU has it and on the round tables elsewhere.
 //! * [`p256`] — ECDSA over NIST P-256 with RFC 6979 deterministic
 //!   nonces (on [`u256`] fixed-width arithmetic), as used to sign the
 //!   real CWA key-export files.
@@ -28,10 +29,19 @@
 //!
 //! These implementations favour clarity and testability. They are **not
 //! hardened** and must not be used outside this research context. In
-//! particular nothing is constant-time: the AES round tables are indexed
-//! by key- and data-dependent bytes, so timing and cache state leak both.
+//! particular nothing on the table path is constant-time: the AES round
+//! tables are indexed by key- and data-dependent bytes, so timing and
+//! cache state leak both. That path runs every single-block encryption,
+//! and every batch on a CPU without AES-NI.
+//!
+//! ## Unsafe code
+//!
+//! Other crates of the workspace forbid `unsafe` outright. This one
+//! denies it and lets one item through: the call into the AES-NI kernel
+//! in [`aes`], which runs only after a runtime check found AES-NI on the
+//! CPU. `scripts/ci.sh` fails if a second such item appears.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

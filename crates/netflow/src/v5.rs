@@ -122,26 +122,7 @@ impl ExportPacket {
         buf.put_u16(self.header.sampling);
 
         for rec in &self.records {
-            buf.put_u32(u32::from(rec.key.src_ip));
-            buf.put_u32(u32::from(rec.key.dst_ip));
-            buf.put_u32(0); // nexthop (not modelled)
-            buf.put_u16(0); // input ifindex
-            buf.put_u16(0); // output ifindex
-            buf.put_u32(rec.packets.min(u64::from(u32::MAX)) as u32);
-            buf.put_u32(rec.bytes.min(u64::from(u32::MAX)) as u32);
-            buf.put_u32(rec.first_ms as u32); // wraps like SysUptime
-            buf.put_u32(rec.last_ms as u32);
-            buf.put_u16(rec.key.src_port);
-            buf.put_u16(rec.key.dst_port);
-            buf.put_u8(0); // pad1
-            buf.put_u8(rec.tcp_flags);
-            buf.put_u8(rec.key.protocol.number());
-            buf.put_u8(0); // tos
-            buf.put_u16(0); // src AS
-            buf.put_u16(0); // dst AS
-            buf.put_u8(0); // src mask
-            buf.put_u8(0); // dst mask
-            buf.put_u16(0); // pad2
+            buf.put_slice(&encode_record(rec));
         }
         buf.freeze()
     }
@@ -211,6 +192,27 @@ impl ExportPacket {
     }
 }
 
+/// One record's 48 bytes, written whole so the datagram takes one append
+/// per record. The fields this simulation does not model stay zero:
+/// nexthop (8..12), the input and output ifindex (12..16), pad1 (36),
+/// tos (39), the source and destination AS (40..44) and masks (44..46),
+/// and pad2 (46..48).
+fn encode_record(rec: &FlowRecord) -> [u8; RECORD_LEN] {
+    let mut out = [0u8; RECORD_LEN];
+    let mut put = |at: usize, field: &[u8]| out[at..at + field.len()].copy_from_slice(field);
+    let saturate = |count: u64| count.min(u64::from(u32::MAX)) as u32;
+    put(0, &u32::from(rec.key.src_ip).to_be_bytes());
+    put(4, &u32::from(rec.key.dst_ip).to_be_bytes());
+    put(16, &saturate(rec.packets).to_be_bytes());
+    put(20, &saturate(rec.bytes).to_be_bytes());
+    put(24, &(rec.first_ms as u32).to_be_bytes()); // wraps like SysUptime
+    put(28, &(rec.last_ms as u32).to_be_bytes());
+    put(32, &rec.key.src_port.to_be_bytes());
+    put(34, &rec.key.dst_port.to_be_bytes());
+    put(37, &[rec.tcp_flags, rec.key.protocol.number()]);
+    out
+}
+
 /// Splits an arbitrary batch of records into correctly-numbered v5
 /// datagrams. `flow_sequence` continues from `start_sequence`; returns
 /// the packets and the next sequence number.
@@ -277,6 +279,41 @@ mod tests {
         };
         let bytes = pkt.encode();
         assert_eq!(bytes.len(), HEADER_LEN + 3 * RECORD_LEN);
+    }
+
+    /// The exact bytes of a one-record datagram, field by field as
+    /// Cisco's v5 layout places them. Decode skips the zero fields, so
+    /// only this test sees them.
+    #[test]
+    fn golden_bytes() {
+        let pkt = ExportPacket {
+            header: V5Header {
+                sys_uptime_ms: 0x0102_0304,
+                unix_secs: 1_592_179_200,
+                unix_nsecs: 7,
+                flow_sequence: 999,
+                engine_type: 0,
+                engine_id: 3,
+                sampling: V5Header::sampling_field(1, 1000),
+            },
+            records: vec![sample_record(1)],
+        };
+        let expected = concat!(
+            // version, count, sys_uptime, unix_secs, unix_nsecs
+            "0005", "0001", "01020304", "5ee6ba00", "00000007",
+            // flow_sequence, engine type and id, sampling mode + interval
+            "000003e7", "00", "03", "43e8",
+            // src 81.200.16.1, dst 91.4.1.7, nexthop, ifindex in, out
+            "51c81001", "5b040107", "00000000", "0000", "0000",
+            // packets, bytes, first, last
+            "00000002", "00000af0", "000003e8", "000007d1",
+            // src port 443, dst port 49153, pad1, tcp flags, proto, tos
+            "01bb", "c001", "00", "1b", "06", "00",
+            // src AS, dst AS, src mask, dst mask, pad2
+            "0000", "0000", "00", "00", "0000",
+        );
+        let hex: String = pkt.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, expected);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! cwa-repro help
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use cwa_analysis::filter::FlowFilter;
@@ -62,8 +64,7 @@ fn run(args: &[String]) -> ExitCode {
 }
 
 fn help(_args: &[String], _words: &[String]) -> ExitCode {
-    print!("{}", usage());
-    ExitCode::SUCCESS
+    emit(&usage()).unwrap_or(ExitCode::SUCCESS)
 }
 
 fn usage() -> String {
@@ -521,7 +522,12 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         }
     };
     eprintln!("done in {:?}\n", start.elapsed());
-    println!("{}", report.render_text());
+    // The claim table is one output of several: a reader that stops
+    // early ends it, not the files below or the claims' exit status.
+    if let Err(e) = write_stdout(&format!("{}\n", report.render_text())) {
+        eprintln!("cannot write to stdout: {e}");
+        return ExitCode::FAILURE;
+    }
 
     if let (Some(path), Some(registry)) = (&metrics_path, &registry) {
         let snapshot = if path.ends_with(".prom") {
@@ -667,7 +673,11 @@ fn sweep(args: &[String], _words: &[String]) -> ExitCode {
         }
     };
     eprintln!("done in {:?}\n", start.elapsed());
-    println!("{text}");
+    // A reader that stops early ends the table, not the --json file.
+    if let Err(e) = write_stdout(&format!("{text}\n")) {
+        eprintln!("cannot write to stdout: {e}");
+        return ExitCode::FAILURE;
+    }
     if let Some(json_path) = opt(args, "--json") {
         if let Err(e) = std::fs::write(&json_path, json) {
             eprintln!("cannot write {json_path}: {e}");
@@ -716,7 +726,8 @@ fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
 
 /// Writes `text` to stdout in one `write_all` and flushes it. A reader
 /// that stops early (`… | head`) closes the pipe: that ends the output
-/// and reads `Ok(false)`, not an error.
+/// and reads `Ok(false)`, not an error. Every command writes its stdout
+/// through here, never with `print!`, which panics on a closed pipe.
 fn write_stdout(text: &str) -> std::io::Result<bool> {
     use std::io::Write;
     let mut out = std::io::stdout().lock();
@@ -724,6 +735,20 @@ fn write_stdout(text: &str) -> std::io::Result<bool> {
         Ok(()) => Ok(true),
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
         Err(e) => Err(e),
+    }
+}
+
+/// Writes `text` through [`write_stdout`] for a command whose output is
+/// all it makes. `Some(code)` ends the command: exit 0 when the reader
+/// went away, 1 on any other write error (named on stderr).
+fn emit(text: &str) -> Option<ExitCode> {
+    match write_stdout(text) {
+        Ok(true) => None,
+        Ok(false) => Some(ExitCode::SUCCESS),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            Some(ExitCode::FAILURE)
+        }
     }
 }
 
@@ -895,16 +920,6 @@ fn watch(args: &[String], words: &[String]) -> ExitCode {
         }
     };
     let path = if claims_mode { "/report" } else { "/progress" };
-    // `Some(code)` stops the watch: the reader went away (exit 0) or
-    // stdout failed (exit 1).
-    let emit = |frame: &str| match write_stdout(frame) {
-        Ok(true) => None,
-        Ok(false) => Some(ExitCode::SUCCESS),
-        Err(e) => {
-            eprintln!("cannot write the frame: {e}");
-            Some(ExitCode::FAILURE)
-        }
-    };
     let mut successes = 0u64;
     let mut connect_failures = 0u32;
     let mut waiting_notice = false;
@@ -1079,8 +1094,8 @@ fn obs_diff(args: &[String], words: &[String]) -> ExitCode {
 
     let rows = diff_snapshots(&a, &b);
     let changed: Vec<&DiffRow> = rows.iter().filter(|(_, a, b)| a != b).collect();
-    println!(
-        "{} metrics compared ({} changed, {} only in A, {} only in B)",
+    let mut out = format!(
+        "{} metrics compared ({} changed, {} only in A, {} only in B)\n",
         rows.len(),
         changed
             .iter()
@@ -1090,8 +1105,8 @@ fn obs_diff(args: &[String], words: &[String]) -> ExitCode {
         rows.iter().filter(|(_, a, _)| a.is_none()).count(),
     );
     if !changed.is_empty() {
-        println!(
-            "{:<52} {:>16} {:>16} {:>12} {:>9}",
+        out += &format!(
+            "{:<52} {:>16} {:>16} {:>12} {:>9}\n",
             "metric", "A", "B", "delta", "rel"
         );
         for (name, va, vb) in &changed {
@@ -1107,26 +1122,34 @@ fn obs_diff(args: &[String], words: &[String]) -> ExitCode {
                 Some(pct) => format!("{pct:+.1}%"),
                 None => "—".to_string(),
             };
-            println!(
-                "{name:<52} {:>16} {:>16} {delta:>12} {rel:>9}",
+            out += &format!(
+                "{name:<52} {:>16} {:>16} {delta:>12} {rel:>9}\n",
                 fmt(*va),
                 fmt(*vb)
             );
         }
     }
 
-    if let Some(threshold) = threshold {
-        let regressions = phase_regressions(&rows, threshold);
+    let regressions = threshold.map(|threshold| (threshold, phase_regressions(&rows, threshold)));
+    if let Some((threshold, regressions)) = &regressions {
         if regressions.is_empty() {
-            println!("no phase.* timer regressed beyond {threshold}%");
-        } else {
+            out += &format!("no phase.* timer regressed beyond {threshold}%\n");
+        }
+    }
+    // A reader that stops early ends the table, not the gate's verdict.
+    if let Err(e) = write_stdout(&out) {
+        eprintln!("cannot write to stdout: {e}");
+        return ExitCode::FAILURE;
+    }
+    match regressions {
+        Some((threshold, regressions)) if !regressions.is_empty() => {
             for (name, rel) in &regressions {
                 eprintln!("REGRESSION {name}: {rel:+.1}% (threshold {threshold}%)");
             }
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
+        _ => ExitCode::SUCCESS,
     }
-    ExitCode::SUCCESS
 }
 
 /// One (pid, tid) track's complete spans: `(ts_us, dur_us, name)`.
@@ -1193,10 +1216,7 @@ fn trace_summary(_args: &[String], words: &[String]) -> ExitCode {
         }
     };
     match summarize_trace(path, &root) {
-        Ok(summary) => {
-            print!("{summary}");
-            ExitCode::SUCCESS
-        }
+        Ok(summary) => emit(&summary).unwrap_or(ExitCode::SUCCESS),
         Err(e) => {
             eprintln!("{e}");
             ExitCode::FAILURE
@@ -1352,10 +1372,10 @@ fn dns(args: &[String], _words: &[String]) -> ExitCode {
             r.to_string()
         }
     };
-    println!("day  date    api_rank      website_rank  api_in_top1M");
+    let mut table = "day  date    api_rank      website_rank  api_in_top1M\n".to_string();
     for d in 0..days as usize {
-        println!(
-            "{:<4} Jun {:<3} {:<13} {:<13} {}",
+        table += &format!(
+            "{:<4} Jun {:<3} {:<13} {:<13} {}\n",
             d,
             15 + d,
             fmt_rank(out.dns.api_rank[d]),
@@ -1367,7 +1387,7 @@ fn dns(args: &[String], _words: &[String]) -> ExitCode {
             }
         );
     }
-    ExitCode::SUCCESS
+    emit(&table).unwrap_or(ExitCode::SUCCESS)
 }
 
 fn ablation(_args: &[String], _words: &[String]) -> ExitCode {
@@ -1383,7 +1403,11 @@ fn ablation(_args: &[String], _words: &[String]) -> ExitCode {
         })
         .run()
     };
-    println!("June-23 re-surge (Jun 23–25 / Jun 20–22 true CWA flows):");
+    // Each line as soon as its simulation ends; a reader that stops
+    // early ends the command before the next one starts.
+    if let Some(code) = emit("June-23 re-surge (Jun 23–25 / Jun 20–22 true CWA flows):\n") {
+        return code;
+    }
     for (label, kind) in [
         ("paper (outbreaks + news)", ScenarioKind::Paper),
         (
@@ -1396,21 +1420,31 @@ fn ablation(_args: &[String], _words: &[String]) -> ExitCode {
         let t = &out.truth.cwa_flows_by_hour;
         let pre: u64 = t[5 * 24..8 * 24].iter().sum();
         let post: u64 = t[8 * 24..11 * 24].iter().sum();
-        println!("  {label}: {:.3}x", post as f64 / pre.max(1) as f64);
+        if let Some(code) = emit(&format!(
+            "  {label}: {:.3}x\n",
+            post as f64 / pre.max(1) as f64
+        )) {
+            return code;
+        }
     }
     // What the researchers see of the paper scenario: the records the
     // §2 filter keeps, and how many of them carry at most two packets.
-    println!("Router sampling interval vs. §2-filtered records:");
+    if let Some(code) = emit("Router sampling interval vs. §2-filtered records:\n") {
+        return code;
+    }
     for sampling in [100u32, 1000, 4000] {
         let out = simulate(ScenarioKind::Paper, sampling);
         let matching = FlowFilter::cwa(out.cdn.service_prefixes.to_vec()).apply(&out.records);
         let few = matching.iter().filter(|r| r.packets <= 2).count() as f64
             / matching.len().max(1) as f64;
-        println!(
-            "  1:{sampling:<5} → {:>7} records, {:>5.1}% with ≤2 packets",
+        let line = format!(
+            "  1:{sampling:<5} → {:>7} records, {:>5.1}% with ≤2 packets\n",
             matching.len(),
             few * 100.0
         );
+        if let Some(code) = emit(&line) {
+            return code;
+        }
     }
     ExitCode::SUCCESS
 }

@@ -361,10 +361,11 @@ fn scrape_server_headers_and_live_status_semantics() {
     heartbeat.stop();
 }
 
-/// `cwa-repro scrape ADDR PATH | head -c N` and `cwa-repro watch ADDR |
-/// head -c N`: a reader that closes the pipe early ends the output. The
-/// CLI must not panic on the broken pipe. A scrape's exit status follows
-/// the HTTP status; a watch ends with exit 0.
+/// `cwa-repro scrape ADDR PATH | head -c N`, `cwa-repro watch ADDR |
+/// head -c N` and `cwa-repro obs-diff A B | head -c N`: a reader that
+/// closes the pipe early ends the output. The CLI must not panic on the
+/// broken pipe. A scrape's exit status follows the HTTP status; a watch
+/// and an obs-diff without `--threshold` end with exit 0.
 #[test]
 fn scrape_cli_stops_quietly_when_its_reader_closes_the_pipe() {
     let live = Arc::new(LiveSnapshot::new());
@@ -387,7 +388,33 @@ fn scrape_cli_stops_quietly_when_its_reader_closes_the_pipe() {
     // watch writes a frame every 10 ms until its reader goes away.
     let scrape: &[&str] = &["scrape", &addr, "/report"];
     let watch: &[&str] = &["watch", &addr, "--interval-ms", "10"];
-    for (args, starts_with) in [(scrape, &b"{\"pad\":\""[..]), (watch, &b"running"[..])] {
+    // Two snapshots in which 2,000 counters differ: ≈220 KB of diff rows,
+    // more than a pipe's buffer.
+    let snapshot = |name: &str, value: u32| {
+        let metrics: Vec<String> = (0..2_000)
+            .map(|i| format!("\"c.{i:04}\":{{\"type\":\"counter\",\"value\":{value}}}"))
+            .collect();
+        let path = std::env::temp_dir().join(format!(
+            "cwa-obs-diff-pipe-{}-{name}.json",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            format!(
+                "{{\"schema\":\"cwa-obs/v1\",\"metrics\":{{{}}}}}",
+                metrics.join(",")
+            ),
+        )
+        .expect("snapshot written");
+        path.to_string_lossy().into_owned()
+    };
+    let (obs_a, obs_b) = (snapshot("a", 1), snapshot("b", 2));
+    let obs_diff: &[&str] = &["obs-diff", &obs_a, &obs_b];
+    for (args, starts_with) in [
+        (scrape, &b"{\"pad\":\""[..]),
+        (watch, &b"running"[..]),
+        (obs_diff, &b"2000 metrics compared"[..]),
+    ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_cwa-repro"))
             .args(args)
             .stdout(Stdio::piped())
@@ -409,6 +436,9 @@ fn scrape_cli_stops_quietly_when_its_reader_closes_the_pipe() {
         );
     }
     server.shutdown();
+    for path in [obs_a, obs_b] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// `study` rejects a flag that would do nothing without another one,
