@@ -1,7 +1,8 @@
 //! **Full-scale headline run** — the chunked columnar pipeline at
-//! scale 1.0 (the paper's full eleven-day trace) on a single core:
-//! wall clock, sustained records/s, peak resident records, and the
-//! Crypto-PAn prefix-cache hit rate.
+//! scale 1.0 (the paper's full eleven-day trace) through one shard (the
+//! generating thread beside one worker): wall clock, sustained
+//! records/s, peak resident records, and the Crypto-PAn prefix-cache
+//! hit rate.
 //!
 //! Three comparison sections precede the headline (so their timings
 //! are not polluted by a multi-minute run right before them):
@@ -32,9 +33,12 @@
 //! pass times the traffic run without analysis: the `producer` section
 //! reports generated flow events/s (every generated flow, seen or not;
 //! the generator emits only the ones the routers sample) and the
-//! `produce` span's share of streaming wall clock at scale 1.0. The
-//! share comes only from a complete trace: if the ring dropped any
-//! event, the bench exits without writing the file.
+//! `produce` spans' share of streaming wall clock at scale 1.0. The
+//! spans are summed over every track: the generator's (generation, its
+//! blocked sends included) and the worker's (router `observe`), which
+//! run side by side, so the share can exceed 100 %. The share comes
+//! only from a complete trace: if the ring dropped any event, the bench
+//! exits without writing the file.
 //!
 //! Plain `harness = false` binary with manual timing: each measurement
 //! is a full simulate+analyze run, so Criterion's sampling machinery
@@ -555,7 +559,7 @@ fn main() {
         speedup_vs_baseline: speedup.map(round3),
     };
 
-    // ── Headline: scale 1.0, one core, chunked streaming path ──────
+    // ── Headline: scale 1.0, one shard, chunked streaming path ─────
     let config = StudyConfig::at_scale(1.0);
     let registry = Arc::new(Registry::new());
     let tracer = Arc::new(Tracer::new());

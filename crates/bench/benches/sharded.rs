@@ -1,8 +1,11 @@
-//! **Sharded vs. unsharded streaming pipeline** — wall time of
+//! **Sharded vs. one-shard streaming pipeline** — wall time of
 //! `Study::run_sharded(n)` (router fleet split across `n` crossbeam
 //! workers, each filtering and analyzing its own record partition,
-//! partials merged at the end) against the single-threaded
-//! `Study::run_streaming` baseline, at two scales.
+//! partials merged at the end) against the `Study::run_streaming`
+//! baseline, at two scales. The baseline is itself the one-shard case
+//! of `Study::run_sharded`: the calling thread generates while one worker
+//! routes, collects and analyzes, so it already keeps two threads busy
+//! and its 1-shard row reads ≈1.0×.
 //!
 //! Speedup scales with physical cores: on a single-core host every
 //! shard count time-slices one CPU and speedup hovers around 1.0 (the

@@ -26,10 +26,11 @@ use crate::report::StudyReport;
 /// Options for [`Study::run_live`](crate::Study::run_live).
 #[derive(Clone)]
 pub struct LiveOptions {
-    /// Vantage shards (1 = inline on the caller's thread). One shard
-    /// publishes after every export hour; sharded runs publish merged
-    /// interim documents once per simulated day (from day-boundary
-    /// shard snapshots merged off the hot path).
+    /// Vantage shards, each run by one worker beside the generating
+    /// thread. One shard publishes from its worker after every export
+    /// hour; two or more publish merged interim documents once per
+    /// simulated day (from day-boundary shard snapshots merged off the
+    /// hot path).
     pub shards: usize,
     /// Simulated-time multiple of the wall clock: `N` replays one
     /// export hour every `3600 / N` wall seconds, at any shard count.

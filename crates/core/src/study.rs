@@ -348,7 +348,8 @@ where
 enum Publish<'w, F> {
     /// Nothing (non-live runs, or live runs without a mailbox).
     Off,
-    /// One shard: publish the view itself after every export hour.
+    /// One shard: publish the view itself after every export hour, from
+    /// the shard's worker.
     Inline(&'w LivePublisher<'w>),
     /// One of n shards: deposit a clone of the view at every day
     /// boundary for the publisher thread to merge. The sink's own state
@@ -358,15 +359,13 @@ enum Publish<'w, F> {
 
 /// The one filter-and-consume sink behind every streaming run: the §2
 /// filter applied once per chunk, then the accumulator set. Owned and
-/// `Send`, so the same sink runs inline on the caller's thread (one
-/// shard) or on a shard worker (n shards), and the partials merge with
-/// the accumulators' `absorb`.
+/// `Send`: each shard's sink runs on that shard's worker, and the
+/// partials merge with the accumulators' `absorb`.
 struct StudySink<'w, F> {
     filter: &'w FlowFilter,
     consumers: Consumers<'w, F>,
     counts: StreamCounts,
-    /// `sim.shard.<i>.records` — live per-shard record throughput
-    /// (sharded runs only).
+    /// `sim.shard.<i>.records` — live per-shard record throughput.
     records_counter: Option<Arc<Counter>>,
     /// Flight-recorder stage timing, flushed as coalesced filter/analyze
     /// spans at every export-hour checkpoint.
@@ -833,9 +832,12 @@ impl Study {
     /// into one study sink, which applies the §2 filter once per chunk
     /// and feeds every analysis consumer incrementally — the full record
     /// vector is never materialized; only one emission chunk (an export
-    /// hour) is resident at a time. The resulting [`StudyReport`] is
-    /// bit-identical to [`Study::run`]'s modulo the volatile phase
-    /// timings (compare after [`StudyReport::strip_volatile`]).
+    /// hour) is resident at a time. This is [`Study::run_sharded`] with
+    /// one shard: the calling thread generates hour h+1 while one worker
+    /// routes, collects and analyzes hour h. The resulting
+    /// [`StudyReport`] is bit-identical to [`Study::run`]'s modulo the
+    /// volatile phase timings (compare after
+    /// [`StudyReport::strip_volatile`]).
     pub fn run_streaming(&self) -> Result<StudyReport, StudyError> {
         self.drive(1, None)
     }
@@ -850,7 +852,8 @@ impl Study {
     /// ([`ShardKeyMode::Common`]), so the merged report is identical to
     /// [`Study::run_streaming`]'s after
     /// [`strip_volatile`](StudyReport::strip_volatile). One shard is
-    /// exactly [`Study::run_streaming`]: it runs inline, with no worker.
+    /// exactly [`Study::run_streaming`]: one worker beside the
+    /// generating thread, and nothing to merge.
     pub fn run_sharded(&self, shards: usize) -> Result<StudyReport, StudyError> {
         self.drive(shards, None)
     }
@@ -871,10 +874,10 @@ impl Study {
     /// resident state; a batch run cannot cover such horizons at all.
     ///
     /// Pacing sleeps at every export-hour checkpoint of every shard, so
-    /// it holds at any shard count. One shard publishes after every
-    /// export hour; with `opts.shards > 1` each shard deposits a
-    /// day-boundary snapshot and a publisher thread merges and
-    /// publishes them off the hot path, once per simulated day.
+    /// it holds at any shard count. One shard publishes from its worker
+    /// after every export hour; with `opts.shards > 1` each shard
+    /// deposits a day-boundary snapshot and a publisher thread merges
+    /// and publishes them off the hot path, once per simulated day.
     pub fn run_live(&self, opts: &LiveOptions) -> Result<StudyReport, StudyError> {
         self.drive(opts.shards, Some(opts))
     }
@@ -884,11 +887,13 @@ impl Study {
     /// the traffic run, the merge, counter publication and report
     /// assembly.
     ///
-    /// One shard runs inline on the caller's thread
-    /// ([`PreparedSim::run_traffic`]); n > 1 shards run one worker each
-    /// ([`PreparedSim::run_traffic_sharded`] under the common key) and
-    /// are merged in shard order. `live` swaps the four study consumers
-    /// for a [`WindowedView`] and attaches pacing and the publisher, so
+    /// Every shard count takes the same path: the calling thread
+    /// generates the traffic while each of the `shards` workers runs
+    /// its routers, collector and study sink
+    /// ([`PreparedSim::run_traffic_sharded`] under the common key), and
+    /// the partials are merged in shard order (one shard has nothing to
+    /// merge). `live` swaps the four study consumers for a
+    /// [`WindowedView`] and attaches pacing and the publisher, so
     /// non-live runs do no window-tier work.
     ///
     /// [`run_streaming`]: Study::run_streaming
@@ -928,7 +933,7 @@ impl Study {
             let queues: Vec<_> = (0..shards)
                 .map(|_| Arc::new(Mutex::new(VecDeque::new())))
                 .collect();
-            let mut sinks: Vec<StudySink<'_, _>> = (0..shards)
+            let sinks: Vec<StudySink<'_, _>> = (0..shards)
                 .map(|i| {
                     let consumers = match live {
                         None => Consumers::Study(Box::new(StudyConsumers {
@@ -951,14 +956,9 @@ impl Study {
                             WindowConfig::default(),
                         ))),
                     };
-                    // Unsharded analysis shares the study's pid 0;
-                    // shard i is Chrome-trace process i+1.
+                    // Shard i is Chrome-trace process i+1.
                     let trace = self.trace.as_ref().map(|t| {
-                        let buf = if shards == 1 {
-                            t.thread(0, 200, "analysis")
-                        } else {
-                            t.thread((i + 1) as u32, 2, "analysis")
-                        };
+                        let buf = t.thread((i + 1) as u32, 2, "analysis");
                         StageLog::new(t, buf, consumers.stages())
                     });
                     StudySink {
@@ -968,7 +968,6 @@ impl Study {
                         records_counter: self
                             .metrics
                             .as_ref()
-                            .filter(|_| shards > 1)
                             .map(|m| m.counter(&format!("sim.shard.{i:02}.records"))),
                         trace,
                         selection: FlowChunk::default(),
@@ -984,37 +983,31 @@ impl Study {
                 })
                 .collect();
 
-            let (truth, mut parts) = if shards == 1 {
-                let (truth, _stats) = prepared.run_traffic(&mut sinks[0]);
-                (truth, sinks)
-            } else {
-                let stop = AtomicBool::new(false);
-                let (truth, results) = std::thread::scope(|scope| {
-                    let pump = publisher.as_ref().map(|p| {
-                        scope.spawn(|| loop {
-                            if !publish_front_deposits(&queues, p) {
-                                // Empty after the run ended means fully
-                                // drained: every shard deposits the same
-                                // number of day-boundary snapshots.
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                std::thread::sleep(Duration::from_millis(2));
+            let stop = AtomicBool::new(false);
+            let (truth, results) = std::thread::scope(|scope| {
+                // One shard publishes from its worker; n > 1 deposit
+                // day-boundary snapshots for this thread to merge.
+                let pump = publisher.as_ref().filter(|_| shards > 1).map(|p| {
+                    scope.spawn(|| loop {
+                        if !publish_front_deposits(&queues, p) {
+                            // Empty after the run ended means fully
+                            // drained: every shard deposits the same
+                            // number of day-boundary snapshots.
+                            if stop.load(Ordering::Acquire) {
+                                break;
                             }
-                        })
-                    });
-                    let out = prepared.run_traffic_sharded(ShardKeyMode::Common, sinks);
-                    stop.store(true, Ordering::Release);
-                    if let Some(handle) = pump {
-                        handle.join().expect("live publisher thread");
-                    }
-                    out
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                    })
                 });
-                (
-                    truth,
-                    results.into_iter().map(|(sink, _stats)| sink).collect(),
-                )
-            };
+                let out = prepared.run_traffic_sharded(ShardKeyMode::Common, sinks);
+                stop.store(true, Ordering::Release);
+                if let Some(handle) = pump {
+                    handle.join().expect("live publisher thread");
+                }
+                out
+            });
+            let mut parts: Vec<_> = results.into_iter().map(|(sink, _stats)| sink).collect();
             self.record_phase(&mut timings, "phase.simulate_analyze", started.elapsed());
 
             // Deterministic merge: absorb the partials in shard order.

@@ -186,6 +186,26 @@ pub trait FlowSink {
     fn checkpoint(&mut self) {}
 }
 
+/// A borrowed sink is a sink, so a producer that takes its sinks by value
+/// (and hands them to worker threads) can run one its caller keeps.
+impl<S: FlowSink + ?Sized> FlowSink for &mut S {
+    fn observe(&mut self, rec: &FlowRecord) {
+        (**self).observe(rec);
+    }
+
+    fn observe_chunk(&mut self, chunk: &FlowChunk) {
+        (**self).observe_chunk(chunk);
+    }
+
+    fn finish(&mut self) {
+        (**self).finish();
+    }
+
+    fn checkpoint(&mut self) {
+        (**self).checkpoint();
+    }
+}
+
 /// The trivial batching sink: collects every record into a `Vec`. This
 /// is how the streaming producers provide the legacy batch API.
 impl FlowSink for Vec<FlowRecord> {

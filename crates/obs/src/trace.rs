@@ -96,6 +96,23 @@ impl TraceBuf {
         self.push(start_ns, dur_ns, KIND_COMPLETE, name);
     }
 
+    /// Records one span per `(name, ns)` entry with time in it, laid
+    /// back to back in order and ending at `end_ns`, then zeroes every
+    /// entry. Coalesced self-times (per-hour totals of per-record or
+    /// per-batch work) become a few spans instead of one per call; only
+    /// the interleaving within the interval is synthesized.
+    pub fn complete_back_to_back(&self, end_ns: u64, spans: &mut [(NameId, u64)]) {
+        let total: u64 = spans.iter().map(|(_, ns)| ns).sum();
+        let mut t = end_ns.saturating_sub(total);
+        for (name, ns) in spans {
+            if *ns > 0 {
+                self.complete(*name, t, *ns);
+            }
+            t += *ns;
+            *ns = 0;
+        }
+    }
+
     /// Records an instant event at the current time.
     pub fn instant(&self, name: NameId) {
         self.push(self.now_ns(), 0, KIND_INSTANT, name);
@@ -376,20 +393,13 @@ impl StageLog {
     /// accumulators. No-op when nothing accumulated.
     pub fn flush(&mut self) {
         let analyze_ns: u64 = self.stages.iter().map(|(_, ns)| ns).sum();
-        let total = self.filter_ns + analyze_ns;
-        if total == 0 {
+        if self.filter_ns + analyze_ns == 0 {
             return;
         }
         let end = self.buf.now_ns();
-        let mut t = end.saturating_sub(total);
-        self.buf.complete(self.filter, t, self.filter_ns);
-        t += self.filter_ns;
-        self.buf.complete(self.analyze, t, analyze_ns);
-        for (name, ns) in &mut self.stages {
-            self.buf.complete(*name, t, *ns);
-            t += *ns;
-            *ns = 0;
-        }
+        let mut top = [(self.filter, self.filter_ns), (self.analyze, analyze_ns)];
+        self.buf.complete_back_to_back(end, &mut top);
+        self.buf.complete_back_to_back(end, &mut self.stages);
         self.filter_ns = 0;
     }
 }
@@ -510,6 +520,17 @@ mod tests {
             doc.get("traceEvents").unwrap().as_array().unwrap().len(),
             4004
         );
+    }
+
+    #[test]
+    fn back_to_back_spans_end_at_the_given_time_and_skip_empty_names() {
+        let tracer = Tracer::new();
+        let buf = tracer.thread(1, 1, "worker");
+        let (idle, produce) = (tracer.name("recv_idle"), tracer.name("produce"));
+        let mut spans = [(idle, 0), (produce, 400)];
+        buf.complete_back_to_back(1_000, &mut spans);
+        assert_eq!(buf.events(), vec![(600, 400, KIND_COMPLETE, produce.0)]);
+        assert_eq!(spans, [(idle, 0), (produce, 0)], "entries are zeroed");
     }
 
     #[test]

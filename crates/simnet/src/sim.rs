@@ -25,8 +25,7 @@ use crate::cdn::{CdnConfig, CdnMigration};
 use crate::dns::{run_dns_study, DnsStudy, TopListModel};
 use crate::traffic::{GroundTruth, TrafficConfig, TrafficModel};
 use crate::vantage::{
-    side_tables_with, IspSideEntry, ShardKeyMode, ThreadTrace, VantageConfig, VantagePoint,
-    VantageRunStats,
+    side_tables_with, IspSideEntry, ShardKeyMode, VantageConfig, VantagePoint, VantageRunStats,
 };
 
 /// Which scenario variant to simulate.
@@ -416,77 +415,24 @@ impl PreparedSim {
     /// run statistics (including the collector's peak resident record
     /// count).
     ///
-    /// Record order is identical to the batch [`Simulation::run`] (which
-    /// is this method with a `Vec` sink).
-    pub fn run_traffic(&self, sink: &mut dyn FlowSink) -> (GroundTruth, VantageRunStats) {
-        let cfg = self.config;
-        let timeline = Timeline { days: cfg.days };
-        let mut vantage = VantagePoint::new(
-            cfg.vantage,
-            self.cdn.service_prefixes.to_vec(),
-            cfg.plan.prefix_len,
-        );
-        if let Some(cap) = self.chunk_capacity {
-            vantage.set_chunk_capacity(cap);
-        }
-        if let Some(registry) = &self.metrics {
-            vantage.attach_metrics(registry);
-        }
-        if let Some(tracer) = &self.trace {
-            vantage.set_trace(std::sync::Arc::clone(tracer));
-        }
-        let mut model = self.traffic_model();
-        let progress = self
-            .metrics
-            .as_ref()
-            .map(|r| crate::vantage::ProgressGauges::new(r, timeline.hours()));
-        // Serial driver: the whole day loop lives on one thread
-        // (pid 0, tid 0) — produce/export/drain spans per hour.
-        let tr = self.trace.as_ref().map(|t| {
-            t.set_process_name(0, "simulation");
-            let tr = ThreadTrace::new(t, 0, 0, "day-loop");
-            vantage.trace_collector_onto(t, std::sync::Arc::clone(&tr.buf));
-            tr
-        });
-        for hour in 0..timeline.hours() {
-            let produce_start = tr.as_ref().map(|tr| tr.buf.now_ns());
-            model.generate_hour(hour, &mut |ev| vantage.observe(ev));
-            if let (Some(tr), Some(start)) = (&tr, produce_start) {
-                tr.span_since(tr.produce, start);
-            }
-            let export_start = tr.as_ref().map(|tr| tr.buf.now_ns());
-            vantage.end_of_hour(hour);
-            if let (Some(tr), Some(start)) = (&tr, export_start) {
-                tr.span_since(tr.export, start);
-            }
-            let drain_start = tr.as_ref().map(|tr| tr.buf.now_ns());
-            vantage.drain_records_into(sink);
-            sink.checkpoint();
-            if let (Some(tr), Some(start)) = (&tr, drain_start) {
-                tr.span_since(tr.drain, start);
-            }
-            if let Some(p) = &progress {
-                p.hour_done(hour);
-            }
-        }
-        let truth = model.into_truth();
-        let finish_start = tr.as_ref().map(|tr| tr.buf.now_ns());
-        let run_stats = vantage.finish_into(timeline.hours() - 1, sink);
-        sink.checkpoint();
-        if let (Some(tr), Some(start)) = (&tr, finish_start) {
-            tr.span_since(tr.finish, start);
-        }
-        if let Some(registry) = &self.metrics {
-            publish_vantage_counters(registry, &run_stats);
-        }
-        sink.finish();
-        (truth, run_stats)
+    /// This is the one-shard case of
+    /// [`run_traffic_sharded`](PreparedSim::run_traffic_sharded): the
+    /// calling thread generates hour h+1 while one worker runs the whole
+    /// router fleet, the collector and `sink` on hour h. The worker sees
+    /// every event in generation order, so record order is that of the
+    /// serial day loop (generate, observe, end of hour, drain), and the
+    /// batch [`Simulation::run`] is this method with a `Vec` sink.
+    pub fn run_traffic(&self, sink: &mut (dyn FlowSink + Send)) -> (GroundTruth, VantageRunStats) {
+        let (truth, mut results) = self.run_traffic_sharded(ShardKeyMode::Common, vec![sink]);
+        let (_, stats) = results.pop().expect("one shard, one result");
+        (truth, stats)
     }
 
-    /// Sharded form of [`run_traffic`](PreparedSim::run_traffic): splits
-    /// the vantage fleet into `sinks.len()` shards (each with its own
-    /// collector and worker thread) and streams every shard's records
-    /// into its own sink, in chunks of one export hour. Each sink's
+    /// Streams the traffic through `sinks.len()` vantage shards: the
+    /// fleet's routers split into contiguous ranges, each shard with its
+    /// own collector and worker thread, fed by the calling thread's
+    /// generator over a bounded channel. Every shard's records go into
+    /// its own sink, in chunks of one export hour. Each sink's
     /// `finish()` is called by its worker after the final flush. Returns
     /// the traffic ground truth plus every shard's `(sink, run
     /// statistics)` in shard order.
@@ -530,7 +476,7 @@ impl PreparedSim {
         let (truth, results) = crate::vantage::run_sharded_into(model, shards, timeline.hours());
         if let Some(registry) = &self.metrics {
             // One fleet-wide publication of the summed per-shard stats,
-            // under the same counter names as the unsharded run.
+            // under counter names that do not depend on the shard count.
             let mut total = VantageRunStats::default();
             for (_, stats) in &results {
                 let c = stats.cache;
@@ -549,7 +495,7 @@ impl PreparedSim {
 
     /// The traffic generator for this world, sampling at the vantage
     /// routers' interval and counting into the attached registry.
-    fn traffic_model(&self) -> TrafficModel<'_> {
+    pub fn traffic_model(&self) -> TrafficModel<'_> {
         let cfg = self.config;
         let traffic_cfg = TrafficConfig {
             scale: cfg.scale,
@@ -597,9 +543,8 @@ impl PreparedSim {
     }
 }
 
-/// Publishes a run's cache/transport statistics to the registry under
-/// the shared counter names — one code path for the serial and sharded
-/// drivers, so their observability output is comparable.
+/// Publishes a run's fleet-wide cache/transport statistics to the
+/// registry.
 fn publish_vantage_counters(registry: &cwa_obs::Registry, stats: &VantageRunStats) {
     let c = stats.cache;
     registry

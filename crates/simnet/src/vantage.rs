@@ -253,21 +253,22 @@ pub fn router_for(ev: &FlowEvent, plan_prefix_len: u8, routers: usize) -> usize 
     (h >> 32) as usize % routers
 }
 
-/// Live run-progress gauges (`sim.progress.*`), shared by the serial
-/// and sharded drivers so the `/progress` endpoint and the
-/// `watch` dashboard see the same namespace regardless of driver.
+/// Live run-progress gauges (`sim.progress.*`) read by the `/progress`
+/// endpoint and the `watch` dashboard.
 ///
 /// Totals are published at construction; `hour_done` advances the
-/// completion gauges after each simulated hour. Pure observation —
-/// gauge stores only, no feedback into the drivers.
-pub(crate) struct ProgressGauges {
+/// completion gauges after each simulated hour: from the one worker of
+/// a one-shard run once the hour is analyzed, from the generator of a
+/// sharded run once the hour is fed. Pure observation — gauge stores
+/// only, no feedback into the run.
+struct ProgressGauges {
     hours_done: Arc<cwa_obs::Gauge>,
     days_done: Arc<cwa_obs::Gauge>,
 }
 
 impl ProgressGauges {
     /// Publishes the run's totals and zeroes the completion gauges.
-    pub(crate) fn new(registry: &Arc<Registry>, hours: u32) -> Self {
+    fn new(registry: &Arc<Registry>, hours: u32) -> Self {
         registry
             .gauge("sim.progress.hours_total")
             .set(i64::from(hours));
@@ -286,27 +287,27 @@ impl ProgressGauges {
     }
 
     /// Marks simulated hour `hour` (0-based) complete.
-    pub(crate) fn hour_done(&self, hour: u32) {
+    fn hour_done(&self, hour: u32) {
         self.hours_done.set(i64::from(hour) + 1);
         self.days_done.set(i64::from((hour + 1) / 24));
     }
 }
 
 /// Pre-interned flight-recorder span names for one pipeline thread
-/// (driver, feed, or worker). Interning happens once at wiring time so
-/// the hot paths record spans with atomics only.
-pub(crate) struct ThreadTrace {
-    pub(crate) buf: Arc<TraceBuf>,
-    pub(crate) produce: NameId,
-    pub(crate) export: NameId,
-    pub(crate) drain: NameId,
-    pub(crate) recv_idle: NameId,
-    pub(crate) send_block: NameId,
-    pub(crate) finish: NameId,
+/// (generator, feed, or worker). Interning happens once at wiring time
+/// so the hot paths record spans with atomics only.
+struct ThreadTrace {
+    buf: Arc<TraceBuf>,
+    produce: NameId,
+    export: NameId,
+    drain: NameId,
+    recv_idle: NameId,
+    send_block: NameId,
+    finish: NameId,
 }
 
 impl ThreadTrace {
-    pub(crate) fn new(tracer: &Tracer, pid: u32, tid: u32, label: &str) -> Self {
+    fn new(tracer: &Tracer, pid: u32, tid: u32, label: &str) -> Self {
         ThreadTrace {
             produce: tracer.name("produce"),
             export: tracer.name("export"),
@@ -319,14 +320,14 @@ impl ThreadTrace {
     }
 
     /// Records a complete span from `start_ns` until now.
-    pub(crate) fn span_since(&self, name: NameId, start_ns: u64) {
+    fn span_since(&self, name: NameId, start_ns: u64) {
         self.buf
             .complete(name, start_ns, self.buf.now_ns().saturating_sub(start_ns));
     }
 }
 
 /// Aggregate statistics of one vantage run (cache + transport).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VantageRunStats {
     /// Flow-cache statistics summed over all routers (post-flush).
     pub cache: CacheStats,
@@ -359,11 +360,12 @@ pub struct VantagePoint {
     format: ExportFormat,
     v9_decoder: V9Decoder,
     transport: Transport,
-    /// Registry for the sharded driver's per-shard gauges and counters.
+    /// Registry for [`run_sharded_into`]'s per-shard gauges and counters.
     metrics: Option<Arc<Registry>>,
-    /// Flight recorder (None = untraced, zero overhead). The drivers
-    /// read this to wrap produce/export/drain in spans.
-    pub(crate) trace: Option<Arc<Tracer>>,
+    /// Flight recorder (None = untraced, zero overhead).
+    /// [`run_sharded_into`] reads this to wrap produce/export/drain in
+    /// spans.
+    trace: Option<Arc<Tracer>>,
 }
 
 /// The (lossy) export transport between routers and collector.
@@ -402,7 +404,8 @@ impl Transport {
 }
 
 impl VantagePoint {
-    /// Creates the vantage point. `server_prefixes` are exempt from
+    /// Creates the vantage point: the whole fleet, as the one shard of
+    /// [`VantagePoint::shard`]. `server_prefixes` are exempt from
     /// anonymization; `plan_prefix_len` is the routing-prefix length of
     /// the address plan (used for routing and side-table keying).
     pub fn new(
@@ -410,21 +413,9 @@ impl VantagePoint {
         server_prefixes: Vec<(Ipv4Addr, u8)>,
         plan_prefix_len: u8,
     ) -> Self {
-        let routers: Vec<Router> = (0..cfg.routers).map(|id| Router::new(id, &cfg)).collect();
-        let collector = Collector::new_anonymizing(&cfg.anon_key, server_prefixes);
-        let transport = Transport::new(&cfg);
-        VantagePoint {
-            router_base: 0,
-            total_routers: routers.len(),
-            routers,
-            collector,
-            plan_prefix_len,
-            format: cfg.format,
-            v9_decoder: V9Decoder::new(),
-            transport,
-            metrics: None,
-            trace: None,
-        }
+        Self::shard(cfg, server_prefixes, plan_prefix_len, 1)
+            .pop()
+            .expect("one shard")
     }
 
     /// Splits the vantage fleet into `n` shards, each owning a
@@ -491,7 +482,7 @@ impl VantagePoint {
         self.metrics = Some(Arc::clone(registry));
     }
 
-    /// Attaches the flight recorder. The run drivers wrap every
+    /// Attaches the flight recorder. [`run_sharded_into`] wraps every
     /// produce/export/drain step in trace spans; tracing never touches
     /// an RNG stream, so the record output is identical with or without
     /// it (asserted by the determinism test suite).
@@ -500,9 +491,8 @@ impl VantagePoint {
     }
 
     /// Points the collector's per-export-round ingest spans at `buf` (the
-    /// trace track of whatever thread ends up driving this vantage
-    /// point — the drivers call this once the thread layout is known).
-    pub(crate) fn trace_collector_onto(&mut self, tracer: &Tracer, buf: Arc<TraceBuf>) {
+    /// trace track of the worker thread that drives this vantage point).
+    fn trace_collector_onto(&mut self, tracer: &Tracer, buf: Arc<TraceBuf>) {
         self.collector.set_trace(CollectorTrace::new(tracer, buf));
     }
 
@@ -700,7 +690,7 @@ fn isp_side_entry(
     }
 }
 
-/// Messages the sharded driver sends to shard workers.
+/// Messages the generating thread sends to shard workers.
 enum ShardMsg {
     /// A batch of flow events owned by this shard's routers.
     Events(Vec<FlowEvent>),
@@ -715,19 +705,95 @@ const SHARD_EVENT_BATCH: usize = 256;
 /// (backpressure keeping per-shard memory flat).
 const SHARD_CHANNEL_CAP: usize = 64;
 
-/// Drives a traffic generator through a sharded vantage fleet: one
-/// crossbeam worker per shard runs that shard's routers, collector and
-/// sink, fed event batches over a bounded channel. Each worker drains
-/// its collector into its own sink every export hour and calls
+/// The generator's end of one shard's channel: the batch being filled,
+/// the channel-depth gauge, and the stall accounting — nanoseconds spent
+/// blocked sending into the full channel, as
+/// `sim.shard.NN.send_block_ns` and as one `send_block` span per export
+/// hour on the shard's feed track.
+struct Feed {
+    tx: crossbeam::channel::Sender<ShardMsg>,
+    batch: Vec<FlowEvent>,
+    depth: Option<Arc<cwa_obs::Gauge>>,
+    send_block: Option<Arc<Counter>>,
+    trace: Option<ThreadTrace>,
+    blocked_ns: u64,
+}
+
+impl Feed {
+    /// Queues one event, sending the batch once it is full.
+    fn push(&mut self, ev: &FlowEvent) {
+        self.batch.push(*ev);
+        if self.batch.len() == SHARD_EVENT_BATCH {
+            self.send_batch();
+        }
+    }
+
+    /// Sends the queued events, if any.
+    fn send_batch(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let full = std::mem::replace(&mut self.batch, Vec::with_capacity(SHARD_EVENT_BATCH));
+        if let Some(g) = &self.depth {
+            g.add(1);
+        }
+        self.send(ShardMsg::Events(full));
+    }
+
+    /// Sends one message, accounting time blocked on a full channel.
+    /// Untraced and unmetered feeds take the plain blocking path.
+    fn send(&mut self, msg: ShardMsg) {
+        if self.trace.is_none() && self.send_block.is_none() {
+            self.tx.send(msg).expect("worker alive");
+            return;
+        }
+        match self.tx.try_send(msg) {
+            Ok(()) => {}
+            Err(crossbeam::channel::TrySendError::Full(msg)) => {
+                let start = std::time::Instant::now();
+                self.tx.send(msg).expect("worker alive");
+                let blocked = start.elapsed().as_nanos() as u64;
+                self.blocked_ns += blocked;
+                if let Some(c) = &self.send_block {
+                    c.add(blocked);
+                }
+            }
+            Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
+                panic!("worker alive");
+            }
+        }
+    }
+
+    /// Ends an export hour (or the run): sends the queued events, then
+    /// `msg`, and flushes the hour's blocked time as one span.
+    fn end_hour(&mut self, msg: ShardMsg) {
+        self.send_batch();
+        self.send(msg);
+        if let Some(tr) = &self.trace {
+            tr.buf
+                .complete_back_to_back(tr.buf.now_ns(), &mut [(tr.send_block, self.blocked_ns)]);
+        }
+        self.blocked_ns = 0;
+    }
+}
+
+/// Drives a traffic generator through a vantage fleet split into
+/// shards: one crossbeam worker per shard runs that shard's routers,
+/// collector and sink, fed event batches over a bounded channel by the
+/// calling thread, which only generates. With one shard the worker runs
+/// the whole fleet, and the caller generates hour h+1 while the worker
+/// exports, collects and drains hour h. Each worker drains its
+/// collector into its own sink every export hour and calls
 /// `sink.finish()` after the final flush, then returns the sink and the
 /// shard's run statistics (in shard order).
 ///
-/// Determinism: the main thread generates events in the exact serial
+/// Determinism: the calling thread generates events in the exact serial
 /// order and routes each to its owning shard, where the owning *router*
 /// — keyed by global id — accounts its subsequence exactly as in the
-/// unsharded fleet (routers draw nothing). Each shard's record stream
-/// is therefore exactly the unsharded stream restricted to its routers
-/// (re-keyed if the shard has its own Crypto-PAn key).
+/// whole fleet (routers draw nothing). Each shard's record stream is
+/// therefore exactly the serial day loop's stream (generate, observe,
+/// end of hour, drain) restricted to its routers; one shard's stream is
+/// that stream itself.
 pub fn run_sharded_into<S: FlowSink + Send>(
     mut model: crate::traffic::TrafficModel<'_>,
     shards: Vec<(VantagePoint, S)>,
@@ -749,125 +815,84 @@ pub fn run_sharded_into<S: FlowSink + Send>(
         owner_of_router.iter().all(|&o| o != usize::MAX),
         "shards must cover every router of the fleet"
     );
-    // Channel-depth gauges (batches in flight per shard; pure
-    // observation, main thread increments and the worker decrements).
-    let depth_gauges: Vec<Option<Arc<cwa_obs::Gauge>>> = (0..n_shards)
-        .map(|i| {
-            metrics
-                .as_ref()
-                .map(|m| m.gauge(&format!("sim.shard.{i:02}.channel_depth")))
-        })
-        .collect();
-    // Stall accounting: per shard, nanoseconds the generator spent
-    // blocked sending into the full bounded channel and nanoseconds the
-    // worker spent idle waiting to receive.
-    let send_block_counters: Vec<Option<Arc<Counter>>> = (0..n_shards)
-        .map(|i| {
-            metrics
-                .as_ref()
-                .map(|m| m.counter(&format!("sim.shard.{i:02}.send_block_ns")))
-        })
-        .collect();
-    let recv_idle_counters: Vec<Option<Arc<Counter>>> = (0..n_shards)
-        .map(|i| {
-            metrics
-                .as_ref()
-                .map(|m| m.counter(&format!("sim.shard.{i:02}.recv_idle_ns")))
-        })
-        .collect();
-    // Live progress: fleet-wide `sim.progress.*` advanced by the
-    // generator, plus a per-shard hours-done gauge advanced by each
-    // worker — a starving shard is visible as a lagging gauge.
-    let progress = metrics.as_ref().map(|m| ProgressGauges::new(m, hours));
-    let shard_hours_gauges: Vec<Option<Arc<cwa_obs::Gauge>>> = (0..n_shards)
-        .map(|i| {
-            metrics
-                .as_ref()
-                .map(|m| m.gauge(&format!("sim.shard.{i:02}.hours_done")))
-        })
-        .collect();
+    // Per-shard observation (pure; nothing feeds back into the run):
+    // channel depth in batches (the generator increments, the worker
+    // decrements), the worker's idle time waiting to receive, and a
+    // per-shard hours-done gauge advanced by each worker — a starving
+    // shard shows as a lagging gauge. The fleet-wide `sim.progress.*`
+    // advances with the generator once an hour is fed to two or more
+    // shards; one shard's worker advances it after the hour's
+    // checkpoint, so `/progress` moves in step with the published
+    // `/report`.
+    let gauge = |i: usize, stem: &str| {
+        metrics
+            .as_ref()
+            .map(|m| m.gauge(&format!("sim.shard.{i:02}.{stem}")))
+    };
+    let counter = |i: usize, stem: &str| {
+        metrics
+            .as_ref()
+            .map(|m| m.counter(&format!("sim.shard.{i:02}.{stem}")))
+    };
+    let mut progress = metrics.as_ref().map(|m| ProgressGauges::new(m, hours));
     // Trace layout: one Chrome-trace "process" per shard (pid i+1,
     // stable across runs), with the generator-side feed on tid 0 and
-    // the shard worker on tid 1. Pid 0 stays the generator/study.
-    let feed_traces: Vec<Option<ThreadTrace>> = (0..n_shards)
-        .map(|i| {
-            tracer.as_ref().map(|t| {
-                t.set_process_name((i + 1) as u32, &format!("shard{i:02}"));
-                ThreadTrace::new(t, (i + 1) as u32, 0, "feed")
-            })
-        })
-        .collect();
+    // the shard worker on tid 1. Pid 0 is the generator and the study.
     let generator_tr = tracer.as_ref().map(|t| {
         t.set_process_name(0, "generator");
         ThreadTrace::new(t, 0, 0, "generator")
     });
 
-    /// Sends one message, accounting time blocked on a full channel as
-    /// a `send_block` span and `sim.shard.NN.send_block_ns`. Untraced
-    /// and unmetered feeds take the plain blocking path.
-    fn send_accounted(
-        tx: &crossbeam::channel::Sender<ShardMsg>,
-        msg: ShardMsg,
-        feed_tr: &Option<ThreadTrace>,
-        counter: &Option<Arc<Counter>>,
-    ) {
-        if feed_tr.is_none() && counter.is_none() {
-            tx.send(msg).expect("worker alive");
-            return;
-        }
-        match tx.try_send(msg) {
-            Ok(()) => {}
-            Err(crossbeam::channel::TrySendError::Full(msg)) => {
-                let start = std::time::Instant::now();
-                let start_ns = feed_tr.as_ref().map(|tr| tr.buf.now_ns());
-                tx.send(msg).expect("worker alive");
-                let blocked = start.elapsed().as_nanos() as u64;
-                if let (Some(tr), Some(ns)) = (feed_tr, start_ns) {
-                    tr.buf.complete(tr.send_block, ns, blocked);
-                }
-                if let Some(c) = counter {
-                    c.add(blocked);
-                }
-            }
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-                panic!("worker alive");
-            }
-        }
-    }
-
     let results = crossbeam::thread::scope(|scope| {
-        let mut txs = Vec::with_capacity(n_shards);
+        let mut feeds = Vec::with_capacity(n_shards);
         let mut handles = Vec::with_capacity(n_shards);
         for (i, (mut vp, mut sink)) in shards.into_iter().enumerate() {
+            let pid = (i + 1) as u32;
             let (tx, rx) = crossbeam::channel::bounded::<ShardMsg>(SHARD_CHANNEL_CAP);
-            txs.push(tx);
+            let depth = gauge(i, "channel_depth");
+            feeds.push(Feed {
+                tx,
+                batch: Vec::with_capacity(SHARD_EVENT_BATCH),
+                depth: depth.clone(),
+                send_block: counter(i, "send_block_ns"),
+                trace: tracer.as_ref().map(|t| {
+                    t.set_process_name(pid, &format!("shard{i:02}"));
+                    ThreadTrace::new(t, pid, 0, "feed")
+                }),
+                blocked_ns: 0,
+            });
             // The per-shard gauges are driven from here, not by workers.
             vp.metrics = None;
             vp.trace = None;
-            let depth = depth_gauges[i].clone();
-            let idle_counter = recv_idle_counters[i].clone();
-            let hours_gauge = shard_hours_gauges[i].clone();
-            let worker_tracer = tracer.clone();
+            let idle_counter = counter(i, "recv_idle_ns");
+            let hours_gauge = gauge(i, "hours_done");
+            let worker_progress = if n_shards == 1 { progress.take() } else { None };
             let worker_tr = tracer
                 .as_ref()
-                .map(|t| ThreadTrace::new(t, (i + 1) as u32, 1, "worker"));
-            if let (Some(t), Some(tr)) = (&worker_tracer, &worker_tr) {
+                .map(|t| ThreadTrace::new(t, pid, 1, "worker"));
+            if let (Some(t), Some(tr)) = (&tracer, &worker_tr) {
                 vp.trace_collector_onto(t, Arc::clone(&tr.buf));
             }
             handles.push(scope.spawn(move |_| {
                 let mut vp = Some(vp);
                 let mut stats = VantageRunStats::default();
                 let timed_idle = worker_tr.is_some() || idle_counter.is_some();
+                // This hour's idle and routing time, flushed as one
+                // `recv_idle` and one `produce` span per export hour, as
+                // `StageLog` does for filter/analyze: a span per
+                // 256-event batch would fill the track's ring at scale 1.0.
+                let mut hour_spans = worker_tr
+                    .as_ref()
+                    .map(|tr| [(tr.recv_idle, 0u64), (tr.produce, 0u64)]);
                 loop {
                     // Idle time: from wanting the next message to having
-                    // it — a starved worker shows long recv_idle spans.
+                    // it — a starved worker shows a long recv_idle span.
                     let idle_from = std::time::Instant::now();
-                    let idle_from_ns = worker_tr.as_ref().map(|tr| tr.buf.now_ns());
                     let Ok(msg) = rx.recv() else { break };
                     if timed_idle {
                         let idle = idle_from.elapsed().as_nanos() as u64;
-                        if let (Some(tr), Some(ns)) = (&worker_tr, idle_from_ns) {
-                            tr.buf.complete(tr.recv_idle, ns, idle);
+                        if let Some(spans) = &mut hour_spans {
+                            spans[0].1 += idle;
                         }
                         if let Some(c) = &idle_counter {
                             c.add(idle);
@@ -883,11 +908,16 @@ pub fn run_sharded_into<S: FlowSink + Send>(
                             for ev in &batch {
                                 v.observe(ev);
                             }
-                            if let (Some(tr), Some(start)) = (&worker_tr, produce_start) {
-                                tr.span_since(tr.produce, start);
+                            if let (Some(tr), Some(spans), Some(start)) =
+                                (&worker_tr, &mut hour_spans, produce_start)
+                            {
+                                spans[1].1 += tr.buf.now_ns().saturating_sub(start);
                             }
                         }
                         ShardMsg::EndOfHour(hour) => {
+                            if let (Some(tr), Some(spans)) = (&worker_tr, &mut hour_spans) {
+                                tr.buf.complete_back_to_back(tr.buf.now_ns(), spans);
+                            }
                             let v = vp.as_mut().expect("hours after finish");
                             let export_start = worker_tr.as_ref().map(|tr| tr.buf.now_ns());
                             v.end_of_hour(hour);
@@ -903,8 +933,14 @@ pub fn run_sharded_into<S: FlowSink + Send>(
                             if let Some(g) = &hours_gauge {
                                 g.set(i64::from(hour) + 1);
                             }
+                            if let Some(p) = &worker_progress {
+                                p.hour_done(hour);
+                            }
                         }
                         ShardMsg::Finish(hour) => {
+                            if let (Some(tr), Some(spans)) = (&worker_tr, &mut hour_spans) {
+                                tr.buf.complete_back_to_back(tr.buf.now_ns(), spans);
+                            }
                             let v = vp.take().expect("exactly one finish");
                             let finish_start = worker_tr.as_ref().map(|tr| tr.buf.now_ns());
                             stats = v.finish_into(hour, &mut sink);
@@ -921,67 +957,28 @@ pub fn run_sharded_into<S: FlowSink + Send>(
             }));
         }
 
-        let mut batches: Vec<Vec<FlowEvent>> = (0..n_shards)
-            .map(|_| Vec::with_capacity(SHARD_EVENT_BATCH))
-            .collect();
         for hour in 0..hours {
             let produce_start = generator_tr.as_ref().map(|tr| tr.buf.now_ns());
             model.generate_hour(hour, &mut |ev| {
-                let shard = owner_of_router[router_for(ev, plan_prefix_len, total_routers)];
-                let buf = &mut batches[shard];
-                buf.push(*ev);
-                if buf.len() == SHARD_EVENT_BATCH {
-                    let full = std::mem::replace(buf, Vec::with_capacity(SHARD_EVENT_BATCH));
-                    if let Some(g) = &depth_gauges[shard] {
-                        g.add(1);
-                    }
-                    send_accounted(
-                        &txs[shard],
-                        ShardMsg::Events(full),
-                        &feed_traces[shard],
-                        &send_block_counters[shard],
-                    );
-                }
+                feeds[owner_of_router[router_for(ev, plan_prefix_len, total_routers)]].push(ev);
             });
             if let (Some(tr), Some(start)) = (&generator_tr, produce_start) {
                 tr.span_since(tr.produce, start);
             }
-            for (shard, tx) in txs.iter().enumerate() {
-                let buf = &mut batches[shard];
-                if !buf.is_empty() {
-                    let full = std::mem::take(buf);
-                    if let Some(g) = &depth_gauges[shard] {
-                        g.add(1);
-                    }
-                    send_accounted(
-                        tx,
-                        ShardMsg::Events(full),
-                        &feed_traces[shard],
-                        &send_block_counters[shard],
-                    );
-                }
-                send_accounted(
-                    tx,
-                    ShardMsg::EndOfHour(hour),
-                    &feed_traces[shard],
-                    &send_block_counters[shard],
-                );
+            for feed in &mut feeds {
+                feed.end_hour(ShardMsg::EndOfHour(hour));
             }
-            // Generator-side view: this hour's events are fully fed
-            // (workers may still be draining their channels).
+            // Generator-side view over two or more shards: this hour's
+            // events are fully fed (workers may still be draining their
+            // channels). One shard's worker took the gauges.
             if let Some(p) = &progress {
                 p.hour_done(hour);
             }
         }
-        for (shard, tx) in txs.iter().enumerate() {
-            send_accounted(
-                tx,
-                ShardMsg::Finish(hours.saturating_sub(1)),
-                &feed_traces[shard],
-                &send_block_counters[shard],
-            );
+        for feed in &mut feeds {
+            feed.end_hour(ShardMsg::Finish(hours.saturating_sub(1)));
         }
-        drop(txs);
+        drop(feeds);
         handles
             .into_iter()
             .map(|h| h.join().expect("shard worker panicked"))
@@ -989,10 +986,9 @@ pub fn run_sharded_into<S: FlowSink + Send>(
     })
     .expect("no shard worker panicked");
 
-    if let Some(m) = &metrics {
-        for (i, (_, stats)) in results.iter().enumerate() {
-            m.gauge(&format!("sim.shard.{i:02}.peak_resident_records"))
-                .set(stats.peak_resident_records as i64);
+    for (i, (_, stats)) in results.iter().enumerate() {
+        if let Some(g) = gauge(i, "peak_resident_records") {
+            g.set(stats.peak_resident_records as i64);
         }
     }
     (model.into_truth(), results)

@@ -19,6 +19,16 @@
 
 use std::process::ExitCode;
 
+/// Writes one line to stderr through [`write_stderr`]; takes
+/// `format!` arguments. Every command writes its progress and error
+/// lines through here, never with `eprintln!`, which panics when stderr
+/// is a closed pipe.
+macro_rules! note {
+    ($($arg:tt)*) => {
+        write_stderr(format_args!($($arg)*))
+    };
+}
+
 use cwa_analysis::filter::FlowFilter;
 use cwa_core::{run_seed_sweep, run_sweep, LiveOptions, ScenarioMatrix, Study, StudyConfig};
 use cwa_simnet::sim::ScenarioKind;
@@ -50,14 +60,14 @@ fn run(args: &[String]) -> ExitCode {
         "ablation" => (&NO_ARGS, ablation),
         "help" => (&NO_ARGS, help),
         other => {
-            eprintln!("unknown command `{other}`\n\n{}", usage());
+            note!("unknown command `{other}`\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
     match check_args(&args[1..], grammar) {
         Ok(words) => command(&args[1..], &words),
         Err(e) => {
-            eprintln!("{name}: {e} (see `cwa-repro help`)");
+            note!("{name}: {e} (see `cwa-repro help`)");
             ExitCode::FAILURE
         }
     }
@@ -268,7 +278,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         Some(Ok(s)) if s > 0.0 && s <= 1.0 => s,
         None => 0.02,
         _ => {
-            eprintln!("--scale must be a number in (0, 1]");
+            note!("--scale must be a number in (0, 1]");
             return ExitCode::FAILURE;
         }
     };
@@ -277,7 +287,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         match seed.parse() {
             Ok(s) => config.sim.seed = s,
             Err(_) => {
-                eprintln!("--seed must be an integer");
+                note!("--seed must be an integer");
                 return ExitCode::FAILURE;
             }
         }
@@ -287,19 +297,19 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("cannot read {path}: {e}");
+                note!("cannot read {path}: {e}");
                 return ExitCode::FAILURE;
             }
         };
         let matrix = match ScenarioMatrix::parse(&text) {
             Ok(m) => m,
             Err(e) => {
-                eprintln!("{e}");
+                note!("{e}");
                 return ExitCode::FAILURE;
             }
         };
         if matrix.scenarios.len() != 1 {
-            eprintln!(
+            note!(
                 "{path} holds {} scenarios; `study --scenario` takes exactly one (use `sweep` for a matrix)",
                 matrix.scenarios.len()
             );
@@ -309,18 +319,18 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         config = match matrix.scenarios[0].apply(&config, &germany) {
             Ok(cfg) => cfg,
             Err(e) => {
-                eprintln!("{e}");
+                note!("{e}");
                 return ExitCode::FAILURE;
             }
         };
-        eprintln!("applied scenario '{}'", matrix.scenarios[0].name);
+        note!("applied scenario '{}'", matrix.scenarios[0].name);
     }
     let streaming = flag(args, "--streaming");
     let shards: Option<usize> = match opt(args, "--shards").map(|s| s.parse()) {
         Some(Ok(n)) => Some(n),
         None => None,
         Some(Err(_)) => {
-            eprintln!("--shards must be a positive integer");
+            note!("--shards must be a positive integer");
             return ExitCode::FAILURE;
         }
     };
@@ -329,21 +339,21 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         Some(Ok(n)) if n > 0.0 => Some(n),
         None => None,
         _ => {
-            eprintln!("--replay-speed must be a positive number (simulated-time multiple)");
+            note!("--replay-speed must be a positive number (simulated-time multiple)");
             return ExitCode::FAILURE;
         }
     };
     if replay_speed.is_some() && !live_mode {
-        eprintln!("--replay-speed requires --live");
+        note!("--replay-speed requires --live");
         return ExitCode::FAILURE;
     }
     if live_mode && streaming {
-        eprintln!("--live and --streaming are exclusive (live is already single-pass)");
+        note!("--live and --streaming are exclusive (live is already single-pass)");
         return ExitCode::FAILURE;
     }
     if let Some(days) = opt(args, "--days") {
         if !live_mode {
-            eprintln!("--days requires --live (the batch analysis tiers are horizon-bound)");
+            note!("--days requires --live (the batch analysis tiers are horizon-bound)");
             return ExitCode::FAILURE;
         }
         // "inf" is endless in spirit: a ten-year replay; the windowed
@@ -354,7 +364,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
             match days.parse() {
                 Ok(d) if d >= 1 => d,
                 _ => {
-                    eprintln!("--days must be a positive integer or `inf`");
+                    note!("--days must be a positive integer or `inf`");
                     return ExitCode::FAILURE;
                 }
             }
@@ -367,7 +377,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         Some(Ok(ms)) if ms > 0 => ms,
         None => 250,
         _ => {
-            eprintln!("--heartbeat-ms must be a positive integer");
+            note!("--heartbeat-ms must be a positive integer");
             return ExitCode::FAILURE;
         }
     };
@@ -375,16 +385,16 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         Some(Ok(ms)) => ms,
         None => 0,
         Some(Err(_)) => {
-            eprintln!("--serve-linger-ms must be an integer");
+            note!("--serve-linger-ms must be an integer");
             return ExitCode::FAILURE;
         }
     };
     if opt(args, "--heartbeat-ms").is_some() && serve_addr.is_none() && heartbeat_jsonl.is_none() {
-        eprintln!("--heartbeat-ms requires --serve or --heartbeat-jsonl");
+        note!("--heartbeat-ms requires --serve or --heartbeat-jsonl");
         return ExitCode::FAILURE;
     }
     if opt(args, "--serve-linger-ms").is_some() && serve_addr.is_none() {
-        eprintln!("--serve-linger-ms requires --serve");
+        note!("--serve-linger-ms requires --serve");
         return ExitCode::FAILURE;
     }
     // Live telemetry needs a registry even without --metrics.
@@ -416,7 +426,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         ) {
             Ok(hb) => hb,
             Err(e) => {
-                eprintln!("cannot start heartbeat sampler: {e}");
+                note!("cannot start heartbeat sampler: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -433,7 +443,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
                     // line is how scripts learn the real port. The
                     // address stays the first token after "on" so the
                     // dashboard suffix never breaks that parse.
-                    eprintln!(
+                    note!(
                         "serving telemetry on {} (dashboard: http://{}/dashboard)",
                         s.local_addr(),
                         s.local_addr()
@@ -441,7 +451,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
                     server = Some(s);
                 }
                 Err(e) => {
-                    eprintln!("cannot bind telemetry server on {addr}: {e}");
+                    note!("cannot bind telemetry server on {addr}: {e}");
                     return ExitCode::FAILURE;
                 }
             }
@@ -449,7 +459,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         heartbeat = Some(hb);
     }
 
-    eprintln!(
+    note!(
         "running study at scale {scale} (seed {:#x}{}{}{}) …",
         config.sim.seed,
         if streaming { ", streaming" } else { "" },
@@ -503,29 +513,29 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
     // a trace of a failing run is exactly what one wants to look at.
     if let (Some(path), Some(tracer)) = (&trace_path, &tracer) {
         if let Err(e) = std::fs::write(path, tracer.to_chrome_json()) {
-            eprintln!("cannot write {path}: {e}");
+            note!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         let dropped = tracer.total_dropped();
         if dropped > 0 {
-            eprintln!("wrote {path} ({dropped} events dropped to ring wraparound)");
+            note!("wrote {path} ({dropped} events dropped to ring wraparound)");
         } else {
-            eprintln!("wrote {path}");
+            note!("wrote {path}");
         }
     }
 
     let report = match result {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("study failed: {e}");
+            note!("study failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("done in {:?}\n", start.elapsed());
+    note!("done in {:?}\n", start.elapsed());
     // The claim table is one output of several: a reader that stops
     // early ends it, not the files below or the claims' exit status.
     if let Err(e) = write_stdout(&format!("{}\n", report.render_text())) {
-        eprintln!("cannot write to stdout: {e}");
+        note!("cannot write to stdout: {e}");
         return ExitCode::FAILURE;
     }
 
@@ -536,16 +546,16 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
             registry.to_json_pretty()
         };
         if let Err(e) = std::fs::write(path, snapshot) {
-            eprintln!("cannot write {path}: {e}");
+            note!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("wrote {path}");
+        note!("wrote {path}");
     }
 
     if let Some(dir) = opt(args, "--out") {
         let dir = std::path::PathBuf::from(dir);
         if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
+            note!("cannot create {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
         let writes = [
@@ -559,16 +569,16 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         for (name, content) in writes {
             let path = dir.join(name);
             if let Err(e) = std::fs::write(&path, content) {
-                eprintln!("cannot write {}: {e}", path.display());
+                note!("cannot write {}: {e}", path.display());
                 return ExitCode::FAILURE;
             }
-            eprintln!("wrote {}", path.display());
+            note!("wrote {}", path.display());
         }
     }
 
     let starved = report.starved();
     if !starved.is_empty() {
-        eprintln!(
+        note!(
             "{} claim(s) starved at scale {scale} (insufficient data, not a failure)",
             starved.len()
         );
@@ -584,7 +594,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         if !report.failures().is_empty() {
-            eprintln!("{} claim(s) outside their bands", report.failures().len());
+            note!("{} claim(s) outside their bands", report.failures().len());
         }
         ExitCode::FAILURE
     }
@@ -592,14 +602,14 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
 
 fn sweep(args: &[String], _words: &[String]) -> ExitCode {
     let Some(path) = opt(args, "--scenarios") else {
-        eprintln!("sweep requires --scenarios FILE (a [[scenario]] matrix)");
+        note!("sweep requires --scenarios FILE (a [[scenario]] matrix)");
         return ExitCode::FAILURE;
     };
     let scale: f64 = match opt(args, "--scale").map(|s| s.parse()) {
         Some(Ok(s)) if s > 0.0 && s <= 1.0 => s,
         None => 0.02,
         _ => {
-            eprintln!("--scale must be a number in (0, 1]");
+            note!("--scale must be a number in (0, 1]");
             return ExitCode::FAILURE;
         }
     };
@@ -607,7 +617,7 @@ fn sweep(args: &[String], _words: &[String]) -> ExitCode {
         Some(Ok(n)) => n,
         None => 1,
         Some(Err(_)) => {
-            eprintln!("--shards must be a non-negative integer");
+            note!("--shards must be a non-negative integer");
             return ExitCode::FAILURE;
         }
     };
@@ -615,7 +625,7 @@ fn sweep(args: &[String], _words: &[String]) -> ExitCode {
         Some(Ok(n)) if n >= 1 => n,
         None => 1,
         _ => {
-            eprintln!("--seeds must be a positive integer");
+            note!("--seeds must be a positive integer");
             return ExitCode::FAILURE;
         }
     };
@@ -624,7 +634,7 @@ fn sweep(args: &[String], _words: &[String]) -> ExitCode {
         match seed.parse() {
             Ok(s) => base.sim.seed = s,
             Err(_) => {
-                eprintln!("--seed must be an integer");
+                note!("--seed must be an integer");
                 return ExitCode::FAILURE;
             }
         }
@@ -632,22 +642,22 @@ fn sweep(args: &[String], _words: &[String]) -> ExitCode {
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("cannot read {path}: {e}");
+            note!("cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
     if text.trim().is_empty() {
-        eprintln!("{path} is empty — not a scenario matrix");
+        note!("{path} is empty — not a scenario matrix");
         return ExitCode::FAILURE;
     }
     let matrix = match ScenarioMatrix::parse(&text) {
         Ok(m) => m,
         Err(e) => {
-            eprintln!("{path}: {e}");
+            note!("{path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    eprintln!(
+    note!(
         "sweeping {} scenario(s) at base scale {scale} (seed {:#x}, {shards} shard(s) requested, {seeds} seed(s)) …",
         matrix.scenarios.len(),
         base.sim.seed
@@ -659,7 +669,7 @@ fn sweep(args: &[String], _words: &[String]) -> ExitCode {
         match run_seed_sweep(&matrix, &base, shards, seeds) {
             Ok(t) => (t.render_text(), t.to_json()),
             Err(e) => {
-                eprintln!("sweep failed: {e}");
+                note!("sweep failed: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -667,23 +677,23 @@ fn sweep(args: &[String], _words: &[String]) -> ExitCode {
         match run_sweep(&matrix, &base, shards) {
             Ok(t) => (t.render_text(), t.to_json()),
             Err(e) => {
-                eprintln!("sweep failed: {e}");
+                note!("sweep failed: {e}");
                 return ExitCode::FAILURE;
             }
         }
     };
-    eprintln!("done in {:?}\n", start.elapsed());
+    note!("done in {:?}\n", start.elapsed());
     // A reader that stops early ends the table, not the --json file.
     if let Err(e) = write_stdout(&format!("{text}\n")) {
-        eprintln!("cannot write to stdout: {e}");
+        note!("cannot write to stdout: {e}");
         return ExitCode::FAILURE;
     }
     if let Some(json_path) = opt(args, "--json") {
         if let Err(e) = std::fs::write(&json_path, json) {
-            eprintln!("cannot write {json_path}: {e}");
+            note!("cannot write {json_path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("wrote {json_path}");
+        note!("wrote {json_path}");
     }
     ExitCode::SUCCESS
 }
@@ -724,6 +734,22 @@ fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
     Ok((status, body))
 }
 
+/// Writes `line` and a newline to stderr in one `write_all`. A reader
+/// that stops early (`2>&1 | head`) closes the pipe: this line and the
+/// ones after it are dropped and the command carries on, as
+/// [`write_stdout`] ends stdout quietly. Any other write error exits 1.
+fn write_stderr(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stderr()
+        .lock()
+        .write_all(format!("{line}\n").as_bytes())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(_) => std::process::exit(1),
+    }
+}
+
 /// Writes `text` to stdout in one `write_all` and flushes it. A reader
 /// that stops early (`… | head`) closes the pipe: that ends the output
 /// and reads `Ok(false)`, not an error. Every command writes its stdout
@@ -746,7 +772,7 @@ fn emit(text: &str) -> Option<ExitCode> {
         Ok(true) => None,
         Ok(false) => Some(ExitCode::SUCCESS),
         Err(e) => {
-            eprintln!("cannot write to stdout: {e}");
+            note!("cannot write to stdout: {e}");
             Some(ExitCode::FAILURE)
         }
     }
@@ -760,18 +786,18 @@ fn scrape(_args: &[String], words: &[String]) -> ExitCode {
     match http_get(addr, path) {
         Ok((status, body)) => {
             if let Err(e) = write_stdout(&body) {
-                eprintln!("cannot write the body: {e}");
+                note!("cannot write the body: {e}");
                 return ExitCode::FAILURE;
             }
             if (200..300).contains(&status) {
                 ExitCode::SUCCESS
             } else {
-                eprintln!("HTTP {status} from {addr}{path}");
+                note!("HTTP {status} from {addr}{path}");
                 ExitCode::FAILURE
             }
         }
         Err(e) => {
-            eprintln!("{e}");
+            note!("{e}");
             ExitCode::FAILURE
         }
     }
@@ -915,7 +941,7 @@ fn watch(args: &[String], words: &[String]) -> ExitCode {
         Some(Ok(ms)) if ms > 0 => ms,
         None => 1000,
         _ => {
-            eprintln!("--interval-ms must be a positive integer");
+            note!("--interval-ms must be a positive integer");
             return ExitCode::FAILURE;
         }
     };
@@ -931,7 +957,7 @@ fn watch(args: &[String], words: &[String]) -> ExitCode {
                 let doc: serde_json::Value = match serde_json::from_str(&body) {
                     Ok(v) => v,
                     Err(e) => {
-                        eprintln!("bad {path} payload: {e}");
+                        note!("bad {path} payload: {e}");
                         return ExitCode::FAILURE;
                     }
                 };
@@ -962,15 +988,15 @@ fn watch(args: &[String], words: &[String]) -> ExitCode {
                 connect_failures = 0;
                 successes += 1;
                 if !waiting_notice {
-                    eprintln!("server up, waiting for the first published report …");
+                    note!("server up, waiting for the first published report …");
                     waiting_notice = true;
                 }
             }
             Ok((status, body)) => {
-                eprintln!("HTTP {status} from {addr}{path}");
+                note!("HTTP {status} from {addr}{path}");
                 if status == 404 && claims_mode {
                     // The server explains itself ("not a live run …").
-                    eprintln!("{}", body.trim_end());
+                    note!("{}", body.trim_end());
                 }
                 return ExitCode::FAILURE;
             }
@@ -982,7 +1008,7 @@ fn watch(args: &[String], words: &[String]) -> ExitCode {
                 }
                 connect_failures += 1;
                 if connect_failures >= 10 {
-                    eprintln!("{e}");
+                    note!("{e}");
                     return ExitCode::FAILURE;
                 }
             }
@@ -1071,7 +1097,7 @@ fn obs_diff(args: &[String], words: &[String]) -> ExitCode {
         Some(Ok(pct)) if pct.is_finite() => Some(pct),
         None => None,
         _ => {
-            eprintln!("--threshold must be a number (percent)");
+            note!("--threshold must be a number (percent)");
             return ExitCode::FAILURE;
         }
     };
@@ -1087,7 +1113,7 @@ fn obs_diff(args: &[String], words: &[String]) -> ExitCode {
     let (a, b) = match (load(path_a), load(path_b)) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
+            note!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -1138,13 +1164,13 @@ fn obs_diff(args: &[String], words: &[String]) -> ExitCode {
     }
     // A reader that stops early ends the table, not the gate's verdict.
     if let Err(e) = write_stdout(&out) {
-        eprintln!("cannot write to stdout: {e}");
+        note!("cannot write to stdout: {e}");
         return ExitCode::FAILURE;
     }
     match regressions {
         Some((threshold, regressions)) if !regressions.is_empty() => {
             for (name, rel) in &regressions {
-                eprintln!("REGRESSION {name}: {rel:+.1}% (threshold {threshold}%)");
+                note!("REGRESSION {name}: {rel:+.1}% (threshold {threshold}%)");
             }
             ExitCode::FAILURE
         }
@@ -1200,25 +1226,25 @@ fn trace_summary(_args: &[String], words: &[String]) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("cannot read {path}: {e}");
+            note!("cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
     if text.trim().is_empty() {
-        eprintln!("{path} is empty — not a trace capture");
+        note!("{path} is empty — not a trace capture");
         return ExitCode::FAILURE;
     }
     let root: serde_json::Value = match serde_json::from_str(&text) {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("{path} is not valid JSON: {e}");
+            note!("{path} is not valid JSON: {e}");
             return ExitCode::FAILURE;
         }
     };
     match summarize_trace(path, &root) {
         Ok(summary) => emit(&summary).unwrap_or(ExitCode::SUCCESS),
         Err(e) => {
-            eprintln!("{e}");
+            note!("{e}");
             ExitCode::FAILURE
         }
     }
@@ -1355,7 +1381,7 @@ fn dns(args: &[String], _words: &[String]) -> ExitCode {
         Some(Ok(d)) if d >= 1 => d,
         None => 11,
         _ => {
-            eprintln!("--days must be a positive integer");
+            note!("--days must be a positive integer");
             return ExitCode::FAILURE;
         }
     };

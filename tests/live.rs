@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use cwa_repro::core::live::{LiveOptions, LIVE_FIGURE_SCHEMA, LIVE_REPORT_SCHEMA};
 use cwa_repro::core::{Study, StudyConfig};
-use cwa_repro::obs::{LiveFigure, LiveSnapshot};
+use cwa_repro::obs::{LiveFigure, LiveSnapshot, Registry};
 
 fn canonical_json(report: &cwa_repro::core::StudyReport) -> String {
     serde_json::to_string(&report.strip_volatile()).expect("report serializes")
@@ -315,6 +315,51 @@ fn paced_replay_publishes_advancing_documents() {
     // An interim (not-done) report was served before the final one.
     let body = live.report().expect("report published");
     assert!(body.contains("\"done\": true"));
+}
+
+/// A one-shard replay advances `sim.progress.*` from its worker after
+/// each hour's checkpoint, as it publishes: `/progress` never runs ahead
+/// of the published stream position, however far the generating thread
+/// has run ahead into the worker's channel.
+#[test]
+fn one_shard_progress_never_runs_ahead_of_the_published_position() {
+    let registry = Arc::new(Registry::new());
+    let hours_done = registry.gauge("sim.progress.hours_done");
+    let live = Arc::new(LiveSnapshot::new());
+    let opts = LiveOptions {
+        shards: 1,
+        replay_speed: Some(1_440_000.0),
+        publish: Some(Arc::clone(&live)),
+    };
+    let run_registry = Arc::clone(&registry);
+    let worker = std::thread::spawn(move || {
+        Study::new(StudyConfig::test_small())
+            .with_metrics(run_registry)
+            .run_live(&opts)
+            .expect("small study produces matching flows")
+    });
+
+    let mut interim = 0;
+    while !worker.is_finished() {
+        // Progress first: the worker publishes before it advances the
+        // gauge, and the published position only grows.
+        let progress = u64::try_from(hours_done.get()).expect("non-negative");
+        if let Some(body) = live.figure(LiveFigure::Adoption) {
+            let value: serde_json::Value = serde_json::from_str(&body).expect("valid JSON");
+            let published = num(value.get("hours_seen")).expect("position present");
+            assert!(
+                progress <= published,
+                "/progress reads {progress} hours done, /figures only {published}"
+            );
+            interim += usize::from(progress > 0);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    worker.join().expect("live run succeeds");
+    assert!(
+        interim >= 2,
+        "expected several interim samples, saw {interim}"
+    );
 }
 
 /// Pacing holds at any shard count: every shard worker sleeps once per

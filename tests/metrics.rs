@@ -144,55 +144,103 @@ fn tracer_never_perturbs_reports() {
 /// A sharded run's trace carries one Chrome "process" per shard with
 /// the full stage vocabulary: produce and stall accounting on the
 /// worker track, coalesced filter/analyze spans on the analysis track,
-/// plus the study-level phase spans.
+/// plus the study-level phase spans. A streaming run is the one-shard
+/// case and takes the same layout, with no merge. The worker's routing
+/// and idle time is coalesced into one span each per export hour, so
+/// the worker track stays far below its ring's capacity.
 #[test]
 fn sharded_trace_covers_every_stage() {
-    let tracer = Arc::new(Tracer::new());
-    Study::new(StudyConfig::test_small())
-        .with_trace(Arc::clone(&tracer))
-        .run_sharded(2)
+    for shards in [2usize, 1] {
+        let tracer = Arc::new(Tracer::new());
+        let config = StudyConfig::test_small();
+        let hours = config.sim.days * 24;
+        let study = Study::new(config).with_trace(Arc::clone(&tracer));
+        if shards == 1 {
+            study.run_streaming()
+        } else {
+            study.run_sharded(shards)
+        }
         .expect("small study produces matching flows");
+        assert_eq!(
+            tracer.total_dropped(),
+            0,
+            "{shards} shard(s): dropped events"
+        );
 
-    let json = tracer.to_chrome_json();
-    let parsed: serde_json::Value = serde_json::from_str(&json).expect("trace is valid JSON");
-    assert!(
-        parsed.get("traceEvents").is_some(),
-        "chrome trace has a traceEvents array"
-    );
-    for needle in [
-        // Process/thread layout: shard i is pid i+1 with feed, worker
-        // and analysis tracks; the generator and study run on pid 0.
-        "\"shard00\"",
-        "\"shard01\"",
-        "\"generator\"",
-        "\"feed\"",
-        "\"worker\"",
-        "\"analysis\"",
-        "\"study\"",
-        // Worker-side stage spans and stall accounting.
-        "\"produce\"",
-        "\"export\"",
-        "\"drain\"",
-        "\"recv_idle\"",
-        "\"collect.ingest\"",
-        // Coalesced per-record analysis spans.
-        "\"filter\"",
-        "\"analyze\"",
-        "\"timeseries\"",
-        "\"geoloc\"",
-        "\"persistence\"",
-        "\"outbreak\"",
-        // Study-level phases.
-        "\"phase.simulate_analyze\"",
-        "\"phase.merge\"",
-    ] {
-        assert!(json.contains(needle), "trace missing {needle}");
-    }
-    // Both shard processes actually emitted span events (not just
-    // metadata): pid 1 and pid 2 appear as complete events.
-    for pid in [1, 2] {
-        let marker = format!("\"ph\":\"X\",\"pid\":{pid},");
-        assert!(json.contains(&marker), "no spans for shard pid {pid}");
+        let json = tracer.to_chrome_json();
+        let parsed: serde_json::Value = serde_json::from_str(&json).expect("trace is valid JSON");
+        let events = parsed
+            .get("traceEvents")
+            .and_then(|e| e.as_array())
+            .expect("chrome trace has a traceEvents array");
+        let mut needles: Vec<String> = [
+            // Process/thread layout: shard i is pid i+1 with feed, worker
+            // and analysis tracks; the generator and study run on pid 0.
+            "\"generator\"",
+            "\"feed\"",
+            "\"worker\"",
+            "\"analysis\"",
+            "\"study\"",
+            // Worker-side stage spans and stall accounting.
+            "\"produce\"",
+            "\"export\"",
+            "\"drain\"",
+            "\"recv_idle\"",
+            "\"collect.ingest\"",
+            // Coalesced per-record analysis spans.
+            "\"filter\"",
+            "\"analyze\"",
+            "\"timeseries\"",
+            "\"geoloc\"",
+            "\"persistence\"",
+            "\"outbreak\"",
+            // Study-level phases.
+            "\"phase.simulate_analyze\"",
+        ]
+        .map(String::from)
+        .to_vec();
+        needles.extend((0..shards).map(|i| format!("\"shard{i:02}\"")));
+        for needle in &needles {
+            assert!(
+                json.contains(needle),
+                "{shards} shard(s): trace missing {needle}"
+            );
+        }
+        assert_eq!(
+            json.contains("\"phase.merge\""),
+            shards > 1,
+            "{shards} shard(s): merge phase"
+        );
+        assert!(!json.contains("\"day-loop\""), "no serial day-loop track");
+        // Every shard process emitted span events (not just metadata),
+        // and its worker track holds at most one produce and one
+        // recv_idle span per export hour, plus one for the final flush.
+        let num = |e: &serde_json::Value, key: &str| match e.get(key) {
+            Some(serde_json::Value::Num(n)) => n.as_f64(),
+            _ => -1.0,
+        };
+        for pid in 1..=shards {
+            let spans = |name: &str| {
+                events
+                    .iter()
+                    .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+                    .filter(|e| num(e, "pid") == pid as f64 && num(e, "tid") == 1.0)
+                    .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
+                    .count()
+            };
+            for name in ["produce", "recv_idle", "export"] {
+                let count = spans(name);
+                assert!(
+                    count > 0,
+                    "{shards} shard(s): no {name} spans for pid {pid}"
+                );
+                assert!(
+                    count <= hours as usize + 1,
+                    "{shards} shard(s): {count} {name} spans on pid {pid}'s worker, \
+                     more than one per export hour ({hours}) and the final flush"
+                );
+            }
+        }
     }
 }
 

@@ -5,15 +5,18 @@
 //! while never materializing the full flow-record vector. The sharded
 //! path (`Study::run_sharded`) must in turn match the streaming report
 //! for any shard count, with per-shard memory still bounded to one
-//! export-hour chunk.
+//! export-hour chunk. One shard runs through the sharded path too; a
+//! compact copy of the serial day loop it replaced is the oracle for
+//! its record stream.
 
 use std::sync::Arc;
 
 use cwa_repro::core::study::persistence_len_for_scale;
 use cwa_repro::core::{Study, StudyConfig, StudyError};
-use cwa_repro::netflow::CountingSink;
+use cwa_repro::netflow::{CountingSink, FlowChunk, FlowRecord, FlowSink};
 use cwa_repro::obs::Registry;
-use cwa_repro::simnet::{ShardKeyMode, Simulation};
+use cwa_repro::simnet::vantage::{VantageConfig, VantagePoint, VantageRunStats};
+use cwa_repro::simnet::{ShardKeyMode, SimConfig, Simulation};
 
 /// Strips the volatile timings and serializes — byte-level equality is
 /// the strongest statement we can make about the two paths.
@@ -111,6 +114,104 @@ fn chunked_emission_bounds_resident_records() {
     );
 }
 
+/// Every call a producer makes on its sink, in order: the records of
+/// each chunk, checkpoints and the end of the stream.
+#[derive(Debug, Default, PartialEq)]
+struct Transcript(Vec<SinkCall>);
+
+#[derive(Debug, PartialEq)]
+enum SinkCall {
+    Chunk(Vec<FlowRecord>),
+    Checkpoint,
+    Finish,
+}
+
+impl FlowSink for Transcript {
+    fn observe(&mut self, rec: &FlowRecord) {
+        self.0.push(SinkCall::Chunk(vec![*rec]));
+    }
+
+    fn observe_chunk(&mut self, chunk: &FlowChunk) {
+        self.0.push(SinkCall::Chunk(chunk.iter().collect()));
+    }
+
+    fn checkpoint(&mut self) {
+        self.0.push(SinkCall::Checkpoint);
+    }
+
+    fn finish(&mut self) {
+        self.0.push(SinkCall::Finish);
+    }
+}
+
+/// The serial day loop `run_traffic` replaced, kept as its oracle: the
+/// whole fleet observes each generated hour on one thread, exports and
+/// drains it, and flushes after the last hour.
+fn day_loop(sim: SimConfig, chunk_capacity: Option<usize>) -> (Transcript, VantageRunStats) {
+    let prepared = Simulation::new(sim).prepare();
+    let mut model = prepared.traffic_model();
+    let mut vantage = VantagePoint::new(
+        sim.vantage,
+        prepared.cdn.service_prefixes.to_vec(),
+        sim.plan.prefix_len,
+    );
+    if let Some(capacity) = chunk_capacity {
+        vantage.set_chunk_capacity(capacity);
+    }
+    let mut sink = Transcript::default();
+    let hours = sim.days * 24;
+    for hour in 0..hours {
+        model.generate_hour(hour, &mut |ev| vantage.observe(ev));
+        vantage.end_of_hour(hour);
+        vantage.drain_records_into(&mut sink);
+        sink.checkpoint();
+    }
+    let stats = vantage.finish_into(hours - 1, &mut sink);
+    sink.checkpoint();
+    sink.finish();
+    (sink, stats)
+}
+
+/// `run_traffic` (one shard: generation on the calling thread, the
+/// fleet on one worker) hands its sink exactly the serial day loop's
+/// chunks, checkpoints and run statistics: with the default four
+/// routers, with one router, and one record per chunk.
+#[test]
+fn run_traffic_equals_the_serial_day_loop() {
+    let base = SimConfig {
+        days: 3,
+        ..StudyConfig::test_small().sim
+    };
+    let one_router = SimConfig {
+        vantage: VantageConfig {
+            routers: 1,
+            ..base.vantage
+        },
+        ..base
+    };
+    for (what, sim, chunk_capacity) in [
+        ("default fleet", base, None),
+        ("one router", one_router, None),
+        ("chunk capacity 1", base, Some(1)),
+    ] {
+        let (expected, expected_stats) = day_loop(sim, chunk_capacity);
+        let mut simulation = Simulation::new(sim);
+        if let Some(capacity) = chunk_capacity {
+            simulation = simulation.with_chunk_capacity(capacity);
+        }
+        let mut got = Transcript::default();
+        let (_truth, stats) = simulation.prepare().run_traffic(&mut got);
+        let chunks = expected
+            .0
+            .iter()
+            .filter(|call| matches!(call, SinkCall::Chunk(_)))
+            .count();
+        assert!(chunks > 0, "{what}: the oracle collected nothing");
+        assert_eq!(got, expected, "{what}: sink calls");
+        assert_eq!(stats, expected_stats, "{what}: run statistics");
+    }
+}
+
 #[test]
 fn sharded_report_matches_streaming_for_all_shard_counts() {
     let baseline = Study::new(StudyConfig::test_small())
@@ -135,10 +236,10 @@ fn sharded_report_matches_streaming_for_all_shard_counts() {
                 if metrics { "on" } else { "off" },
             );
 
-            // The registry carries the shared streaming vocabulary; a
-            // run with more than one shard adds per-shard throughput
-            // counters, channel-depth gauges and the merge timer (one
-            // shard runs inline, with no channel and nothing to merge).
+            // The registry carries the shared streaming vocabulary,
+            // per-shard throughput counters and channel-depth gauges at
+            // every shard count, and the merge timer when there is more
+            // than one shard to merge.
             if let Some(registry) = &registry {
                 let json = registry.to_json_pretty();
                 for key in [
@@ -152,25 +253,24 @@ fn sharded_report_matches_streaming_for_all_shard_counts() {
                     registry.counter("analysis.stream.records_in").get(),
                     sharded.total_records
                 );
-                if shards > 1 {
-                    for i in 0..shards {
-                        for stem in ["records", "channel_depth", "peak_resident_records"] {
-                            let key = format!("\"sim.shard.{i:02}.{stem}\"");
-                            assert!(json.contains(&key), "sharded snapshot missing {key}");
-                        }
+                for i in 0..shards {
+                    for stem in ["records", "channel_depth", "peak_resident_records"] {
+                        let key = format!("\"sim.shard.{i:02}.{stem}\"");
+                        assert!(json.contains(&key), "sharded snapshot missing {key}");
                     }
-                    assert!(
-                        json.contains("\"phase.merge\""),
-                        "sharded snapshot missing merge"
-                    );
-                    let per_shard: u64 = (0..shards)
-                        .map(|i| registry.counter(&format!("sim.shard.{i:02}.records")).get())
-                        .sum();
-                    assert_eq!(
-                        per_shard, sharded.total_records,
-                        "shard throughput counters partition the record stream"
-                    );
                 }
+                assert_eq!(
+                    json.contains("\"phase.merge\""),
+                    shards > 1,
+                    "merge timer at {shards} shard(s)"
+                );
+                let per_shard: u64 = (0..shards)
+                    .map(|i| registry.counter(&format!("sim.shard.{i:02}.records")).get())
+                    .sum();
+                assert_eq!(
+                    per_shard, sharded.total_records,
+                    "shard throughput counters partition the record stream"
+                );
             }
         }
     }
@@ -181,7 +281,7 @@ fn sharded_emission_bounds_resident_records_per_shard() {
     let config = StudyConfig::test_small();
     let prepared = Simulation::new(config.sim).prepare();
 
-    // Unsharded baseline: total record count and fleet-wide peak.
+    // One-shard baseline: total record count and fleet-wide peak.
     let mut baseline = CountingSink::default();
     let (_truth, fleet_stats) = prepared.run_traffic(&mut baseline);
 
@@ -209,7 +309,7 @@ fn sharded_emission_bounds_resident_records_per_shard() {
     }
     assert_eq!(
         total, baseline.records,
-        "the shards partition exactly the unsharded record stream"
+        "the shards partition exactly the one-shard record stream"
     );
 }
 

@@ -441,6 +441,31 @@ fn scrape_cli_stops_quietly_when_its_reader_closes_the_pipe() {
     }
 }
 
+/// Progress lines go to stderr, and a reader of stderr may stop early
+/// too (`study 2>&1 >/dev/null | head -n 1`): the study reads its first
+/// line, then writes "done in …" into the closed pipe. It drops that
+/// line and the rest and finishes the run with its own exit status,
+/// instead of panicking.
+#[test]
+fn study_carries_on_when_its_stderr_reader_closes_the_pipe() {
+    // Starved (every flow-derived claim reads `starved`, exit 0) and
+    // quick, but long enough that "done in" comes after the close.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cwa-repro"))
+        .args(["study", "--scale", "1e-9"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cwa-repro starts");
+    let stderr = child.stderr.take().expect("piped stderr");
+    let mut first = String::new();
+    BufReader::new(stderr)
+        .read_line(&mut first)
+        .expect("the first progress line arrives");
+    assert!(first.starts_with("running study at scale"), "{first}");
+    let status = child.wait().expect("cwa-repro exits");
+    assert!(status.success(), "{status:?}");
+}
+
 /// `study` rejects a flag that would do nothing without another one,
 /// naming it, before the run starts: `--replay-speed` and `--days`
 /// without `--live`, `--heartbeat-ms` without `--serve` or
