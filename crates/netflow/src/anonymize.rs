@@ -19,9 +19,11 @@
 //! share the nodes above it. The blocks one address needs are
 //! independent and go through the AES kernel in runs of 8, 4, 2 or 1
 //! ([`Aes128::encrypt_byte0_batch`]). [`CachedCryptoPan`] memoizes the
-//! trie node by node, so each node costs one block, paid once, and
-//! [`CryptoPan::anonymize_prefixes`] walks a sorted run of networks only
-//! as deep as each needs, reusing the flips neighbours share.
+//! trie down to the /24s node by node, so each of those nodes costs one
+//! block, paid once, and computes an address's 8 host-bit blocks afresh
+//! as one batch; [`CryptoPan::anonymize_prefixes`] walks a sorted run of
+//! networks only as deep as each needs, reusing the flips neighbours
+//! share.
 
 use std::net::Ipv4Addr;
 
@@ -226,53 +228,53 @@ impl SubTrie {
     }
 }
 
-/// The memo of one /16, 1,088 bytes: the flips of positions 0..16, the
-/// sub-trie of positions 16..24, and one slot per /24 beneath it.
+/// The memo of one /16, 96 bytes: the flips of positions 0..16, the
+/// sub-trie of positions 16..24, and which /24s beneath it were looked
+/// up.
+#[derive(Default)]
 struct Slash16 {
     /// Flips of positions 0..16, as a mask of the top 16 address bits.
     flips: u32,
-    /// Positions 16..24, a path per /24 ever memoized under this /16.
+    /// Positions 16..24, a path per /24 looked up under this /16.
     trie: SubTrie,
-    /// Per /24: 1 + its index in [`CachedCryptoPan`]'s /24 level, 0 =
-    /// not memoized.
-    children: [u32; 256],
+    /// Bit `b` set: the /24 with third byte `b` was looked up.
+    seen: [u64; 4],
 }
 
-/// A memoizing wrapper around [`CryptoPan`]: the PRF trie, kept node by
-/// node, so each node costs one AES block, paid by whichever address
-/// reaches it first.
+/// A memoizing wrapper around [`CryptoPan`]: the PRF trie down to the
+/// /24s, kept node by node, so each node above bit 24 costs one AES
+/// block, paid by whichever address reaches it first.
 ///
 /// Crypto-PAn costs 32 AES blocks per address, and the collector
 /// anonymizes every client address it stores (one per record, two when
-/// neither end is a service prefix). The memo holds three levels:
+/// neither end is a service prefix). The memo holds two levels:
 ///
 /// * a /16 index: a 512-byte table by the top address byte, then a
 ///   1 KiB table per visited /8;
-/// * a 1,088-byte node per /16 with the flips of positions 0..16, an
-///   8-level sub-trie for positions 16..24 and 256 child slots;
-/// * a 48-byte sub-trie per /24 for positions 24..32.
+/// * a 96-byte node per /16 with the flips of positions 0..16, an
+///   8-level sub-trie for positions 16..24 and a 256-bit mask of the
+///   /24s looked up.
 ///
-/// A lookup pays only for the nodes on its path the memo lacks:
+/// The host bits (positions 24..32) are never stored: every lookup
+/// computes them afresh, one 8-block batch through the AES kernel,
+/// which on AES-NI costs less than reading a per-/24 memo at random.
+/// A lookup pays 8 blocks plus the nodes above bit 24 the memo lacks:
 ///
 /// | lookup | AES blocks | counted as |
 /// |---|---|---|
-/// | its /31 seen before (the address, or its neighbour) | 0 | `addr_hits` |
-/// | new /31 in a memoized /24, sharing `24 + s` bits with a seen address | `7 − s` (1 to 7) | `prefix_hits` |
-/// | new /24 in a memoized /16, sharing `16 + s` bits with a memoized /24 | `15 − s` (8 to 15) | `misses` |
+/// | its /24 looked up before | 8 | `hits` |
+/// | new /24 in a memoized /16, sharing `16 + s` bits with a looked-up /24 | `15 − s` (8 to 15) | `misses` |
 /// | new /16 | 32 | `misses` |
 ///
-/// A miss is a lookup that creates a /24, whichever level it starts from,
-/// so [`hits`](CachedCryptoPan::hits)`/(hits + misses)` counts /24 reuse.
+/// So [`hits`](CachedCryptoPan::hits)`/(hits + misses)` counts /24 reuse.
 /// The memo also counts the AES blocks it computes; the collector
 /// publishes them as `netflow.collector.cryptopan_blocks`.
 /// Output is bit-identical to the uncached [`CryptoPan::anonymize`] — the
 /// memo only short-circuits a pure function — so record streams are
 /// unchanged by construction (asserted by tests).
 ///
-/// The /24 level is bounded: on reaching its capacity it is cleared whole
-/// (a deterministic epoch reset, no eviction order to get wrong). The /16
-/// level survives the reset, flips and sub-tries included; it holds at
-/// most 65,536 nodes, so it needs no bound.
+/// The memo is bounded by its shape, however long the collector runs: at
+/// most 65,536 /16 nodes (6 MiB) and 256 index tables (256 KiB).
 pub struct CachedCryptoPan {
     inner: CryptoPan,
     /// The /16 index by the address's top byte: 1 + the index of that
@@ -282,45 +284,24 @@ pub struct CachedCryptoPan {
     /// in `slash16s`, 0 = none yet.
     index_tables: Vec<[u32; 256]>,
     slash16s: Vec<Slash16>,
-    /// Sub-tries of positions 24..32, one per memoized /24.
-    slash24s: Vec<SubTrie>,
-    capacity: usize,
-    /// Lookups that needed no AES block: their /31 was seen before.
-    pub addr_hits: u64,
-    /// Other lookups whose /24 was memoized (1 to 7 AES blocks).
-    pub prefix_hits: u64,
-    /// Lookups that created a /24 (8 to 32 AES blocks).
+    /// Lookups whose /24 was looked up before (8 AES blocks).
+    hits: u64,
+    /// Lookups of a new /24 (8 to 32 AES blocks).
     pub misses: u64,
-    /// Misses whose /16 was memoized (8 to 15 AES blocks).
-    pub(crate) wide_hits: u64,
     /// AES blocks computed.
     pub(crate) blocks: u64,
 }
 
 impl CachedCryptoPan {
-    /// Default bound on the /24 level: 2^20 sub-tries, 48 MiB at most.
-    /// The scale-1.0 study visits 131,085 /24s.
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// Wraps an anonymizer with the default bound.
+    /// Wraps an anonymizer with an empty memo.
     pub fn new(inner: CryptoPan) -> Self {
-        Self::with_capacity(inner, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Wraps an anonymizer with an explicit bound on the number of
-    /// memoized /24s (tests).
-    pub fn with_capacity(inner: CryptoPan, capacity: usize) -> Self {
         CachedCryptoPan {
             inner,
             index_top: [0; 256],
             index_tables: Vec::new(),
             slash16s: Vec::new(),
-            slash24s: Vec::new(),
-            capacity: capacity.max(1),
-            addr_hits: 0,
-            prefix_hits: 0,
+            hits: 0,
             misses: 0,
-            wide_hits: 0,
             blocks: 0,
         }
     }
@@ -330,9 +311,9 @@ impl CachedCryptoPan {
         &self.inner
     }
 
-    /// Lookups whose /24 was memoized.
+    /// Lookups whose /24 was looked up before.
     pub fn hits(&self) -> u64 {
-        self.addr_hits + self.prefix_hits
+        self.hits
     }
 
     /// Anonymizes one address through the memo. Bit-identical to
@@ -343,47 +324,35 @@ impl CachedCryptoPan {
 
     /// `u32` form of [`anonymize`](CachedCryptoPan::anonymize).
     pub fn anonymize_u32(&mut self, orig: u32) -> u32 {
-        let (b24, host) = (orig >> 8 & 0xFF, orig & 0xFF);
+        let b24 = orig >> 8 & 0xFF;
         let (w, cold) = self.slash16(orig);
-        // The /24's sub-trie, and the first position whose flip the memo
-        // lacks: every position from there on is unknown too.
-        let (s, start) = match self.slash16s[w].children[b24 as usize] {
-            0 => {
-                self.misses += 1;
-                let start = if cold {
-                    0
-                } else {
-                    self.wide_hits += 1;
-                    16 + self.slash16s[w].trie.known_depth(b24)
-                };
-                (self.insert_slash24(w, b24), start)
-            }
-            slot => {
-                let s = slot as usize - 1;
-                let start = 24 + self.slash24s[s].known_depth(host);
-                if start == 32 {
-                    self.addr_hits += 1;
-                } else {
-                    self.prefix_hits += 1;
-                }
-                (s, start)
+        let node = &mut self.slash16s[w];
+        // The first position whose flip the memo lacks: every position
+        // from there on is unknown too, and the host bits always are.
+        let seen = &mut node.seen[b24 as usize / 64];
+        let bit = 1 << (b24 % 64);
+        let start = if *seen & bit != 0 {
+            self.hits += 1;
+            24
+        } else {
+            *seen |= bit;
+            self.misses += 1;
+            if cold {
+                0
+            } else {
+                16 + node.trie.known_depth(b24)
             }
         };
-        if start < 32 {
-            let flips = self.inner.flips_in_range(orig, start, 32);
-            self.blocks += u64::from(32 - start);
-            let wide = &mut self.slash16s[w];
-            if start < 16 {
-                wide.flips = flips & 0xFFFF_0000;
-            }
-            if start < 24 {
-                wide.trie
-                    .fill(b24, flips >> 8 & 0xFF, start.saturating_sub(16));
-            }
-            self.slash24s[s].fill(host, flips & 0xFF, start.saturating_sub(24));
+        let flips = self.inner.flips_in_range(orig, start, 32);
+        self.blocks += u64::from(32 - start);
+        if start < 16 {
+            node.flips = flips & 0xFFFF_0000;
         }
-        let wide = &self.slash16s[w];
-        orig ^ wide.flips ^ (wide.trie.path_flips(b24) << 8) ^ self.slash24s[s].path_flips(host)
+        if start < 24 {
+            node.trie
+                .fill(b24, flips >> 8 & 0xFF, start.saturating_sub(16));
+        }
+        orig ^ node.flips ^ (node.trie.path_flips(b24) << 8) ^ (flips & 0xFF)
     }
 
     /// The index of `orig`'s /16 node, and whether it was just added.
@@ -397,27 +366,9 @@ impl CachedCryptoPan {
         if *slot != 0 {
             return (*slot as usize - 1, false);
         }
-        self.slash16s.push(Slash16 {
-            flips: 0,
-            trie: SubTrie::default(),
-            children: [0; 256],
-        });
+        self.slash16s.push(Slash16::default());
         *slot = self.slash16s.len() as u32;
         (self.slash16s.len() - 1, true)
-    }
-
-    /// Adds an empty /24 sub-trie under /16 node `w`, returning its
-    /// index. At capacity the /24 level is cleared first.
-    fn insert_slash24(&mut self, w: usize, b24: u32) -> usize {
-        if self.slash24s.len() >= self.capacity {
-            self.slash24s.clear();
-            for wide in &mut self.slash16s {
-                wide.children = [0; 256];
-            }
-        }
-        self.slash24s.push(SubTrie::default());
-        self.slash16s[w].children[b24 as usize] = self.slash24s.len() as u32;
-        self.slash24s.len() - 1
     }
 }
 
@@ -549,7 +500,7 @@ mod tests {
             })
             .collect();
         // Then neighbours of those sharing exactly their top 25 to 31
-        // bits, so lookups stop at every depth of the /24 sub-trie.
+        // bits: the same /24, a host differing at every depth.
         for _ in 0..1000 {
             let base = u32::from(addrs[rng.gen_range(0..3000usize)]);
             let shared = rng.gen_range(25..32u32);
@@ -563,54 +514,53 @@ mod tests {
         for &a in addrs.iter().chain(addrs.iter()) {
             assert_eq!(cached.anonymize(a), cp.anonymize(a), "{a}");
         }
-        // Second pass is all address hits; clusters give prefix hits.
-        assert!(cached.addr_hits >= 3000, "addr hits {}", cached.addr_hits);
-        assert!(cached.prefix_hits > 0, "prefix hits");
+        let lookups = 2 * addrs.len() as u64;
+        assert_eq!(cached.hits() + cached.misses, lookups);
+        // The second pass is all hits; clusters and neighbours hit too.
+        assert!(cached.hits() > lookups / 2, "hits {}", cached.hits());
         assert!(cached.misses > 0 && cached.misses <= 3000);
-        assert!(cached.wide_hits > 500, "/16 hits {}", cached.wide_hits);
-        assert!(cached.wide_hits < cached.misses);
-        // Every node is paid once: far fewer blocks than 32 per lookup.
+        // The host bits are always paid, the nodes above them at most
+        // once: between 8 and 32 blocks a lookup.
         assert!(
-            cached.blocks < 32 * cached.misses,
-            "{} blocks",
+            (8 * lookups..=32 * lookups).contains(&cached.blocks),
+            "{} blocks for {lookups} lookups",
             cached.blocks
         );
+        // Misses under a memoized /16 skip its top 16 positions.
+        assert!(cached.blocks < 32 * cached.misses + 8 * cached.hits());
     }
 
     #[test]
     fn new_slash24_under_memoized_slash16_is_one_miss() {
         let cp = cp();
         let mut cached = CachedCryptoPan::new(cp.clone());
-        let stats = |c: &CachedCryptoPan| (c.hits(), c.misses, c.wide_hits);
+        let stats = |c: &CachedCryptoPan| (c.hits(), c.misses);
         let cold = Ipv4Addr::new(84, 17, 2, 3);
         assert_eq!(cached.anonymize(cold), cp.anonymize(cold));
-        assert_eq!(stats(&cached), (0, 1, 0), "a cold /16 is one miss");
+        assert_eq!(stats(&cached), (0, 1), "a cold /16 is one miss");
         let sibling = Ipv4Addr::new(84, 17, 200, 9);
         assert_eq!(cached.anonymize(sibling), cp.anonymize(sibling));
-        assert_eq!(stats(&cached), (0, 2, 1), "still a miss, served by the /16");
+        assert_eq!(stats(&cached), (0, 2), "still a miss, served by the /16");
         let neighbour = Ipv4Addr::new(84, 17, 200, 10);
         assert_eq!(cached.anonymize(neighbour), cp.anonymize(neighbour));
-        assert_eq!(stats(&cached), (1, 2, 1), "same /24: a prefix hit");
+        assert_eq!(stats(&cached), (1, 2), "same /24: a hit");
     }
 
     #[test]
     fn each_trie_node_costs_one_block() {
         let cp = cp();
         let mut cached = CachedCryptoPan::new(cp.clone());
-        // (address, AES blocks for the trie nodes on its path the memo
-        // lacks); position p's node is shared by the addresses that agree
-        // on their top p bits.
+        // (address, AES blocks: its 8 host bits, plus the trie nodes above
+        // bit 24 on its path the memo lacks); position p's node is shared
+        // by the addresses that agree on their top p bits.
         let steps = [
             // A cold /16: all 32 positions.
             ([84, 17, 2, 3], 32),
-            // The same address, then its /31 neighbour: nothing new.
-            ([84, 17, 2, 3], 0),
-            ([84, 17, 2, 2], 0),
-            // 100 = 0b0110_0100 shares one host bit with 3 (same /25):
-            // positions 24 and 25 are known, 26..32 are paid.
-            ([84, 17, 2, 100], 6),
-            // 103 = 0b0110_0111 is in 100's /30: only position 31 is new.
-            ([84, 17, 2, 103], 1),
+            // The same /24, whatever the host: only the host bits.
+            ([84, 17, 2, 3], 8),
+            ([84, 17, 2, 2], 8),
+            ([84, 17, 2, 100], 8),
+            ([84, 17, 2, 103], 8),
             // A new /24 under the seen /23 84.17.2.0/23: positions 16..24
             // are known, the eight of the new /24 are paid.
             ([84, 17, 3, 9], 8),
@@ -627,42 +577,7 @@ mod tests {
             total += cost;
             assert_eq!(cached.blocks, total, "{a} costs {cost} blocks");
         }
-        let counts = |c: &CachedCryptoPan| (c.addr_hits, c.prefix_hits, c.misses, c.wide_hits);
-        assert_eq!(counts(&cached), (2, 2, 4, 2));
-    }
-
-    #[test]
-    fn capacity_reset_keeps_the_slash16_level() {
-        let cp = cp();
-        let mut cached = CachedCryptoPan::with_capacity(cp.clone(), 1);
-        // The second /24 clears the first; coming back to it is a miss
-        // again, but its /16 still knows positions 0..24.
-        for (raw, blocks) in [
-            ([84, 17, 2, 3], 32),
-            ([84, 17, 3, 9], 40),
-            ([84, 17, 2, 3], 48),
-        ] {
-            let a = Ipv4Addr::from(raw);
-            assert_eq!(cached.anonymize(a), cp.anonymize(a), "{a}");
-            assert_eq!(cached.blocks, blocks, "{a}");
-        }
-        assert_eq!((cached.hits(), cached.misses, cached.wide_hits), (0, 3, 2));
-    }
-
-    #[test]
-    fn cached_survives_capacity_resets() {
-        let cp = cp();
-        let mut cached = CachedCryptoPan::with_capacity(cp.clone(), 4);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for i in 0..1000 {
-            let a = if i % 2 == 0 {
-                Ipv4Addr::from(rng.gen::<u32>())
-            } else {
-                in_few_wide_prefixes(&mut rng)
-            };
-            assert_eq!(cached.anonymize(a), cp.anonymize(a), "{a}");
-        }
-        assert!(cached.wide_hits > 400, "/16 hits {}", cached.wide_hits);
+        assert_eq!((cached.hits(), cached.misses), (4, 4));
     }
 
     #[test]
@@ -698,9 +613,9 @@ mod tests {
 
     #[test]
     fn memo_layout_sizes() {
-        // The per-/24 and per-/16 costs the docs quote.
+        // The sizes the docs quote.
         assert_eq!(std::mem::size_of::<SubTrie>(), 48);
-        assert_eq!(std::mem::size_of::<Slash16>(), 1088);
+        assert_eq!(std::mem::size_of::<Slash16>(), 96);
     }
 
     /// The key of the reference implementation's `sample.cpp` (Xu et al.).
@@ -732,7 +647,7 @@ mod tests {
                 assert_eq!(cp.deanonymize(anon), raw, "{anon}");
             }
         }
-        assert_eq!(cached.addr_hits, 5);
+        assert_eq!(cached.hits(), 5);
     }
 
     /// The walk's answer for one prefix, from a full 32-block anonymize.

@@ -87,12 +87,13 @@ pub struct EngineStats {
 /// A collector accumulating anonymized flow records.
 pub struct Collector {
     /// Anonymizer applied to client addresses (None = store raw).
-    /// A cold /16 costs the 32-AES-block Crypto-PAn walk; after that the
-    /// memo pays one block per prefix-trie node it has not seen: 0 for
-    /// an address whose /31 was seen, 1–7 for a new host in a seen /24,
-    /// 8–15 for a new /24 in a seen /16 (see [`CachedCryptoPan`]). It
-    /// holds 48 bytes per /24 and about 1.1 KiB per /16. A record has one
-    /// client address, or two when neither end is a server prefix.
+    /// A cold /16 costs the 32-AES-block Crypto-PAn walk; after that
+    /// every address pays its 8 host-bit blocks as one batch, plus one
+    /// block per prefix-trie node above bit 24 the memo has not seen:
+    /// 8 blocks for an address in a seen /24, 8–15 for a new /24 in a
+    /// seen /16 (see [`CachedCryptoPan`]). It holds 96 bytes per /16,
+    /// at most 6 MiB. A record has one client address, or two when
+    /// neither end is a server prefix.
     anonymizer: Option<CachedCryptoPan>,
     /// Server-side prefixes: addresses inside are *not* anonymized
     /// (the CWA CDN prefixes are public knowledge; only clients are
@@ -643,8 +644,8 @@ mod tests {
     fn cache_counters_published_and_stream_unchanged() {
         use std::sync::Arc;
         let registry = Arc::new(Registry::new());
-        // Two records per client address: the second visit of each
-        // address is a full-address cache hit.
+        // Two records per client address, all ten in one /24: every
+        // lookup after the first is a /24 hit.
         let clients: Vec<Ipv4Addr> = (1..=10u8).map(|i| Ipv4Addr::new(93, 10, 20, i)).collect();
         let recs: Vec<FlowRecord> = clients
             .iter()
@@ -658,9 +659,9 @@ mod tests {
             col.ingest_packet(p.clone());
         }
         let (hits, misses) = col.cryptopan_cache_stats();
-        assert!(hits >= 10, "second visits hit: {hits}");
+        assert_eq!(hits, 19, "every later lookup hits");
         // All clients share a /24, so only the very first address walks
-        // past the /24 memo (a miss: 32 blocks on a cold /16).
+        // the memo's levels (a miss: 32 blocks on a cold /16).
         assert_eq!(misses, 1, "one cold /24");
         assert_eq!(
             registry
@@ -674,12 +675,11 @@ mod tests {
                 .get(),
             misses
         );
-        // 32 blocks for the first host, then one per new trie node: 1, 2,
-        // 1, 3 and 1 for .2, .4, .6, .8 and .10, none for a host whose
-        // /31 was seen.
+        // 32 blocks for the first lookup, then the 8 host bits for each
+        // of the other 19.
         assert_eq!(
             registry.counter("netflow.collector.cryptopan_blocks").get(),
-            40
+            32 + 19 * 8
         );
         // Caching is invisible in the record stream: same outputs as an
         // identically keyed uncached walk.

@@ -306,7 +306,8 @@ rm -f "$OBS_A" "$OBS_B"
 echo "==> chunked-pipeline smoke (scale 0.2 streaming)"
 # One order of magnitude above the bench scale: exercises the columnar
 # chunk path (collector pack -> study sink select_into -> per-consumer
-# observe_chunk) long enough for the Crypto-PAn prefix cache to matter.
+# observe_chunk) long enough that most Crypto-PAn lookups are /24 hits
+# under a memoized /16.
 ./target/release/cwa-repro study --scale 0.2 --streaming > /dev/null
 
 # The bench floors below each print every row and list every failure;

@@ -244,9 +244,10 @@ fn sharded_trace_covers_every_stage() {
     }
 }
 
-/// The Crypto-PAn memo pays one AES block per prefix-trie node it lacks:
-/// a streaming run computes some, never more than the 32 per address an
-/// unmemoized walk would, and the same seed computes the same number.
+/// The Crypto-PAn memo pays an address's 8 host-bit blocks on every
+/// lookup, plus one block per prefix-trie node above bit 24 it lacks: a
+/// streaming run computes between 8 and 32 blocks per address, and the
+/// same seed computes the same number.
 #[test]
 fn cryptopan_block_counter_is_bounded_and_deterministic() {
     let run = || {
@@ -262,10 +263,33 @@ fn cryptopan_block_counter_is_bounded_and_deterministic() {
         )
     };
     let (blocks, anonymized) = run();
-    assert!(blocks > 0, "no AES block counted");
+    assert!(anonymized > 0, "no address anonymized");
     assert!(
-        blocks <= 32 * anonymized,
+        (8 * anonymized..=32 * anonymized).contains(&blocks),
         "{blocks} blocks for {anonymized} addresses"
     );
     assert_eq!(run(), (blocks, anonymized), "same seed, same blocks");
+}
+
+/// Every anonymized address is one memo lookup, a hit or a miss, on one
+/// shard or several.
+#[test]
+fn cryptopan_lookups_equal_anonymized_addresses() {
+    // One shard is `run_streaming`.
+    for shards in [1, 2] {
+        let registry = Arc::new(Registry::new());
+        Study::new(StudyConfig::test_small())
+            .with_metrics(Arc::clone(&registry))
+            .run_sharded(shards)
+            .expect("small study produces matching flows");
+        let count = |name: &str| registry.counter(name).get();
+        let anonymized = count("netflow.collector.anonymized_addresses");
+        assert!(anonymized > 0, "{shards} shard(s): no address anonymized");
+        assert_eq!(
+            count("netflow.collector.cryptopan_cache_hits")
+                + count("netflow.collector.cryptopan_cache_misses"),
+            anonymized,
+            "{shards} shard(s)"
+        );
+    }
 }
