@@ -27,7 +27,7 @@
 //!   applies the §2 filter once per chunk and feeds every consumer —
 //!   all analyses in **one** record pass, O(chunk) resident memory.
 //! * [`windowed`] — the live view: wraps all four consumers in a
-//!   [`WindowedView`](windowed::WindowedView) that keeps cumulative
+//!   [`WindowedView`] that keeps cumulative
 //!   study-window state plus a sliding last-N-days window with tiered
 //!   downsampling (raw hours → daily summaries → lifetime totals), so an
 //!   endless run stays memory-bounded while serving current figures.

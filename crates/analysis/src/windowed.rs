@@ -9,7 +9,7 @@
 //! last-N-days window with **tiered downsampling** so an endless run
 //! stays memory-bounded:
 //!
-//! * **window tier** — raw hour-resolution [`DayCell`]s for the most
+//! * **window tier** — one raw hour-resolution cell per day for the most
 //!   recent `window_days` days (default 14, matching the TEK retention
 //!   the exposure model uses),
 //! * **daily tier** — evicted days downsampled to one [`DaySummary`]

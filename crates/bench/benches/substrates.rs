@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
-use cwa_crypto::{hmac_sha256, sha256, Aes128};
+use cwa_crypto::{sha256, Aes128};
 use cwa_exposure::tek::{DiagnosisKey, TemporaryExposureKey};
 use cwa_exposure::time::EnIntervalNumber;
 use cwa_netflow::cache::{FlowCache, FlowCacheConfig};
@@ -29,10 +29,6 @@ fn crypto_benches(c: &mut Criterion) {
     g.bench_function("sha256/64KiB", |b| b.iter(|| sha256(black_box(&data_64k))));
 
     g.throughput(Throughput::Elements(1));
-    g.bench_function("hmac_sha256/64B_msg", |b| {
-        b.iter(|| hmac_sha256(black_box(b"key"), black_box(&data_1k[..64])))
-    });
-
     let aes = Aes128::new(&[7u8; 16]);
     g.bench_function("aes128/block", |b| {
         b.iter(|| aes.encrypt_block(black_box(&[1u8; 16])))
@@ -145,25 +141,6 @@ fn exposure_benches(c: &mut Criterion) {
     g.finish();
 }
 
-fn p256_benches(c: &mut Criterion) {
-    use cwa_crypto::p256::SigningKey;
-    let mut g = c.benchmark_group("p256");
-    g.sample_size(10); // big-int math; keep runs short
-    let mut secret = [0u8; 32];
-    secret[31] = 0x42;
-    secret[0] = 0x01;
-    let key = SigningKey::from_bytes(&secret);
-    let vk = key.verifying_key();
-    let msg = vec![0xa5u8; 4096];
-    let sig = key.sign(&msg);
-
-    g.bench_function("sign_export_4KiB", |b| b.iter(|| key.sign(black_box(&msg))));
-    g.bench_function("verify_export_4KiB", |b| {
-        b.iter(|| vk.verify(black_box(&msg), &sig))
-    });
-    g.finish();
-}
-
 fn geo_benches(c: &mut Criterion) {
     let mut g = c.benchmark_group("geo");
     let germany = cwa_geo::Germany::build();
@@ -191,7 +168,6 @@ criterion_group!(
     crypto_benches,
     netflow_benches,
     exposure_benches,
-    p256_benches,
     geo_benches
 );
 criterion_main!(benches);

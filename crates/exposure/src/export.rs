@@ -27,7 +27,7 @@
 //! ```
 //!
 //! `SignatureInfo` is carried opaquely (the real CWA signs exports with
-//! ECDSA-P256; signature verification is out of scope for the traffic
+//! ECDSA-P256; signing and verification are out of scope for the traffic
 //! study, but the field is preserved for wire compatibility).
 
 use bytes::Bytes;

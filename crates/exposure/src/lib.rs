@@ -19,16 +19,17 @@
 //!   format served by the CWA CDN (the very payload whose downloads the
 //!   paper's NetFlow traces contain), including the 16-byte
 //!   `"EK Export v1"` header.
-//! * [`signature`] — the export.bin/export.sig pair: ECDSA-P256-signed
-//!   exports with pinned-key verification, as on the real CDN.
+//! * [`signature`] — the export.sig file served beside each export,
+//!   encoded around a placeholder of the signature's fixed length.
 //!
 //! Role in the reproduction: the paper measures the *network traffic* this
 //! protocol causes (daily diagnosis-key downloads from the CDN, §1 and
 //! Fig. 1). `cwa-simnet`'s CDN model builds each day's export from
 //! freshly drawn TEKs with this crate and sizes the download as the
-//! signed export.bin + export.sig pair, so key-download flow sizes
-//! follow the real wire format. Phones are not simulated device by
-//! device: the traffic model works on prefix cohorts.
+//! export.bin + export.sig pair, so key-download flow sizes follow the
+//! real wire format. Nothing is signed or verified, and phones are not
+//! simulated device by device: the traffic model works on prefix
+//! cohorts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +41,5 @@ pub mod tek;
 pub mod time;
 
 pub use export::TemporaryExposureKeyExport;
-pub use signature::{sign_export, verify_export, SignedExport};
 pub use tek::{DiagnosisKey, TemporaryExposureKey};
 pub use time::{EnIntervalNumber, TEK_ROLLING_PERIOD};

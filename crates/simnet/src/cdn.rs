@@ -9,19 +9,18 @@
 //!
 //! * two synthetic IPv4 service prefixes with a handful of server
 //!   addresses each,
-//! * daily diagnosis-key export files, sized as the signed
-//!   export.bin + export.sig pair in the *actual* wire format from
-//!   `cwa-exposure`, so download flow sizes are honest.
+//! * daily diagnosis-key export files, sized as the export.bin +
+//!   export.sig pair in the *actual* wire format from `cwa-exposure`,
+//!   so download flow sizes are honest.
 
 use std::net::Ipv4Addr;
 
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use cwa_crypto::p256::SigningKey;
 use cwa_epidemic::timeline::STUDY_EPOCH_UNIX;
 use cwa_exposure::export::TemporaryExposureKeyExport;
-use cwa_exposure::signature::{encode_signature_list, SignatureInfo};
+use cwa_exposure::signature::encode_signature_list;
 use cwa_exposure::tek::{DiagnosisKey, TemporaryExposureKey};
 use cwa_exposure::time::EnIntervalNumber;
 
@@ -96,30 +95,19 @@ impl CdnConfig {
             .any(|&(p, l)| cwa_netflow::flow::in_prefix(addr, p, l))
     }
 
-    /// The backend's export-signing key (fixed, deterministic — the
-    /// real key is pinned in the app).
-    pub fn signing_key() -> SigningKey {
-        let mut secret = [0u8; 32];
-        secret[..16].copy_from_slice(b"cwa-backend-sign");
-        secret[31] = 1;
-        SigningKey::from_bytes(&secret)
-    }
-
     /// Builds the day's key-export file for a given number of published
-    /// keys and returns the download size of the signed pair the real CDN
+    /// keys and returns the download size of the pair the real CDN
     /// serves (export.bin + export.sig, in its zip container), in bytes.
     /// The flow generator uses this to size key-download responses; real
     /// key counts come from the upload pipeline.
     ///
     /// Nothing is signed: a P-256 signature is always 64 bytes, so the
-    /// export.sig is encoded around a placeholder of that length. Its
-    /// size equals that of [`sign_export`] under
-    /// [`signing_key`](CdnConfig::signing_key) (asserted by tests).
-    ///
-    /// [`sign_export`]: cwa_exposure::signature::sign_export
+    /// export.sig is encoded around a placeholder of that length
+    /// ([`encode_signature_list`]). The sizes equal those of a signed
+    /// pair (pinned by tests).
     pub fn export_size_bytes<R: RngCore>(&self, rng: &mut R, day: u32, n_keys: usize) -> usize {
         let export = day_export(rng, day, n_keys);
-        let export_sig = encode_signature_list(&export, &SignatureInfo::default(), &[0; 64]);
+        let export_sig = encode_signature_list(&export);
         // Plus the zip container overhead observed on the real CDN.
         export.encode().len() + export_sig.len() + 150
     }
@@ -197,24 +185,32 @@ mod tests {
 
     #[test]
     fn export_size_is_that_of_the_signed_pair() {
-        use cwa_exposure::signature::sign_export;
+        // Download sizes of the ECDSA-P256-signed export.bin + export.sig
+        // pair plus the zip container, as a signing implementation
+        // measured them (317 + 30 bytes per key on every day).
+        const SIGNED_PAIR_BYTES: [(usize, usize); 6] = [
+            (0, 317),
+            (1, 347),
+            (32, 1277),
+            (38, 1457),
+            (57, 2027),
+            (1000, 30317),
+        ];
         let cdn = CdnConfig::default();
         for day in 0..11 {
-            for n_keys in [0, 1, 32, 38, 57, 1000] {
-                // The same TEK draws on both sides.
+            for (n_keys, bytes) in SIGNED_PAIR_BYTES {
                 let mut rng = ChaCha8Rng::seed_from_u64(u64::from(day) * 1000 + n_keys as u64);
-                let mut oracle_rng = rng.clone();
-                let export = day_export(&mut oracle_rng, day, n_keys);
-                let key = CdnConfig::signing_key();
-                let signed = sign_export(&export, &key, &SignatureInfo::default());
+                let mut reference_rng = rng.clone();
+                day_export(&mut reference_rng, day, n_keys);
                 assert_eq!(
                     cdn.export_size_bytes(&mut rng, day, n_keys),
-                    signed.export_bin.len() + signed.export_sig.len() + 150,
+                    bytes,
                     "day {day}, {n_keys} keys"
                 );
+                // The size costs the day's TEK draws and no more.
                 assert_eq!(
                     rng.next_u64(),
-                    oracle_rng.next_u64(),
+                    reference_rng.next_u64(),
                     "day {day}, {n_keys} keys: same draws"
                 );
             }

@@ -210,7 +210,6 @@ struct CohortGroup {
 /// Generator counters, added once per generated hour.
 struct TrafficMetrics {
     flow_events: Arc<Counter>,
-    flow_events_by_day: Vec<Arc<Counter>>,
     candidates: Arc<Counter>,
     kept: Arc<Counter>,
 }
@@ -330,16 +329,12 @@ impl<'a> TrafficModel<'a> {
     }
 
     /// Counts into `registry`, once per generated hour: every generated
-    /// flow event, seen or not (`simnet.traffic.flow_events` and its
-    /// `.dayNN` series, equal to [`GroundTruth::total_events`]), and the
-    /// thinning's candidates and kept pairs
-    /// (`simnet.traffic.thinning_candidates` / `thinning_kept`).
+    /// flow event, seen or not (`simnet.traffic.flow_events`, equal to
+    /// [`GroundTruth::total_events`]), and the thinning's candidates and
+    /// kept pairs (`simnet.traffic.thinning_candidates` / `thinning_kept`).
     pub fn with_metrics(mut self, registry: &Registry) -> Self {
         self.metrics = Some(TrafficMetrics {
             flow_events: registry.counter("simnet.traffic.flow_events"),
-            flow_events_by_day: (0..self.hours.div_ceil(24))
-                .map(|d| registry.counter(&format!("simnet.traffic.flow_events.day{d:02}")))
-                .collect(),
             candidates: registry.counter("simnet.traffic.thinning_candidates"),
             kept: registry.counter("simnet.traffic.thinning_kept"),
         });
@@ -457,9 +452,6 @@ impl<'a> TrafficModel<'a> {
         }
         if let Some(m) = &self.metrics {
             m.flow_events.add(tally.events);
-            if let Some(c) = m.flow_events_by_day.get(day as usize) {
-                c.add(tally.events);
-            }
             m.candidates.add(tally.candidates);
             m.kept.add(tally.kept);
         }
@@ -900,10 +892,6 @@ mod tests {
         });
         let count = |name: &str| registry.counter(name).get();
         assert_eq!(count("simnet.traffic.flow_events"), truth.total_events);
-        assert_eq!(
-            count("simnet.traffic.flow_events.day00") + count("simnet.traffic.flow_events.day01"),
-            truth.total_events
-        );
         let (candidates, kept) = (
             count("simnet.traffic.thinning_candidates"),
             count("simnet.traffic.thinning_kept"),

@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, -D warnings: no broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> unsafe exception (one block in cwa-crypto; every other crate root forbids unsafe code)"
 # The AES-NI kernel's call in cwa-crypto is the workspace's one use of
 # `unsafe`: that crate's root denies unsafe_code and one item allows it.

@@ -35,6 +35,12 @@ use cwa_simnet::sim::ScenarioKind;
 use cwa_simnet::vantage::{VantageConfig, DEFAULT_SAMPLING_INTERVAL};
 use cwa_simnet::{SimConfig, Simulation};
 
+/// The longest horizon `--days` accepts (`study --live`, `dns`): ten
+/// years, the `inf` replay. It keeps hour counts (`days * 24`) far inside
+/// `u32` and the per-day tables of the epidemic and traffic models
+/// bounded.
+const MAX_DAYS: u32 = 3650;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     run(&args)
@@ -103,8 +109,9 @@ fn usage() -> String {
      \x20     the replay at N× simulated time (an export hour every\n\
      \x20     3600/N wall seconds, at any --shards count; default: as\n\
      \x20     fast as possible) and\n\
-     \x20     --days N|inf stretches the horizon (`inf` ≈ ten years; the\n\
-     \x20     sliding window keeps resident state bounded regardless);\n\
+     \x20     --days N|inf stretches the horizon (N ≤ 3650; `inf` = 3650,\n\
+     \x20     ten years; the sliding window keeps resident state bounded\n\
+     \x20     regardless);\n\
      \x20     --serve ADDR starts a live-telemetry HTTP server (endpoints\n\
      \x20     /metrics, /metrics.json, /progress, /healthz, and for --live\n\
      \x20     runs /report + /figures/*) for the run's\n\
@@ -145,6 +152,7 @@ fn usage() -> String {
      \x20     block, receive idle) of a --trace capture\n\
      \x20 cwa-repro dns [--days N]\n\
      \x20     print the Umbrella-style DNS rank model output per day\n\
+     \x20     (N ≤ 3650, default 11)\n\
      \x20 cwa-repro ablation\n\
      \x20     compare the paper scenario against the no-news counterfactual,\n\
      \x20     then the §2-filtered records at router sampling 1:100, 1:1000\n\
@@ -359,12 +367,12 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
         // "inf" is endless in spirit: a ten-year replay; the windowed
         // view keeps resident state bounded regardless of the horizon.
         config.sim.days = if days == "inf" {
-            3650
+            MAX_DAYS
         } else {
             match days.parse() {
-                Ok(d) if d >= 1 => d,
+                Ok(d) if (1..=MAX_DAYS).contains(&d) => d,
                 _ => {
-                    note!("--days must be a positive integer or `inf`");
+                    note!("--days must be an integer from 1 to {MAX_DAYS}, or `inf`");
                     return ExitCode::FAILURE;
                 }
             }
@@ -1378,10 +1386,10 @@ fn summarize_trace(path: &str, root: &serde_json::Value) -> Result<String, Strin
 
 fn dns(args: &[String], _words: &[String]) -> ExitCode {
     let days: u32 = match opt(args, "--days").map(|s| s.parse()) {
-        Some(Ok(d)) if d >= 1 => d,
+        Some(Ok(d)) if (1..=MAX_DAYS).contains(&d) => d,
         None => 11,
         _ => {
-            note!("--days must be a positive integer");
+            note!("--days must be an integer from 1 to {MAX_DAYS}");
             return ExitCode::FAILURE;
         }
     };

@@ -44,7 +44,6 @@ fn metrics_snapshot_covers_pipeline_and_reports_match() {
     for key in [
         "\"schema\"",
         "\"simnet.traffic.flow_events\"",
-        "\"simnet.traffic.flow_events.day00\"",
         "\"simnet.router.00.sampled_packets\"",
         "\"simnet.router.00.unsampled_packets\"",
         "\"simnet.cache.evictions\"",
@@ -75,6 +74,24 @@ fn metrics_snapshot_covers_pipeline_and_reports_match() {
         reg_serial.counter("analysis.filter.records_matched").get(),
         serial.matching_flows,
     );
+}
+
+/// The registry holds the same metrics whatever the horizon: nothing is
+/// registered per simulated day, so a `--days inf` live run serves and
+/// snapshots as many metrics as a two-day one.
+#[test]
+fn registry_names_do_not_depend_on_days() {
+    let names_after = |days: u32| {
+        let registry = Arc::new(Registry::new());
+        let mut config = StudyConfig::test_small();
+        config.sim.days = days;
+        Study::new(config)
+            .with_metrics(Arc::clone(&registry))
+            .run_live(&LiveOptions::default())
+            .expect("small study produces matching flows");
+        registry.sample().into_keys().collect::<Vec<_>>()
+    };
+    assert_eq!(names_after(2), names_after(5));
 }
 
 /// The flight recorder is observation-only: with a tracer attached the

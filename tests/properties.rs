@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 
 use cwa_repro::analysis::timeseries::HourlySeries;
-use cwa_repro::crypto::{hmac_sha256, sha256, Aes128, Sha256};
+use cwa_repro::crypto::{sha256, Aes128, Sha256};
 use cwa_repro::exposure::export::TemporaryExposureKeyExport;
 use cwa_repro::exposure::protobuf::{Reader, Writer};
 use cwa_repro::exposure::tek::{DiagnosisKey, TemporaryExposureKey};
@@ -32,18 +32,6 @@ proptest! {
         h.update(&data[..cut]);
         h.update(&data[cut..]);
         prop_assert_eq!(h.finalize(), sha256(&data));
-    }
-
-    /// HMAC differs whenever the key differs (no trivial collisions on
-    /// random inputs).
-    #[test]
-    fn hmac_key_sensitivity(
-        k1 in proptest::collection::vec(any::<u8>(), 1..80),
-        k2 in proptest::collection::vec(any::<u8>(), 1..80),
-        msg in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        prop_assume!(k1 != k2);
-        prop_assert_ne!(hmac_sha256(&k1, &msg), hmac_sha256(&k2, &msg));
     }
 
     /// AES-128 is a permutation: distinct plaintexts encrypt distinctly.
@@ -184,50 +172,6 @@ proptest! {
 }
 
 proptest! {
-    // ---------------- 256-bit arithmetic / ECDSA ----------------
-
-    /// U256 byte/hex round-trips.
-    #[test]
-    fn u256_roundtrip(bytes: [u8; 32]) {
-        use cwa_repro::crypto::u256::U256;
-        let x = U256::from_be_bytes(&bytes);
-        prop_assert_eq!(x.to_be_bytes(), bytes);
-    }
-
-    /// Modular add/sub are inverses; mul commutes (against the P-256
-    /// group order as a representative large prime modulus).
-    #[test]
-    fn u256_modular_algebra(a: [u8; 32], b: [u8; 32]) {
-        use cwa_repro::crypto::u256::U256;
-        let n = U256::from_hex(
-            "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551",
-        );
-        // Reduce inputs below the modulus first.
-        let a = U256::from_be_bytes(&a).mul_mod(&U256::ONE, &n);
-        let b = U256::from_be_bytes(&b).mul_mod(&U256::ONE, &n);
-        let sum = a.add_mod(&b, &n);
-        prop_assert_eq!(sum.sub_mod(&b, &n), a);
-        prop_assert_eq!(a.mul_mod(&b, &n), b.mul_mod(&a, &n));
-        // Distributivity: (a+b)·a = a·a + b·a.
-        let lhs = sum.mul_mod(&a, &n);
-        let rhs = a.mul_mod(&a, &n).add_mod(&b.mul_mod(&a, &n), &n);
-        prop_assert_eq!(lhs, rhs);
-    }
-
-    /// Nonzero residues have working Fermat inverses.
-    #[test]
-    fn u256_inverse(a: [u8; 32]) {
-        use cwa_repro::crypto::u256::U256;
-        let p = U256::from_hex(
-            "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff",
-        );
-        let a = U256::from_be_bytes(&a).mul_mod(&U256::ONE, &p);
-        prop_assume!(!a.is_zero());
-        prop_assert_eq!(a.mul_mod(&a.inv_mod(&p), &p), U256::ONE);
-    }
-}
-
-proptest! {
     // ---------------- decoder totality (fuzz) ----------------
     // Every wire decoder must be total: arbitrary bytes produce
     // Ok or Err, never a panic.
@@ -256,27 +200,6 @@ proptest! {
         let mut data = b"EK Export v1    ".to_vec();
         data.extend_from_slice(&tail);
         let _ = TemporaryExposureKeyExport::decode(&data);
-    }
-}
-
-proptest! {
-    // ECDSA is expensive (~30 ms/case): fewer cases, still randomized.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Sign/verify round-trips for random keys and messages; a flipped
-    /// message must not verify.
-    #[test]
-    fn ecdsa_sign_verify(mut secret: [u8; 32], msg in proptest::collection::vec(any::<u8>(), 1..200)) {
-        use cwa_repro::crypto::p256::SigningKey;
-        secret[0] &= 0x7f; // keep the scalar < n
-        prop_assume!(secret.iter().any(|&b| b != 0));
-        let key = SigningKey::from_bytes(&secret);
-        let vk = key.verifying_key();
-        let sig = key.sign(&msg);
-        prop_assert!(vk.verify(&msg, &sig));
-        let mut tampered = msg.clone();
-        tampered[0] ^= 1;
-        prop_assert!(!vk.verify(&tampered, &sig));
     }
 }
 

@@ -491,3 +491,26 @@ fn study_rejects_flags_it_would_ignore() {
         );
     }
 }
+
+/// `--days` stops at the ten-year `inf` horizon: a longer one is refused
+/// before any work starts, by `study --live` and by `dns` alike.
+#[test]
+fn days_beyond_the_inf_horizon_are_rejected() {
+    for args in [
+        ["study", "--live", "--days", "3651"].as_slice(),
+        ["dns", "--days", "3651"].as_slice(),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_cwa-repro"))
+            .args(args)
+            .output()
+            .expect("cwa-repro runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains("--days"), "{args:?}: stderr: {stderr}");
+        assert!(
+            !stderr.contains("running study"),
+            "{args:?}: stderr: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?}: printed a result");
+    }
+}
