@@ -8,8 +8,9 @@
 //! prefixes."
 //!
 //! [`GeolocationPipeline`] implements that two-source strategy over the
-//! anonymized side tables and reports per-district intensities, district
-//! coverage, and the ground-truth share.
+//! anonymized side tables, folded into one prefix table, and reports
+//! per-district intensities, district coverage, and the ground-truth
+//! share.
 
 use std::collections::HashMap;
 
@@ -17,6 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use cwa_geo::{DistrictId, GeoDb, Germany};
 use cwa_netflow::flow::FlowRecord;
+use cwa_netflow::hash::KeyMap;
 use cwa_netflow::sink::{FlowChunk, FlowSink};
 
 use crate::filter::FlowFilter;
@@ -97,46 +99,116 @@ impl GeoResult {
 }
 
 /// The two-source geolocation pipeline.
+///
+/// [`new`](GeolocationPipeline::new) walks the ISP side table and the
+/// geolocation DB once and keeps one table from routing prefix to what
+/// both say about it, so [`locate`](GeolocationPipeline::locate) and
+/// [`isp_of`](GeolocationPipeline::isp_of) are one probe each. The
+/// pipeline keeps no reference to either map.
 pub struct GeolocationPipeline<'a> {
     germany: &'a Germany,
-    /// Geolocation DB keyed on (anonymized) routing prefixes.
-    geodb: &'a GeoDb,
-    /// ISP/router side table keyed on (anonymized) prefix network u32.
-    isp_table: &'a HashMap<u32, IspInfo>,
+    /// Both side tables' answers, keyed on (anonymized) prefix network.
+    table: KeyMap<u32, PrefixFacts>,
     /// Routing-prefix length of the side tables.
     prefix_len: u8,
 }
 
+/// What the side tables say about one routing prefix, in 4 bytes, so a
+/// table bucket is 8.
+#[derive(Debug, Clone, Copy)]
+struct PrefixFacts {
+    /// The located district (0 while unlocated).
+    district: u16,
+    /// The attribution's [`attribution_index`], plus [`ISP_LISTED`] when
+    /// the ISP side table lists the prefix.
+    tag: u8,
+    /// The prefix's ISP, when listed.
+    isp: u8,
+}
+
+/// [`PrefixFacts::tag`] bit: the ISP side table lists the prefix.
+const ISP_LISTED: u8 = 4;
+
+impl PrefixFacts {
+    fn location(self) -> (Option<DistrictId>, GeoAttribution) {
+        let attribution = ATTRIBUTIONS[usize::from(self.tag & 3)];
+        let district =
+            (attribution != GeoAttribution::Unlocated).then_some(DistrictId(self.district));
+        (district, attribution)
+    }
+}
+
 impl<'a> GeolocationPipeline<'a> {
-    /// Creates the pipeline over side tables.
+    /// Creates the pipeline over side tables: router ground truth where
+    /// the ISP table has a router district, else the DB's location.
     pub fn new(
         germany: &'a Germany,
-        geodb: &'a GeoDb,
-        isp_table: &'a HashMap<u32, IspInfo>,
+        geodb: &GeoDb,
+        isp_table: &HashMap<u32, IspInfo>,
         prefix_len: u8,
     ) -> Self {
-        GeolocationPipeline {
+        Self::with_isp_entries(
             germany,
             geodb,
-            isp_table,
+            isp_table.iter().map(|(&net, &info)| (net, info)),
+            prefix_len,
+        )
+    }
+
+    /// [`new`](GeolocationPipeline::new) over the ISP side table's
+    /// entries as they come, so a caller holding the table in another
+    /// vocabulary need not copy it into a map first.
+    pub fn with_isp_entries(
+        germany: &'a Germany,
+        geodb: &GeoDb,
+        isp_entries: impl IntoIterator<Item = (u32, IspInfo)>,
+        prefix_len: u8,
+    ) -> Self {
+        let mut table = KeyMap::with_capacity_and_hasher(geodb.len(), Default::default());
+        for (net, entry) in geodb.iter() {
+            table.insert(
+                net,
+                PrefixFacts {
+                    district: entry.located.0,
+                    tag: attribution_index(GeoAttribution::GeoDatabase) as u8,
+                    isp: 0,
+                },
+            );
+        }
+        for (net, info) in isp_entries {
+            let facts = table.entry(net).or_insert(PrefixFacts {
+                district: 0,
+                tag: attribution_index(GeoAttribution::Unlocated) as u8,
+                isp: 0,
+            });
+            if let Some(d) = info.router_district {
+                facts.district = d.0;
+                facts.tag = attribution_index(GeoAttribution::RouterGroundTruth) as u8;
+            }
+            facts.tag |= ISP_LISTED;
+            facts.isp = info.isp;
+        }
+        GeolocationPipeline {
+            germany,
+            table,
             prefix_len,
         }
     }
 
-    /// Locates a single client address.
+    /// Locates a single client address: router ground truth first, then
+    /// the geolocation database.
     pub fn locate(&self, client: std::net::Ipv4Addr) -> (Option<DistrictId>, GeoAttribution) {
-        let net = cwa_geo::geodb::mask(client, self.prefix_len);
-        // Source 1: router ground truth.
-        if let Some(info) = self.isp_table.get(&net) {
-            if let Some(d) = info.router_district {
-                return (Some(d), GeoAttribution::RouterGroundTruth);
-            }
-        }
-        // Source 2: geolocation database.
-        if let Some(entry) = self.geodb.lookup_prefix(net) {
-            return (Some(entry.located), GeoAttribution::GeoDatabase);
-        }
-        (None, GeoAttribution::Unlocated)
+        self.table
+            .get(&cwa_geo::geodb::mask(client, self.prefix_len))
+            .map_or((None, GeoAttribution::Unlocated), |facts| facts.location())
+    }
+
+    /// The ISP the side table lists for the client's prefix.
+    pub fn isp_of(&self, client: std::net::Ipv4Addr) -> Option<u8> {
+        self.table
+            .get(&cwa_geo::geodb::mask(client, self.prefix_len))
+            .filter(|facts| facts.tag & ISP_LISTED != 0)
+            .map(|facts| facts.isp)
     }
 
     /// Geolocates all matching records, restricted to study days
@@ -394,6 +466,110 @@ mod tests {
         let (district, attribution) = pipeline.locate(Ipv4Addr::new(8, 8, 8, 8));
         assert_eq!(attribution, GeoAttribution::Unlocated);
         assert_eq!(district, None);
+    }
+
+    /// The two-map `locate` the prefix table replaced: the ISP table's
+    /// router district, else the DB.
+    fn two_map_locate(
+        geodb: &GeoDb,
+        isp_table: &HashMap<u32, IspInfo>,
+        prefix_len: u8,
+        client: Ipv4Addr,
+    ) -> (Option<DistrictId>, GeoAttribution) {
+        let net = cwa_geo::geodb::mask(client, prefix_len);
+        if let Some(d) = isp_table.get(&net).and_then(|info| info.router_district) {
+            return (Some(d), GeoAttribution::RouterGroundTruth);
+        }
+        match geodb.lookup_prefix(net) {
+            Some(entry) => (Some(entry.located), GeoAttribution::GeoDatabase),
+            None => (None, GeoAttribution::Unlocated),
+        }
+    }
+
+    /// Over the full plan, with prefixes only the DB lists, prefixes
+    /// only the ISP table lists (with and without a router district) and
+    /// addresses neither lists, the prefix table answers `locate` and
+    /// `isp_of` exactly as the two maps do.
+    #[test]
+    fn prefix_table_answers_like_the_two_maps() {
+        use rand::{Rng, SeedableRng};
+        let g = Germany::build();
+        let plan = AddressPlan::build(&g, AddressPlanConfig::default());
+        let geodb = GeoDb::build(&g, &plan, GeoDbConfig::default());
+        let prefix_len = plan.config.prefix_len;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(27);
+        let mut isp_table = HashMap::new();
+        for (i, alloc) in plan.allocations().iter().enumerate() {
+            if i % 5 == 0 {
+                continue; // the DB alone knows this prefix
+            }
+            let is_gt = plan.isp(alloc.isp).ground_truth_routers;
+            isp_table.insert(
+                cwa_geo::geodb::mask(alloc.network, alloc.len),
+                IspInfo {
+                    isp: alloc.isp.0,
+                    router_district: is_gt.then_some(alloc.district),
+                },
+            );
+        }
+        let mut outside = Vec::new();
+        while outside.len() < 2_000 {
+            let net = cwa_geo::geodb::mask(Ipv4Addr::from(rng.gen::<u32>()), prefix_len);
+            if geodb.lookup_prefix(net).is_none() && !isp_table.contains_key(&net) {
+                outside.push(net);
+            }
+        }
+        for (i, &net) in outside[..1_000].iter().enumerate() {
+            // The ISP table alone knows these.
+            isp_table.insert(
+                net,
+                IspInfo {
+                    isp: (i % 7) as u8,
+                    router_district: (i % 2 == 0).then_some(DistrictId((i % g.len()) as u16)),
+                },
+            );
+        }
+        let pipeline = GeolocationPipeline::new(&g, &geodb, &isp_table, prefix_len);
+        let keys = geodb
+            .iter()
+            .map(|(net, _)| net)
+            .chain(isp_table.keys().copied())
+            .chain(outside[1_000..].iter().copied());
+        let mut checked = 0;
+        for net in keys {
+            let host =
+                rng.gen::<u32>() & !cwa_geo::geodb::mask(Ipv4Addr::from(u32::MAX), prefix_len);
+            for client in [net, net | host].map(Ipv4Addr::from) {
+                assert_eq!(
+                    pipeline.locate(client),
+                    two_map_locate(&geodb, &isp_table, prefix_len, client),
+                    "{client}"
+                );
+                assert_eq!(
+                    pipeline.isp_of(client),
+                    isp_table
+                        .get(&cwa_geo::geodb::mask(client, prefix_len))
+                        .map(|info| info.isp),
+                    "{client}"
+                );
+                checked += 1;
+            }
+        }
+        for _ in 0..10_000 {
+            let client = Ipv4Addr::from(rng.gen::<u32>());
+            assert_eq!(
+                pipeline.locate(client),
+                two_map_locate(&geodb, &isp_table, prefix_len, client),
+                "{client}"
+            );
+        }
+        assert!(checked > 2 * plan.allocations().len(), "{checked} checks");
+        let attributions: std::collections::HashSet<_> = isp_table
+            .keys()
+            .chain(outside.iter())
+            .map(|&net| pipeline.locate(Ipv4Addr::from(net)).1)
+            .collect();
+        assert_eq!(attributions.len(), 3, "all three attributions occur");
     }
 
     #[test]

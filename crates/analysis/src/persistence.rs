@@ -12,12 +12,12 @@
 //! distribution. Because the input addresses are prefix-preserving
 //! anonymized, this analysis works unchanged on anonymized data.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
 use cwa_netflow::flow::{prefix_of, FlowRecord};
+use cwa_netflow::hash::KeyMap;
 use cwa_netflow::sink::{FlowChunk, FlowSink};
 
 /// Per-prefix presence statistics.
@@ -44,7 +44,9 @@ impl PrefixPresence {
 pub struct PersistenceAnalysis {
     /// Prefix length used for grouping clients.
     pub prefix_len: u8,
-    presence: HashMap<Ipv4Addr, PresenceBits>,
+    /// Day set per prefix. Every reader counts the entries or sorts
+    /// what it derives from them, so the map's order never shows.
+    presence: KeyMap<Ipv4Addr, PresenceBits>,
     days: u32,
 }
 
@@ -58,7 +60,7 @@ impl PersistenceAnalysis {
         assert!(days <= 64, "presence bitmap covers at most 64 days");
         PersistenceAnalysis {
             prefix_len,
-            presence: HashMap::new(),
+            presence: KeyMap::default(),
             days,
         }
     }

@@ -23,13 +23,14 @@
 //! the same stream positions — which is what makes eviction commute
 //! with [`absorb`](WindowedView::absorb).
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
 use cwa_geo::{DistrictId, Germany};
 use cwa_netflow::flow::{prefix_of, FlowRecord};
+use cwa_netflow::hash::KeySet;
 use cwa_netflow::sink::{FlowChunk, FlowSink};
 
 use crate::geoloc::{
@@ -73,7 +74,7 @@ struct DayCell {
     /// Distinct client prefixes seen this day (window-resolution only:
     /// dropped at eviction — an unbounded cumulative prefix set is
     /// exactly what the tiering exists to avoid).
-    prefixes: HashSet<u32>,
+    prefixes: KeySet<u32>,
     /// Berlin-located flows by ISP id.
     berlin_isp: BTreeMap<u8, u64>,
 }
@@ -87,7 +88,7 @@ impl DayCell {
             district_flows: vec![0; districts],
             attributions: [0; 3],
             state_flows: [0; 16],
-            prefixes: HashSet::new(),
+            prefixes: KeySet::default(),
             berlin_isp: BTreeMap::new(),
         }
     }
@@ -445,7 +446,7 @@ where
         let mut window_district = vec![0u64; self.germany.len()];
         let mut window_attr = [0u64; 3];
         let mut state_daily = Vec::with_capacity(self.window.len());
-        let mut prefix_union: HashSet<u32> = HashSet::new();
+        let mut prefix_union: KeySet<u32> = KeySet::default();
         let mut berlin: BTreeMap<u8, Vec<u64>> = BTreeMap::new();
         for (i, cell) in self.window.iter().enumerate() {
             let summary = cell.summary();

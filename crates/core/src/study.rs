@@ -21,7 +21,7 @@ use cwa_analysis::timeseries::HourlySeries;
 use cwa_analysis::windowed::{WindowConfig, WindowSnapshot, WindowedSnapshot, WindowedView};
 use cwa_epidemic::timeline::{JULY_24_DAY, MILESTONE_36H_HOUR};
 use cwa_epidemic::{AdoptionCurve, AdoptionModel, Scenario, Timeline};
-use cwa_geo::{AddressPlan, Germany};
+use cwa_geo::{AddressPlan, GeoDb, Germany};
 use cwa_netflow::flow::FlowRecord;
 use cwa_netflow::sink::{FlowChunk, FlowSink};
 use cwa_simnet::{
@@ -191,34 +191,34 @@ pub struct Study {
     chunk_capacity: Option<usize>,
 }
 
-/// Converts the simulator's ISP side table into the analysis crate's
-/// vocabulary (shared by the batch and streaming paths).
-fn analysis_isp_table(table: &HashMap<u32, IspSideEntry>) -> HashMap<u32, IspInfo> {
-    table
-        .iter()
-        .map(|(&net, e)| {
-            (
-                net,
-                IspInfo {
-                    isp: e.isp.0,
-                    router_district: e.router_district,
-                },
-            )
-        })
-        .collect()
+/// The geolocation pipeline over the simulator's side tables, read in
+/// the analysis crate's vocabulary (shared by the batch and streaming
+/// paths).
+fn geolocation<'a>(
+    germany: &'a Germany,
+    geodb: &GeoDb,
+    isp_table: &HashMap<u32, IspSideEntry>,
+    prefix_len: u8,
+) -> GeolocationPipeline<'a> {
+    let entries = isp_table.iter().map(|(&net, e)| {
+        (
+            net,
+            IspInfo {
+                isp: e.isp.0,
+                router_district: e.router_district,
+            },
+        )
+    });
+    GeolocationPipeline::with_isp_entries(germany, geodb, entries, prefix_len)
 }
 
-/// Client-address → ISP resolver over the anonymized side table.
+/// Client-address → ISP resolver over the pipeline's prefix table.
 /// `Copy` and `Send`, so every shard's consumers (and the live view's
 /// study and window tiers) share one table.
-fn isp_resolver(
-    isp_table: &HashMap<u32, IspInfo>,
-    prefix_len: u8,
-) -> impl Fn(Ipv4Addr) -> Option<u8> + Copy + Send + Sync + '_ {
-    move |client| {
-        let net = cwa_geo::geodb::mask(client, prefix_len);
-        isp_table.get(&net).map(|e| e.isp)
-    }
+fn isp_resolver<'p>(
+    pipeline: &'p GeolocationPipeline<'_>,
+) -> impl Fn(Ipv4Addr) -> Option<u8> + Copy + Send + Sync + 'p {
+    move |client| pipeline.isp_of(client)
 }
 
 /// Days the live view's study tier covers at most: the persistence
@@ -762,11 +762,10 @@ impl Study {
 
         // Side tables in the analysis crate's vocabulary.
         let t = Instant::now();
-        let isp_table = analysis_isp_table(&sim.isp_table);
-        let pipeline = GeolocationPipeline::new(
+        let pipeline = geolocation(
             &sim.germany,
             &sim.geodb,
-            &isp_table,
+            &sim.isp_table,
             sim.config.plan.prefix_len,
         );
 
@@ -802,12 +801,8 @@ impl Study {
         // Outbreak analysis over the same already-filtered records —
         // no further full scan.
         let t = Instant::now();
-        let mut outbreak_acc = OutbreakAccumulator::new(
-            &sim.germany,
-            &pipeline,
-            isp_resolver(&isp_table, sim.config.plan.prefix_len),
-            days,
-        );
+        let mut outbreak_acc =
+            OutbreakAccumulator::new(&sim.germany, &pipeline, isp_resolver(&pipeline), days);
         for rec in matching.iter().copied() {
             outbreak_acc.observe(rec);
         }
@@ -917,14 +912,13 @@ impl Study {
         let mut timings: Vec<PhaseTiming> = Vec::new();
         let (products, truth, final_snapshot) = {
             let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
-            let isp_table = analysis_isp_table(&prepared.isp_table);
-            let pipeline = GeolocationPipeline::new(
+            let pipeline = geolocation(
                 &prepared.germany,
                 &prepared.geodb,
-                &isp_table,
+                &prepared.isp_table,
                 prefix_len,
             );
-            let resolver = isp_resolver(&isp_table, prefix_len);
+            let resolver = isp_resolver(&pipeline);
             let publisher = mailbox.map(|live| LivePublisher {
                 study: self,
                 ctx: ReportContext::from_prepared(&prepared),
@@ -1621,12 +1615,7 @@ mod tests {
                 series: HourlySeries::new(48),
                 geo: GeoDayAccumulator::new(&pipeline, 2),
                 persistence: PersistenceAnalysis::new(24, 2),
-                outbreak: OutbreakAccumulator::new(
-                    &germany,
-                    &pipeline,
-                    isp_resolver(&isp_table, 18),
-                    2,
-                ),
+                outbreak: OutbreakAccumulator::new(&germany, &pipeline, isp_resolver(&pipeline), 2),
             })),
             counts: StreamCounts::zeroed(&CONSUMER_NAMES),
             records_counter: None,

@@ -48,18 +48,35 @@ pub const MILESTONE_36H_HOUR: u32 = RELEASE_HOUR + 36;
 pub struct StudyDay(pub u32);
 
 impl StudyDay {
-    /// Calendar label, e.g. "Jun 16".
+    /// Calendar label, e.g. "Jun 16"; days past 2020 carry the year
+    /// ("Jan 1 2021").
     pub fn label(self) -> String {
-        // June has 30 days; the study never runs past August.
-        let day_of_june = 15 + self.0;
-        if day_of_june <= 30 {
-            format!("Jun {day_of_june}")
-        } else if day_of_june <= 61 {
-            format!("Jul {}", day_of_june - 30)
+        const MONTHS: [&str; 12] = [
+            "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+        ];
+        let (year, month, day) = civil_from_days(STUDY_EPOCH_UNIX / 86_400 + u64::from(self.0));
+        let month = MONTHS[month as usize - 1];
+        if year == 2020 {
+            format!("{month} {day}")
         } else {
-            format!("Aug {}", day_of_june - 61)
+            format!("{month} {day} {year}")
         }
     }
+}
+
+/// The proleptic Gregorian (year, month 1–12, day 1–31) of a count of
+/// days since 1970-01-01 (Howard Hinnant's `civil_from_days`, over
+/// 400-year eras of 146,097 days, shifted to start each year in March).
+fn civil_from_days(days: u64) -> (u64, u64, u64) {
+    let z = days + 719_468; // days since 0000-03-01
+    let (era, doe) = (z / 146_097, z % 146_097);
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153; // month from March = 0
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = era * 400 + yoe + u64::from(month <= 2);
+    (year, month, day)
 }
 
 /// Time conversion helpers over the study window.
@@ -116,6 +133,25 @@ mod tests {
         assert_eq!(StudyDay(GUETERSLOH_LOCKDOWN_DAY).label(), "Jun 23");
         assert_eq!(StudyDay(10).label(), "Jun 25");
         assert_eq!(StudyDay(JULY_24_DAY).label(), "Jul 24");
+    }
+
+    #[test]
+    fn labels_follow_the_calendar() {
+        for (day, label) in [
+            (15, "Jun 30"),
+            (16, "Jul 1"),
+            (29, "Jul 14"),
+            (77, "Aug 31"),
+            (78, "Sep 1"),
+            (199, "Dec 31"),
+            (200, "Jan 1 2021"),
+            (1_353, "Feb 28 2024"),
+            (1_354, "Feb 29 2024"),
+            (1_355, "Mar 1 2024"),
+            (3_649, "Jun 12 2030"),
+        ] {
+            assert_eq!(StudyDay(day).label(), label, "day {day}");
+        }
     }
 
     #[test]

@@ -146,6 +146,12 @@ impl GeoDb {
         self.entries.get(&network).copied()
     }
 
+    /// Every entry with its prefix network value, in no particular
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &GeoEntry)> {
+        self.entries.iter().map(|(&net, entry)| (net, entry))
+    }
+
     /// Number of prefixes in the DB.
     pub fn len(&self) -> usize {
         self.entries.len()

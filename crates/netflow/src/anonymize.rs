@@ -18,10 +18,12 @@
 //! address's path decides bit `p`, and addresses that share a prefix
 //! share the nodes above it. The blocks one address needs are
 //! independent and go through the AES kernel in runs of 8, 4, 2 or 1
-//! ([`Aes128::encrypt_byte0_batch`]). [`CachedCryptoPan`] memoizes the
-//! trie down to the /24s node by node, so each of those nodes costs one
-//! block, paid once, and computes an address's 8 host-bit blocks afresh
-//! as one batch; [`CryptoPan::anonymize_prefixes`] walks a sorted run of
+//! ([`Aes128::encrypt_byte0_batch`]). [`CachedCryptoPan`] answers a
+//! repeated address from a small direct-mapped memo of whole addresses,
+//! and otherwise memoizes the trie down to the /24s node by node, so
+//! each of those nodes costs one block, paid once, and computes an
+//! address's 8 host-bit blocks afresh as one batch;
+//! [`CryptoPan::anonymize_prefixes`] walks a sorted run of
 //! networks only as deep as each needs, reusing the flips neighbours
 //! share.
 
@@ -241,42 +243,67 @@ struct Slash16 {
     seen: [u64; 4],
 }
 
-/// A memoizing wrapper around [`CryptoPan`]: the PRF trie down to the
-/// /24s, kept node by node, so each node above bit 24 costs one AES
-/// block, paid by whichever address reaches it first.
+/// Slots of [`CachedCryptoPan`]'s whole-address memo: 8 KiB.
+const ADDRESS_SLOTS: usize = 1024;
+
+/// The address memo slot of `orig`: the top bits of a Fibonacci hash,
+/// which spreads neighbouring addresses (a server /28, say) over
+/// distinct slots.
+fn address_slot(orig: u32) -> usize {
+    (orig.wrapping_mul(0x9E37_79B1) >> (32 - ADDRESS_SLOTS.trailing_zeros())) as usize
+}
+
+/// A memoizing wrapper around [`CryptoPan`]: a direct-mapped memo of
+/// whole addresses in front of the PRF trie down to the /24s, kept node
+/// by node, so each node above bit 24 costs one AES block, paid by
+/// whichever address reaches it first.
 ///
 /// Crypto-PAn costs 32 AES blocks per address, and the collector
 /// anonymizes every client address it stores (one per record, two when
-/// neither end is a service prefix). The memo holds two levels:
+/// neither end is a service prefix). A third of those lookups repeat a
+/// handful of background-server addresses. The memo holds three levels:
 ///
+/// * 1,024 slots of (address, anonymized address), 8 KiB, indexed by a
+///   hash of the address; a lookup of the address a slot holds runs no
+///   AES, any other lookup replaces the slot's entry;
 /// * a /16 index: a 512-byte table by the top address byte, then a
 ///   1 KiB table per visited /8;
 /// * a 96-byte node per /16 with the flips of positions 0..16, an
 ///   8-level sub-trie for positions 16..24 and a 256-bit mask of the
 ///   /24s looked up.
 ///
-/// The host bits (positions 24..32) are never stored: every lookup
-/// computes them afresh, one 8-block batch through the AES kernel,
-/// which on AES-NI costs less than reading a per-/24 memo at random.
-/// A lookup pays 8 blocks plus the nodes above bit 24 the memo lacks:
+/// The host bits (positions 24..32) are not stored in the trie: every
+/// lookup the address slots miss computes them afresh, one 8-block batch
+/// through the AES kernel, which on AES-NI costs less than reading a
+/// per-/24 memo at random. A lookup pays the nodes above bit 24 the trie
+/// lacks on top:
 ///
 /// | lookup | AES blocks | counted as |
 /// |---|---|---|
+/// | its address in its slot | 0 | `hits`, `address_hits` |
 /// | its /24 looked up before | 8 | `hits` |
 /// | new /24 in a memoized /16, sharing `16 + s` bits with a looked-up /24 | `15 − s` (8 to 15) | `misses` |
 /// | new /16 | 32 | `misses` |
 ///
-/// So [`hits`](CachedCryptoPan::hits)`/(hits + misses)` counts /24 reuse.
-/// The memo also counts the AES blocks it computes; the collector
-/// publishes them as `netflow.collector.cryptopan_blocks`.
-/// Output is bit-identical to the uncached [`CryptoPan::anonymize`] — the
-/// memo only short-circuits a pure function — so record streams are
-/// unchanged by construction (asserted by tests).
+/// An address in a slot was looked up before, so its /24 was too: an
+/// address hit is a /24 hit, and
+/// [`hits`](CachedCryptoPan::hits)`/(hits + misses)` counts /24 reuse
+/// whatever the slots hold. The memo also counts the AES blocks it
+/// computes; the collector publishes them as
+/// `netflow.collector.cryptopan_blocks`, and the address hits as
+/// `netflow.collector.cryptopan_address_hits`. Output is bit-identical
+/// to the uncached [`CryptoPan::anonymize`] — the memo only
+/// short-circuits a pure function — so record streams are unchanged by
+/// construction (asserted by tests).
 ///
-/// The memo is bounded by its shape, however long the collector runs: at
-/// most 65,536 /16 nodes (6 MiB) and 256 index tables (256 KiB).
+/// The memo is bounded by its shape, however long the collector runs:
+/// the address slots, at most 65,536 /16 nodes (6 MiB) and 256 index
+/// tables (256 KiB).
 pub struct CachedCryptoPan {
     inner: CryptoPan,
+    /// (address, anonymized address) by [`address_slot`]. A slot no
+    /// lookup has filled holds an address whose slot it is not.
+    addresses: Box<[(u32, u32); ADDRESS_SLOTS]>,
     /// The /16 index by the address's top byte: 1 + the index of that
     /// /8's table in `index_tables`, 0 = none yet.
     index_top: [u16; 256],
@@ -284,8 +311,10 @@ pub struct CachedCryptoPan {
     /// in `slash16s`, 0 = none yet.
     index_tables: Vec<[u32; 256]>,
     slash16s: Vec<Slash16>,
-    /// Lookups whose /24 was looked up before (8 AES blocks).
+    /// Lookups whose /24 was looked up before (0 or 8 AES blocks).
     hits: u64,
+    /// Lookups served from the address slots (0 AES blocks).
+    address_hits: u64,
     /// Lookups of a new /24 (8 to 32 AES blocks).
     pub misses: u64,
     /// AES blocks computed.
@@ -295,12 +324,18 @@ pub struct CachedCryptoPan {
 impl CachedCryptoPan {
     /// Wraps an anonymizer with an empty memo.
     pub fn new(inner: CryptoPan) -> Self {
+        // Address 0 belongs in slot 0, so slot 0 starts out holding 1,
+        // whose slot is another.
+        let mut addresses = Box::new([(0, 0); ADDRESS_SLOTS]);
+        addresses[address_slot(0)].0 = 1;
         CachedCryptoPan {
             inner,
+            addresses,
             index_top: [0; 256],
             index_tables: Vec::new(),
             slash16s: Vec::new(),
             hits: 0,
+            address_hits: 0,
             misses: 0,
             blocks: 0,
         }
@@ -316,6 +351,12 @@ impl CachedCryptoPan {
         self.hits
     }
 
+    /// Lookups served whole from the address slots, without AES (a
+    /// subset of [`hits`](CachedCryptoPan::hits)).
+    pub fn address_hits(&self) -> u64 {
+        self.address_hits
+    }
+
     /// Anonymizes one address through the memo. Bit-identical to
     /// `self.inner().anonymize(addr)`.
     pub fn anonymize(&mut self, addr: Ipv4Addr) -> Ipv4Addr {
@@ -324,6 +365,20 @@ impl CachedCryptoPan {
 
     /// `u32` form of [`anonymize`](CachedCryptoPan::anonymize).
     pub fn anonymize_u32(&mut self, orig: u32) -> u32 {
+        let slot = address_slot(orig);
+        let (held, anon) = self.addresses[slot];
+        if held == orig {
+            self.hits += 1;
+            self.address_hits += 1;
+            return anon;
+        }
+        let anon = self.walk(orig);
+        self.addresses[slot] = (orig, anon);
+        anon
+    }
+
+    /// Anonymizes `orig` through the trie, filling the nodes it lacks.
+    fn walk(&mut self, orig: u32) -> u32 {
         let b24 = orig >> 8 & 0xFF;
         let (w, cold) = self.slash16(orig);
         let node = &mut self.slash16s[w];
@@ -519,15 +574,73 @@ mod tests {
         // The second pass is all hits; clusters and neighbours hit too.
         assert!(cached.hits() > lookups / 2, "hits {}", cached.hits());
         assert!(cached.misses > 0 && cached.misses <= 3000);
-        // The host bits are always paid, the nodes above them at most
-        // once: between 8 and 32 blocks a lookup.
+        assert!(cached.address_hits() > 0 && cached.address_hits() <= cached.hits());
+        // A lookup the address slots miss pays the host bits, the nodes
+        // above them at most once: between 8 and 32 blocks.
+        let walks = lookups - cached.address_hits();
         assert!(
-            (8 * lookups..=32 * lookups).contains(&cached.blocks),
-            "{} blocks for {lookups} lookups",
+            (8 * walks..=32 * walks).contains(&cached.blocks),
+            "{} blocks for {walks} trie lookups",
             cached.blocks
         );
         // Misses under a memoized /16 skip its top 16 positions.
-        assert!(cached.blocks < 32 * cached.misses + 8 * cached.hits());
+        assert!(cached.blocks < 32 * cached.misses + 8 * (cached.hits() - cached.address_hits()));
+    }
+
+    /// Sixteen heavy hitters among random clients, as the background
+    /// servers are among the collector's lookups, with clients forced
+    /// into the heavy hitters' slots: every answer is the uncached one,
+    /// and an address hit saves exactly its 8 host-bit blocks.
+    #[test]
+    fn address_slots_match_uncached_under_collisions() {
+        let cp = cp();
+        let mut cached = CachedCryptoPan::new(cp.clone());
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let heavy: Vec<u32> = (0..16).map(|i| 0xCB00_7100 | i).collect();
+        let slots: std::collections::HashSet<usize> =
+            heavy.iter().map(|&a| address_slot(a)).collect();
+        assert_eq!(slots.len(), 16, "a server /28 spreads over 16 slots");
+        let mut colliding = 0;
+        for i in 0..20_000u32 {
+            let addr = match i % 3 {
+                0 => heavy[rng.gen_range(0..heavy.len())],
+                // A client that evicts a heavy hitter from its slot.
+                1 if i % 7 == 1 => loop {
+                    let client = rng.gen::<u32>();
+                    if slots.contains(&address_slot(client)) {
+                        colliding += 1;
+                        break client;
+                    }
+                },
+                _ => rng.gen(),
+            };
+            let (hits, address_hits, blocks) =
+                (cached.hits(), cached.address_hits(), cached.blocks);
+            let got = cached.anonymize(Ipv4Addr::from(addr));
+            assert_eq!(got, cp.anonymize(Ipv4Addr::from(addr)), "lookup {i}");
+            if cached.address_hits() > address_hits {
+                assert_eq!(cached.hits(), hits + 1, "an address hit is a /24 hit");
+                assert_eq!(cached.blocks, blocks, "an address hit runs no AES");
+            }
+        }
+        assert!(colliding > 900, "{colliding} forced collisions");
+        assert!(cached.address_hits() > 5000, "{}", cached.address_hits());
+        assert!(cached.address_hits() < cached.hits());
+    }
+
+    #[test]
+    fn fresh_address_slots_answer_nothing() {
+        let cp = cp();
+        // Each of these lands in slot 0 or holds slot 0's filler.
+        for addr in [0u32, 1] {
+            let mut cached = CachedCryptoPan::new(cp.clone());
+            let a = Ipv4Addr::from(addr);
+            assert_eq!(cached.anonymize(a), cp.anonymize(a), "{a}");
+            assert_eq!(cached.address_hits(), 0, "{a} first seen");
+            assert_eq!(cached.anonymize(a), cp.anonymize(a), "{a}");
+            assert_eq!(cached.address_hits(), 1, "{a} seen again");
+        }
+        assert_ne!(address_slot(0), address_slot(1));
     }
 
     #[test]
@@ -550,14 +663,16 @@ mod tests {
     fn each_trie_node_costs_one_block() {
         let cp = cp();
         let mut cached = CachedCryptoPan::new(cp.clone());
-        // (address, AES blocks: its 8 host bits, plus the trie nodes above
-        // bit 24 on its path the memo lacks); position p's node is shared
-        // by the addresses that agree on their top p bits.
+        // (address, AES blocks: none if its slot holds it, else its 8
+        // host bits plus the trie nodes above bit 24 on its path the memo
+        // lacks); position p's node is shared by the addresses that agree
+        // on their top p bits.
         let steps = [
             // A cold /16: all 32 positions.
             ([84, 17, 2, 3], 32),
+            // The same address: served from its slot.
+            ([84, 17, 2, 3], 0),
             // The same /24, whatever the host: only the host bits.
-            ([84, 17, 2, 3], 8),
             ([84, 17, 2, 2], 8),
             ([84, 17, 2, 100], 8),
             ([84, 17, 2, 103], 8),
@@ -578,6 +693,7 @@ mod tests {
             assert_eq!(cached.blocks, total, "{a} costs {cost} blocks");
         }
         assert_eq!((cached.hits(), cached.misses), (4, 4));
+        assert_eq!(cached.address_hits(), 1);
     }
 
     #[test]
@@ -616,6 +732,7 @@ mod tests {
         // The sizes the docs quote.
         assert_eq!(std::mem::size_of::<SubTrie>(), 48);
         assert_eq!(std::mem::size_of::<Slash16>(), 96);
+        assert_eq!(std::mem::size_of::<[(u32, u32); ADDRESS_SLOTS]>(), 8192);
     }
 
     /// The key of the reference implementation's `sample.cpp` (Xu et al.).

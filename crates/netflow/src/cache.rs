@@ -13,12 +13,10 @@
 //! "only few packets for most flows" and why flow-size-based
 //! classification of app vs. website traffic was infeasible.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use serde::{Deserialize, Serialize};
 
 use crate::flow::{FlowKey, FlowRecord};
+use crate::hash::KeyMap;
 
 /// Flow-cache timeout and capacity settings.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,64 +65,15 @@ pub struct CacheStats {
     pub expired_flush: u64,
 }
 
-/// The flow cache's key hasher, multiply-rotate in the style of FxHash:
-/// a few cycles per key word where SipHash takes tens. It resists no
-/// chosen keys, and needs not: every key comes from the simulator, so
-/// nothing adversarial reaches the map. Export order never depends on it
-/// (expiry sorts by key).
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves its best-mixed bits at the top; the table
-        // indexes by the low ones.
-        self.0.rotate_left(26)
-    }
-}
-
 /// A router flow cache. Feed it (sampled) packets via
 /// [`FlowCache::account`]; collect expired [`FlowRecord`]s via
 /// [`FlowCache::take_expired`].
 #[derive(Debug)]
 pub struct FlowCache {
     config: FlowCacheConfig,
-    /// Live entries, hashed with [`KeyHasher`] rather than SipHash.
-    entries: HashMap<FlowKey, Entry, BuildHasherDefault<KeyHasher>>,
+    /// Live entries, hashed with [`KeyHasher`](crate::hash::KeyHasher)
+    /// rather than SipHash.
+    entries: KeyMap<FlowKey, Entry>,
     expired: Vec<FlowRecord>,
     stats: CacheStats,
 }
@@ -134,7 +83,7 @@ impl FlowCache {
     pub fn new(config: FlowCacheConfig) -> Self {
         FlowCache {
             config,
-            entries: HashMap::default(),
+            entries: KeyMap::default(),
             expired: Vec::new(),
             stats: CacheStats::default(),
         }

@@ -4,7 +4,9 @@
 //! optionally applies Crypto-PAn anonymization to the *client* side of
 //! each record before storage — mirroring how the paper's data set was
 //! handed to the researchers already anonymized — and tracks export loss
-//! via per-engine sequence numbers.
+//! via per-engine sequence numbers. Each record goes from its 48 wire
+//! bytes straight into the columns of the collector's resident
+//! [`FlowChunk`]s, which `drain_into` hands to the sink as they are.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -17,7 +19,7 @@ use cwa_obs::{Counter, NameId, Registry, TraceBuf, Tracer};
 use crate::anonymize::{CachedCryptoPan, CryptoPan};
 use crate::flow::{in_prefix, FlowRecord};
 use crate::sink::{FlowChunk, FlowSink, DEFAULT_CHUNK_CAPACITY};
-use crate::v5::{ExportPacket, V5Error};
+use crate::v5::{self, V5Error, V5Header};
 
 /// Observability handles for a [`Collector`] (all increments are single
 /// relaxed atomics; name resolution happens once, here).
@@ -32,6 +34,7 @@ pub struct CollectorMetrics {
     cryptopan_hits: Arc<Counter>,
     cryptopan_misses: Arc<Counter>,
     cryptopan_blocks: Arc<Counter>,
+    cryptopan_address_hits: Arc<Counter>,
 }
 
 impl CollectorMetrics {
@@ -47,6 +50,7 @@ impl CollectorMetrics {
             cryptopan_hits: registry.counter("netflow.collector.cryptopan_cache_hits"),
             cryptopan_misses: registry.counter("netflow.collector.cryptopan_cache_misses"),
             cryptopan_blocks: registry.counter("netflow.collector.cryptopan_blocks"),
+            cryptopan_address_hits: registry.counter("netflow.collector.cryptopan_address_hits"),
         }
     }
 }
@@ -87,30 +91,37 @@ pub struct EngineStats {
 /// A collector accumulating anonymized flow records.
 pub struct Collector {
     /// Anonymizer applied to client addresses (None = store raw).
-    /// A cold /16 costs the 32-AES-block Crypto-PAn walk; after that
-    /// every address pays its 8 host-bit blocks as one batch, plus one
+    /// An address still held by its slot of a 1,024-slot memo runs no
+    /// AES; any other pays its 8 host-bit AES blocks as one batch, plus one
     /// block per prefix-trie node above bit 24 the memo has not seen:
     /// 8 blocks for an address in a seen /24, 8–15 for a new /24 in a
-    /// seen /16 (see [`CachedCryptoPan`]). It holds 96 bytes per /16,
-    /// at most 6 MiB. A record has one client address, or two when
-    /// neither end is a server prefix.
+    /// seen /16, 32 for a new /16 (see [`CachedCryptoPan`]). It holds
+    /// 8 KiB of addresses and 96 bytes per /16, at most 6 MiB. A record
+    /// has one client address, or two when neither end is a server
+    /// prefix.
     anonymizer: Option<CachedCryptoPan>,
     /// Server-side prefixes: addresses inside are *not* anonymized
     /// (the CWA CDN prefixes are public knowledge; only clients are
     /// protected, exactly as in the paper's data set).
     server_prefixes: Vec<(Ipv4Addr, u8)>,
-    records: Vec<FlowRecord>,
+    /// The resident records in collection order: full chunks of
+    /// `chunk_capacity` records, the last one filling.
+    chunks: Vec<FlowChunk>,
+    /// Drained chunks, kept for their column allocations.
+    spare: Vec<FlowChunk>,
+    /// Records held in `chunks`.
+    resident: usize,
     engines: HashMap<u8, (Option<u32>, EngineStats)>,
     metrics: Option<CollectorMetrics>,
     trace: Option<CollectorTrace>,
     peak_resident: usize,
     /// Records per [`FlowChunk`] handed to sinks by `drain_into`.
     chunk_capacity: usize,
-    /// Reusable chunk scratch for `drain_into`.
-    chunk: FlowChunk,
-    /// Memo hit, miss and AES-block totals already published to the
-    /// metric counters.
-    published: [u64; 3],
+    /// Client addresses rewritten by the anonymizer.
+    anonymized: u64,
+    /// Anonymized-address, memo hit, miss, AES-block and address-hit
+    /// totals already published to the metric counters.
+    published: [u64; 5],
 }
 
 impl Collector {
@@ -119,14 +130,16 @@ impl Collector {
         Collector {
             anonymizer: None,
             server_prefixes: Vec::new(),
-            records: Vec::new(),
+            chunks: Vec::new(),
+            spare: Vec::new(),
+            resident: 0,
             engines: HashMap::new(),
             metrics: None,
             trace: None,
             peak_resident: 0,
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
-            chunk: FlowChunk::default(),
-            published: [0; 3],
+            anonymized: 0,
+            published: [0; 5],
         }
     }
 
@@ -137,14 +150,7 @@ impl Collector {
         Collector {
             anonymizer: Some(CachedCryptoPan::new(CryptoPan::new(key))),
             server_prefixes,
-            records: Vec::new(),
-            engines: HashMap::new(),
-            metrics: None,
-            trace: None,
-            peak_resident: 0,
-            chunk_capacity: DEFAULT_CHUNK_CAPACITY,
-            chunk: FlowChunk::default(),
-            published: [0; 3],
+            ..Collector::new_raw()
         }
     }
 
@@ -157,7 +163,15 @@ impl Collector {
     /// sinks (default [`DEFAULT_CHUNK_CAPACITY`]). Chunk size never
     /// changes the record stream, only its batching — asserted by the
     /// chunk-size invariance tests.
+    ///
+    /// # Panics
+    ///
+    /// If records are resident: their chunks were cut at the old size.
     pub fn set_chunk_capacity(&mut self, capacity: usize) {
+        assert_eq!(
+            self.resident, 0,
+            "set the chunk capacity before collecting records"
+        );
         self.chunk_capacity = capacity.max(1);
     }
 
@@ -194,16 +208,25 @@ impl Collector {
         }
     }
 
-    /// Ingests one encoded v5 datagram.
+    /// Ingests one encoded v5 datagram: validated as
+    /// [`v5::ExportPacket::decode`] validates it, then each record parsed
+    /// from its wire bytes into the resident chunks.
     pub fn ingest(&mut self, datagram: bytes::Bytes) -> Result<(), V5Error> {
-        let packet = match ExportPacket::decode(datagram) {
-            Ok(p) => p,
+        let (header, records) = match v5::split_datagram(&datagram) {
+            Ok(parts) => parts,
             Err(e) => {
                 self.note_decode_error();
                 return Err(e);
             }
         };
-        self.ingest_packet(packet);
+        self.track_sequence(&header, records.len());
+        let mut bytes = 0;
+        for wire in records {
+            let rec = v5::decode_record(wire);
+            bytes += rec.bytes;
+            self.store(rec);
+        }
+        self.end_datagram(records.len(), bytes);
         Ok(())
     }
 
@@ -217,24 +240,14 @@ impl Collector {
             .entry(engine)
             .or_insert((None, EngineStats::default()));
         stats.records += records.len() as u64;
-        if let Some(m) = &self.metrics {
-            m.records.add(records.len() as u64);
-            m.bytes.add(records.iter().map(|r| r.bytes).sum());
+        let (count, bytes) = (records.len(), records.iter().map(|r| r.bytes).sum());
+        for rec in records {
+            self.store(rec);
         }
-        for mut rec in records {
-            anonymize_record(
-                &mut self.anonymizer,
-                &self.server_prefixes,
-                &self.metrics,
-                &mut rec,
-            );
-            self.records.push(rec);
-        }
-        self.peak_resident = self.peak_resident.max(self.records.len());
-        self.publish_cache_deltas();
+        self.end_datagram(count, bytes);
     }
 
-    /// Ingests an already-decoded export packet.
+    /// Counts a v5 datagram of `count` records against its engine.
     ///
     /// Sequence accounting handles the two realities of UDP export:
     /// the 32-bit flow sequence **wraps**, and datagrams can arrive
@@ -244,20 +257,16 @@ impl Collector {
     /// the upper half) is a late arrival whose records were already
     /// counted lost when the gap opened, so they are reclaimed instead
     /// — `lost_records` can neither underflow nor explode.
-    pub fn ingest_packet(&mut self, packet: ExportPacket) {
-        let engine = packet.header.engine_id;
+    fn track_sequence(&mut self, header: &V5Header, count: usize) {
+        let engine = header.engine_id;
         let (last_seq, stats) = self
             .engines
             .entry(engine)
             .or_insert((None, EngineStats::default()));
         stats.packets += 1;
-        stats.records += packet.records.len() as u64;
-        if let Some(m) = &self.metrics {
-            m.records.add(packet.records.len() as u64);
-            m.bytes.add(packet.records.iter().map(|r| r.bytes).sum());
-        }
-        let seq = packet.header.flow_sequence;
-        let advance = packet.records.len() as u32;
+        stats.records += count as u64;
+        let seq = header.flow_sequence;
+        let advance = count as u32;
         match *last_seq {
             None => *last_seq = Some(seq.wrapping_add(advance)),
             Some(expected) => {
@@ -280,67 +289,90 @@ impl Collector {
                 }
             }
         }
-
-        for mut rec in packet.records {
-            anonymize_record(
-                &mut self.anonymizer,
-                &self.server_prefixes,
-                &self.metrics,
-                &mut rec,
-            );
-            self.records.push(rec);
-        }
-        self.peak_resident = self.peak_resident.max(self.records.len());
-        self.publish_cache_deltas();
     }
 
-    /// Publishes the memo's hit, miss and AES-block growth since the
-    /// last call to the metric counters (cheap: three adds per export
-    /// datagram).
-    fn publish_cache_deltas(&mut self) {
-        let (Some(m), Some(cp)) = (&self.metrics, &self.anonymizer) else {
-            return;
-        };
-        let totals = [cp.hits(), cp.misses, cp.blocks];
-        let [hits, misses, blocks] = self.published;
-        m.cryptopan_hits.add(totals[0] - hits);
-        m.cryptopan_misses.add(totals[1] - misses);
-        m.cryptopan_blocks.add(totals[2] - blocks);
+    /// Anonymizes `rec` per the policy and appends it to the resident
+    /// chunks, starting a new chunk when the last one is full.
+    fn store(&mut self, mut rec: FlowRecord) {
+        if let Some(cp) = &mut self.anonymizer {
+            let server = |addr| {
+                self.server_prefixes
+                    .iter()
+                    .any(|&(p, l)| in_prefix(addr, p, l))
+            };
+            if !server(rec.key.src_ip) {
+                rec.key.src_ip = cp.anonymize(rec.key.src_ip);
+                self.anonymized += 1;
+            }
+            if !server(rec.key.dst_ip) {
+                rec.key.dst_ip = cp.anonymize(rec.key.dst_ip);
+                self.anonymized += 1;
+            }
+        }
+        let cap = self.chunk_capacity;
+        if self.chunks.last().is_none_or(|c| c.len() >= cap) {
+            let chunk = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| FlowChunk::with_capacity(cap.min(DEFAULT_CHUNK_CAPACITY)));
+            self.chunks.push(chunk);
+        }
+        self.chunks
+            .last_mut()
+            .expect("a chunk with room was just ensured")
+            .push(&rec);
+        self.resident += 1;
+    }
+
+    /// Books one stored datagram of `count` records and `bytes` bytes:
+    /// the record and byte counters, the residency high-water mark, and
+    /// the anonymized addresses and the memo's growth since the last
+    /// datagram.
+    fn end_datagram(&mut self, count: usize, bytes: u64) {
+        self.peak_resident = self.peak_resident.max(self.resident);
+        let Some(m) = &self.metrics else { return };
+        m.records.add(count as u64);
+        m.bytes.add(bytes);
+        let Some(cp) = &self.anonymizer else { return };
+        let totals = [
+            self.anonymized,
+            cp.hits(),
+            cp.misses,
+            cp.blocks,
+            cp.address_hits(),
+        ];
+        let [anonymized, hits, misses, blocks, address_hits] = self.published;
+        m.anonymized.add(totals[0] - anonymized);
+        m.cryptopan_hits.add(totals[1] - hits);
+        m.cryptopan_misses.add(totals[2] - misses);
+        m.cryptopan_blocks.add(totals[3] - blocks);
+        m.cryptopan_address_hits.add(totals[4] - address_hits);
         self.published = totals;
     }
 
-    /// All records collected so far.
-    pub fn records(&self) -> &[FlowRecord] {
-        &self.records
+    /// A copy of every resident record, in collection order.
+    pub fn records(&self) -> Vec<FlowRecord> {
+        self.chunks.iter().flat_map(FlowChunk::iter).collect()
     }
 
     /// Streams every resident record into `sink` (in collection order)
-    /// as columnar [`FlowChunk`]s of at most `chunk_capacity` records,
-    /// then clears the buffer, keeping its capacity. This is the
-    /// batched emission primitive: draining after every export round
-    /// bounds the collector's resident set to one export round, and the
-    /// chunking amortizes the sink's dyn dispatch to one call per chunk.
+    /// as the columnar [`FlowChunk`]s of at most `chunk_capacity`
+    /// records they were parsed into, then empties the collector,
+    /// keeping the chunks for reuse. This is the batched emission
+    /// primitive: draining after every export round bounds the
+    /// collector's resident set to one export round, and the chunking
+    /// amortizes the sink's dyn dispatch to one call per chunk.
     pub fn drain_into(&mut self, sink: &mut dyn FlowSink) {
-        let cap = self.chunk_capacity;
-        let mut chunk = std::mem::take(&mut self.chunk);
-        chunk.clear();
-        for rec in &self.records {
-            chunk.push(rec);
-            if chunk.len() >= cap {
-                sink.observe_chunk(&chunk);
-                chunk.clear();
-            }
-        }
-        if !chunk.is_empty() {
+        for mut chunk in self.chunks.drain(..) {
             sink.observe_chunk(&chunk);
             chunk.clear();
+            self.spare.push(chunk);
         }
-        self.chunk = chunk;
-        self.records.clear();
+        self.resident = 0;
     }
 
     /// High-water mark of records resident in the collector at once.
-    /// Under chunked draining this is the chunk size; under batch
+    /// Under chunked draining this is one export round; under batch
     /// collection it equals the total record count.
     pub fn peak_resident_records(&self) -> usize {
         self.peak_resident
@@ -357,39 +389,11 @@ impl Collector {
     }
 }
 
-/// Applies the anonymization policy to one record, counting rewrites.
-fn anonymize_record(
-    anonymizer: &mut Option<CachedCryptoPan>,
-    server_prefixes: &[(Ipv4Addr, u8)],
-    metrics: &Option<CollectorMetrics>,
-    rec: &mut FlowRecord,
-) {
-    let Some(cp) = anonymizer else { return };
-    if !server_prefixes
-        .iter()
-        .any(|&(p, l)| in_prefix(rec.key.src_ip, p, l))
-    {
-        rec.key.src_ip = cp.anonymize(rec.key.src_ip);
-        if let Some(m) = metrics {
-            m.anonymized.inc();
-        }
-    }
-    if !server_prefixes
-        .iter()
-        .any(|&(p, l)| in_prefix(rec.key.dst_ip, p, l))
-    {
-        rec.key.dst_ip = cp.anonymize(rec.key.dst_ip);
-        if let Some(m) = metrics {
-            m.anonymized.inc();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::FlowKey;
-    use crate::v5::{packetize, V5Header};
+    use crate::v5::{packetize, ExportPacket, V5Header};
 
     fn record(client: Ipv4Addr) -> FlowRecord {
         FlowRecord {
@@ -457,11 +461,11 @@ mod tests {
         assert_eq!(pkts.len(), 2);
         let mut col = Collector::new_raw();
         // Drop the first datagram: 30 records lost.
-        col.ingest_packet(pkts[1].clone());
+        col.ingest(pkts[1].encode()).unwrap();
         // Need a successor to detect the gap? No: gap vs expected=none.
         // Feed a third synthetic packet continuing the sequence.
         let (more, _) = packetize(&recs[..5], 7, 1000, 0, 60);
-        col.ingest_packet(more[0].clone());
+        col.ingest(more[0].encode()).unwrap();
         assert_eq!(col.total_lost(), 0, "no gap between consecutive packets");
 
         // Now an actual gap: sequence jumps by 10.
@@ -477,7 +481,7 @@ mod tests {
             },
             records: vec![record(Ipv4Addr::new(10, 9, 9, 9))],
         };
-        col.ingest_packet(gap_pkt);
+        col.ingest(gap_pkt.encode()).unwrap();
         assert_eq!(col.total_lost(), 10);
     }
 
@@ -504,48 +508,49 @@ mod tests {
         let mut col = Collector::new_raw();
         // 3 records ending exactly at the u32 boundary: next expected
         // wraps to 0, then to 2.
-        col.ingest_packet(seq_pkt(3, u32::MAX - 2, 3));
-        col.ingest_packet(seq_pkt(3, 0, 2));
-        col.ingest_packet(seq_pkt(3, 2, 1));
+        col.ingest(seq_pkt(3, u32::MAX - 2, 3).encode()).unwrap();
+        col.ingest(seq_pkt(3, 0, 2).encode()).unwrap();
+        col.ingest(seq_pkt(3, 2, 1).encode()).unwrap();
         assert_eq!(col.total_lost(), 0, "clean wrap must not count loss");
 
         // A real gap of 4 records straddling nothing special.
-        col.ingest_packet(seq_pkt(3, 7, 1));
+        col.ingest(seq_pkt(3, 7, 1).encode()).unwrap();
         assert_eq!(col.total_lost(), 4, "post-wrap gaps still detected");
     }
 
     #[test]
     fn sequence_gap_across_wrap_detected() {
         let mut col = Collector::new_raw();
-        col.ingest_packet(seq_pkt(4, u32::MAX - 9, 5)); // next expected: MAX-4
-        col.ingest_packet(seq_pkt(4, 1, 2)); // wrapped gap of 6
+        col.ingest(seq_pkt(4, u32::MAX - 9, 5).encode()).unwrap(); // next expected: MAX-4
+        col.ingest(seq_pkt(4, 1, 2).encode()).unwrap(); // wrapped gap of 6
         assert_eq!(col.total_lost(), 6);
     }
 
     #[test]
     fn out_of_order_datagram_does_not_explode_loss() {
         let mut col = Collector::new_raw();
-        col.ingest_packet(seq_pkt(5, 100, 30)); // next expected: 130
-                                                // The seq-130 datagram is delayed; seq-160 arrives first.
-        col.ingest_packet(seq_pkt(5, 160, 10)); // gap of 30 counted lost
+        // Seq 100 carries 30 records, so seq 130 is expected next; it is
+        // delayed and seq 160 arrives first.
+        col.ingest(seq_pkt(5, 100, 30).encode()).unwrap();
+        col.ingest(seq_pkt(5, 160, 10).encode()).unwrap(); // gap of 30 counted lost
         assert_eq!(col.total_lost(), 30);
         // The late datagram finally arrives: its 30 records are
         // reclaimed, not treated as a ~u32::MAX forward gap.
-        col.ingest_packet(seq_pkt(5, 130, 30));
+        col.ingest(seq_pkt(5, 130, 30).encode()).unwrap();
         assert_eq!(col.total_lost(), 0, "late arrival reclaims counted loss");
         // Sequence tracking still anchored at the high-water mark.
-        col.ingest_packet(seq_pkt(5, 170, 1));
+        col.ingest(seq_pkt(5, 170, 1).encode()).unwrap();
         assert_eq!(col.total_lost(), 0);
     }
 
     #[test]
     fn duplicate_datagram_cannot_underflow_loss() {
         let mut col = Collector::new_raw();
-        col.ingest_packet(seq_pkt(6, 10, 5)); // next expected: 15
-        col.ingest_packet(seq_pkt(6, 10, 5)); // exact duplicate (from the past)
-        col.ingest_packet(seq_pkt(6, 10, 5));
+        col.ingest(seq_pkt(6, 10, 5).encode()).unwrap(); // next expected: 15
+        col.ingest(seq_pkt(6, 10, 5).encode()).unwrap(); // exact duplicate (from the past)
+        col.ingest(seq_pkt(6, 10, 5).encode()).unwrap();
         assert_eq!(col.total_lost(), 0, "saturating reclaim, no underflow");
-        col.ingest_packet(seq_pkt(6, 15, 1));
+        col.ingest(seq_pkt(6, 15, 1).encode()).unwrap();
         assert_eq!(col.total_lost(), 0, "tracking recovers after duplicates");
     }
 
@@ -555,8 +560,8 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let mut col = Collector::new_anonymizing(&[9u8; 32], vec![SERVER_PREFIX]);
         col.set_metrics(CollectorMetrics::new(&registry));
-        col.ingest_packet(seq_pkt(7, 0, 5)); // next expected: 5
-        col.ingest_packet(seq_pkt(7, 8, 2)); // gap of 3
+        col.ingest(seq_pkt(7, 0, 5).encode()).unwrap(); // next expected: 5
+        col.ingest(seq_pkt(7, 8, 2).encode()).unwrap(); // gap of 3
         assert_eq!(registry.counter("netflow.collector.records").get(), 7);
         assert_eq!(
             registry.counter("netflow.collector.bytes").get(),
@@ -587,12 +592,12 @@ mod tests {
         let mut col = Collector::new_raw();
         col.set_trace(CollectorTrace::new(&tracer, Arc::clone(&buf)));
         col.export_round(|c| {
-            c.ingest_packet(seq_pkt(1, 0, 3));
-            c.ingest_packet(seq_pkt(1, 3, 2));
+            c.ingest(seq_pkt(1, 0, 3).encode()).unwrap();
+            c.ingest(seq_pkt(1, 3, 2).encode()).unwrap();
         });
-        col.export_round(|c| c.ingest_packet(seq_pkt(1, 5, 4)));
+        col.export_round(|c| c.ingest(seq_pkt(1, 5, 4).encode()).unwrap());
         // A datagram outside a round records no span.
-        col.ingest_packet(seq_pkt(1, 9, 1));
+        col.ingest(seq_pkt(1, 9, 1).encode()).unwrap();
         let json = tracer.to_chrome_json();
         assert_eq!(json.matches("\"collect.ingest\"").count(), 2);
         // Tracing is observation-only: the records are unaffected.
@@ -605,8 +610,8 @@ mod tests {
         let (p1, _) = packetize(&recs, 1, 1000, 0, 0);
         let (p2, _) = packetize(&recs, 2, 1000, 0, 0);
         let mut col = Collector::new_raw();
-        col.ingest_packet(p1[0].clone());
-        col.ingest_packet(p2[0].clone());
+        col.ingest(p1[0].encode()).unwrap();
+        col.ingest(p2[0].encode()).unwrap();
         assert_eq!(col.engine_stats(1).unwrap().records, 1);
         assert_eq!(col.engine_stats(2).unwrap().records, 1);
         assert!(col.engine_stats(3).is_none());
@@ -625,7 +630,7 @@ mod tests {
         let mut drained: Vec<FlowRecord> = Vec::new();
         let mut col = Collector::new_raw();
         for p in &pkts {
-            col.ingest_packet(p.clone());
+            col.ingest(p.encode()).unwrap();
             col.drain_into(&mut drained);
         }
         assert_eq!(drained, recs);
@@ -635,7 +640,7 @@ mod tests {
         // Batch collection: peak residency equals the total.
         let mut batch = Collector::new_raw();
         for p in &pkts {
-            batch.ingest_packet(p.clone());
+            batch.ingest(p.encode()).unwrap();
         }
         assert_eq!(batch.peak_resident_records(), recs.len());
     }
@@ -656,7 +661,7 @@ mod tests {
         let mut col = Collector::new_anonymizing(&[9u8; 32], vec![SERVER_PREFIX]);
         col.set_metrics(CollectorMetrics::new(&registry));
         for p in &pkts {
-            col.ingest_packet(p.clone());
+            col.ingest(p.encode()).unwrap();
         }
         let (hits, misses) = col.cryptopan_cache_stats();
         assert_eq!(hits, 19, "every later lookup hits");
@@ -676,10 +681,17 @@ mod tests {
             misses
         );
         // 32 blocks for the first lookup, then the 8 host bits for each
-        // of the other 19.
+        // of the other 9; the second pass is served from the address
+        // slots, without AES.
         assert_eq!(
             registry.counter("netflow.collector.cryptopan_blocks").get(),
-            32 + 19 * 8
+            32 + 9 * 8
+        );
+        assert_eq!(
+            registry
+                .counter("netflow.collector.cryptopan_address_hits")
+                .get(),
+            10
         );
         // Caching is invisible in the record stream: same outputs as an
         // identically keyed uncached walk.
@@ -700,7 +712,7 @@ mod tests {
             col.set_chunk_capacity(cap);
             let mut drained: Vec<FlowRecord> = Vec::new();
             for p in &pkts {
-                col.ingest_packet(p.clone());
+                col.ingest(p.encode()).unwrap();
             }
             col.drain_into(&mut drained);
             assert_eq!(drained, recs, "chunk capacity {cap}");

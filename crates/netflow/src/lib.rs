@@ -21,8 +21,10 @@
 //! * [`anonymize`] — **Crypto-PAn** prefix-preserving IPv4 anonymization
 //!   (Xu et al.), built on the AES implementation in `cwa-crypto`; this is
 //!   the "prefix-preserving anonymized" property of §2.
-//! * [`collector`] — reassembles export packets into a record stream and
-//!   tracks export-loss via sequence numbers.
+//! * [`collector`] — decodes export datagrams straight into columnar
+//!   record chunks and tracks export loss via sequence numbers.
+//! * [`hash`] — the fast hasher for simulator-made keys, shared by the
+//!   flow cache and the analysis tables.
 //! * [`sink`] — the [`FlowSink`] streaming-consumer trait: producers
 //!   hand records to consumers chunk by chunk so resident memory stays
 //!   O(chunk) instead of O(total records).
@@ -34,6 +36,7 @@ pub mod anonymize;
 pub mod cache;
 pub mod collector;
 pub mod flow;
+pub mod hash;
 pub mod sampling;
 pub mod sink;
 pub mod v5;

@@ -8,7 +8,7 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::flow::{FlowKey, FlowRecord, Protocol};
 
@@ -128,68 +128,75 @@ impl ExportPacket {
     }
 
     /// Decodes a datagram.
-    pub fn decode(mut data: Bytes) -> Result<Self, V5Error> {
-        if data.len() < HEADER_LEN {
-            return Err(V5Error::TooShort);
-        }
-        let version = data.get_u16();
-        if version != 5 {
-            return Err(V5Error::BadVersion(version));
-        }
-        let count = data.get_u16();
-        if usize::from(count) > MAX_RECORDS_PER_PACKET {
-            return Err(V5Error::TooManyRecords(count));
-        }
-        let header = V5Header {
-            sys_uptime_ms: data.get_u32(),
-            unix_secs: data.get_u32(),
-            unix_nsecs: data.get_u32(),
-            flow_sequence: data.get_u32(),
-            engine_type: data.get_u8(),
-            engine_id: data.get_u8(),
-            sampling: data.get_u16(),
-        };
-        let actual = data.len() / RECORD_LEN;
-        if actual != usize::from(count) || !data.len().is_multiple_of(RECORD_LEN) {
-            return Err(V5Error::CountMismatch {
-                promised: count,
-                actual,
-            });
-        }
-
-        let mut records = Vec::with_capacity(actual);
-        for _ in 0..count {
-            let src_ip = Ipv4Addr::from(data.get_u32());
-            let dst_ip = Ipv4Addr::from(data.get_u32());
-            data.advance(4 + 2 + 2); // nexthop, ifindexes
-            let packets = u64::from(data.get_u32());
-            let bytes = u64::from(data.get_u32());
-            let first_ms = u64::from(data.get_u32());
-            let last_ms = u64::from(data.get_u32());
-            let src_port = data.get_u16();
-            let dst_port = data.get_u16();
-            data.advance(1); // pad1
-            let tcp_flags = data.get_u8();
-            let proto_num = data.get_u8();
-            data.advance(1 + 2 + 2 + 1 + 1 + 2); // tos, ASes, masks, pad2
-            let protocol = Protocol::from_number(proto_num).unwrap_or(Protocol::Tcp);
-            records.push(FlowRecord {
-                key: FlowKey {
-                    src_ip,
-                    dst_ip,
-                    src_port,
-                    dst_port,
-                    protocol,
-                },
-                packets,
-                bytes,
-                first_ms,
-                last_ms,
-                tcp_flags,
-            });
-        }
-        Ok(ExportPacket { header, records })
+    pub fn decode(data: Bytes) -> Result<Self, V5Error> {
+        let (header, records) = split_datagram(&data)?;
+        Ok(ExportPacket {
+            header,
+            records: records.iter().map(decode_record).collect(),
+        })
     }
+}
+
+/// Checks a datagram against its header and splits it into the header
+/// and its records, each still the 48 wire bytes: the one place a v5
+/// datagram is validated, for [`ExportPacket::decode`] and the
+/// collector, which parses each record straight into its columns.
+pub(crate) fn split_datagram(data: &[u8]) -> Result<(V5Header, &[[u8; RECORD_LEN]]), V5Error> {
+    if data.len() < HEADER_LEN {
+        return Err(V5Error::TooShort);
+    }
+    let version = be16(data, 0);
+    if version != 5 {
+        return Err(V5Error::BadVersion(version));
+    }
+    let count = be16(data, 2);
+    if usize::from(count) > MAX_RECORDS_PER_PACKET {
+        return Err(V5Error::TooManyRecords(count));
+    }
+    let header = V5Header {
+        sys_uptime_ms: be32(data, 4),
+        unix_secs: be32(data, 8),
+        unix_nsecs: be32(data, 12),
+        flow_sequence: be32(data, 16),
+        engine_type: data[20],
+        engine_id: data[21],
+        sampling: be16(data, 22),
+    };
+    let (records, rest) = data[HEADER_LEN..].as_chunks::<RECORD_LEN>();
+    if records.len() != usize::from(count) || !rest.is_empty() {
+        return Err(V5Error::CountMismatch {
+            promised: count,
+            actual: records.len(),
+        });
+    }
+    Ok((header, records))
+}
+
+/// Parses one record's 48 bytes, the inverse of [`encode_record`]. An
+/// unknown protocol number reads as TCP.
+pub(crate) fn decode_record(rec: &[u8; RECORD_LEN]) -> FlowRecord {
+    FlowRecord {
+        key: FlowKey {
+            src_ip: Ipv4Addr::from(be32(rec, 0)),
+            dst_ip: Ipv4Addr::from(be32(rec, 4)),
+            src_port: be16(rec, 32),
+            dst_port: be16(rec, 34),
+            protocol: Protocol::from_number(rec[38]).unwrap_or(Protocol::Tcp),
+        },
+        packets: u64::from(be32(rec, 16)),
+        bytes: u64::from(be32(rec, 20)),
+        first_ms: u64::from(be32(rec, 24)),
+        last_ms: u64::from(be32(rec, 28)),
+        tcp_flags: rec[37],
+    }
+}
+
+fn be16(bytes: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([bytes[at], bytes[at + 1]])
+}
+
+fn be32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
 /// One record's 48 bytes, written whole so the datagram takes one append

@@ -31,6 +31,7 @@ macro_rules! note {
 
 use cwa_analysis::filter::FlowFilter;
 use cwa_core::{run_seed_sweep, run_sweep, LiveOptions, ScenarioMatrix, Study, StudyConfig};
+use cwa_epidemic::timeline::StudyDay;
 use cwa_simnet::sim::ScenarioKind;
 use cwa_simnet::vantage::{VantageConfig, DEFAULT_SAMPLING_INTERVAL};
 use cwa_simnet::{SimConfig, Simulation};
@@ -1406,12 +1407,19 @@ fn dns(args: &[String], _words: &[String]) -> ExitCode {
             r.to_string()
         }
     };
-    let mut table = "day  date    api_rank      website_rank  api_in_top1M\n".to_string();
-    for d in 0..days as usize {
+    let labels: Vec<String> = (0..days).map(|d| StudyDay(d).label()).collect();
+    // Dates past 2020 carry the year ("Jan 1 2021"): the column takes
+    // the run's longest label.
+    let width = labels.iter().map(String::len).max().unwrap_or(0).max(7);
+    let mut table = format!(
+        "{:<4} {:<width$} {:<13} {:<13} {}\n",
+        "day", "date", "api_rank", "website_rank", "api_in_top1M"
+    );
+    for (d, label) in labels.iter().enumerate() {
         table += &format!(
-            "{:<4} Jun {:<3} {:<13} {:<13} {}\n",
+            "{:<4} {:<width$} {:<13} {:<13} {}\n",
             d,
-            15 + d,
+            label,
             fmt_rank(out.dns.api_rank[d]),
             fmt_rank(out.dns.website_rank[d]),
             if out.dns.api_top1m_days.contains(&(d as u32)) {

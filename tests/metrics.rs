@@ -261,10 +261,12 @@ fn sharded_trace_covers_every_stage() {
     }
 }
 
-/// The Crypto-PAn memo pays an address's 8 host-bit blocks on every
-/// lookup, plus one block per prefix-trie node above bit 24 it lacks: a
-/// streaming run computes between 8 and 32 blocks per address, and the
-/// same seed computes the same number.
+/// The Crypto-PAn memo answers a repeated address from its address
+/// slots without AES (an address hit, always also a /24 hit); every
+/// other lookup pays its 8 host-bit blocks plus one block per
+/// prefix-trie node above bit 24 it lacks. So a streaming run computes
+/// between 8 and 32 blocks per address the slots miss, and the same
+/// seed computes the same number.
 #[test]
 fn cryptopan_block_counter_is_bounded_and_deterministic() {
     let run = || {
@@ -277,15 +279,94 @@ fn cryptopan_block_counter_is_bounded_and_deterministic() {
         (
             count("netflow.collector.cryptopan_blocks"),
             count("netflow.collector.anonymized_addresses"),
+            count("netflow.collector.cryptopan_address_hits"),
+            count("netflow.collector.cryptopan_cache_hits"),
         )
     };
-    let (blocks, anonymized) = run();
+    let (blocks, anonymized, address_hits, hits) = run();
     assert!(anonymized > 0, "no address anonymized");
     assert!(
-        (8 * anonymized..=32 * anonymized).contains(&blocks),
-        "{blocks} blocks for {anonymized} addresses"
+        address_hits <= hits,
+        "{address_hits} address hits, {hits} hits"
     );
-    assert_eq!(run(), (blocks, anonymized), "same seed, same blocks");
+    let walked = anonymized - address_hits;
+    assert!(
+        (8 * walked..=32 * walked).contains(&blocks),
+        "{blocks} blocks for {walked} addresses the address slots missed"
+    );
+    assert_eq!(
+        run(),
+        (blocks, anonymized, address_hits, hits),
+        "same seed, same blocks"
+    );
+}
+
+/// Records are conserved hop by hop, read off one registry: every cache
+/// eviction is a record the collector stored or one its sequence check
+/// counted lost, every stored record reaches its shard's sink, and every
+/// record the §2 filter matched reaches every consumer. Without export
+/// loss the first identity is exact. With loss it is a bound: sequence
+/// accounting sees a lost datagram only from the gap before the next
+/// datagram of the same engine, so records in an engine's last
+/// datagrams can be lost unseen.
+#[test]
+fn records_are_conserved_hop_by_hop() {
+    for loss in [0.0, 0.05] {
+        for shards in [1, 2, 4] {
+            let mut config = StudyConfig::test_small();
+            config.sim.vantage.export_loss_rate = loss;
+            let registry = Arc::new(Registry::new());
+            Study::new(config)
+                .with_metrics(Arc::clone(&registry))
+                .run_sharded(shards)
+                .expect("small study produces matching flows");
+            let count = |name: &str| registry.counter(name).get();
+            let what = format!("loss {loss}, {shards} shard(s)");
+
+            let evictions = count("simnet.cache.evictions");
+            let expired: u64 = ["active", "inactive", "emergency", "flush"]
+                .iter()
+                .map(|kind| count(&format!("simnet.cache.expired_{kind}")))
+                .sum();
+            assert!(evictions > 0, "{what}: no evictions");
+            assert_eq!(evictions, expired, "{what}: evictions by cause");
+
+            let records = count("netflow.collector.records");
+            let seen = records + count("netflow.collector.sequence_lost");
+            let dropped = count("simnet.transport.dropped_datagrams");
+            if loss == 0.0 {
+                assert_eq!(dropped, 0, "{what}");
+                assert_eq!(seen, evictions, "{what}: stored + lost = evicted");
+            } else {
+                assert!(dropped > 0, "{what}: nothing dropped");
+                assert!(records < evictions, "{what}: loss shows");
+                assert!(
+                    seen <= evictions,
+                    "{what}: {seen} seen, {evictions} evicted"
+                );
+            }
+
+            let per_shard: u64 = (0..shards)
+                .map(|i| count(&format!("sim.shard.{i:02}.records")))
+                .sum();
+            assert_eq!(per_shard, records, "{what}: stored = delivered to shards");
+            assert_eq!(
+                count("analysis.stream.records_in"),
+                records,
+                "{what}: stored = filtered"
+            );
+
+            let matched = count("analysis.stream.records_matched");
+            assert!(matched > 0, "{what}: nothing matched");
+            for consumer in ["timeseries", "geoloc", "persistence", "outbreak"] {
+                assert_eq!(
+                    count(&format!("analysis.stream.{consumer}.records")),
+                    matched,
+                    "{what}: matched records reach {consumer}"
+                );
+            }
+        }
+    }
 }
 
 /// Every anonymized address is one memo lookup, a hit or a miss, on one

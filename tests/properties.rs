@@ -15,7 +15,7 @@ use cwa_repro::exposure::tek::{DiagnosisKey, TemporaryExposureKey};
 use cwa_repro::netflow::anonymize::common_prefix_len;
 use cwa_repro::netflow::cache::{FlowCache, FlowCacheConfig};
 use cwa_repro::netflow::flow::{FlowKey, FlowRecord, Protocol};
-use cwa_repro::netflow::v5::packetize;
+use cwa_repro::netflow::v5::{packetize, ExportPacket};
 use cwa_repro::netflow::{Collector, CryptoPan};
 
 proptest! {
@@ -83,6 +83,55 @@ proptest! {
             prop_assert_eq!(got.bytes, want.bytes.min(u32::MAX as u64));
             prop_assert_eq!(got.first_ms, want.first_ms & 0xFFFF_FFFF);
             prop_assert_eq!(got.tcp_flags, want.tcp_flags);
+        }
+    }
+
+    /// The collector parses each record straight from the datagram into
+    /// its columns. It must read every datagram as
+    /// `ExportPacket::decode` does: equal records for well-formed ones,
+    /// and for truncated, wrong-version, count-mismatched or otherwise
+    /// corrupted ones the same error (and nothing stored) or, where
+    /// decode accepts the bytes, the same records.
+    #[test]
+    fn collector_decodes_like_export_packet(
+        records in proptest::collection::vec(arb_record(), 1..100),
+        cut in 0usize..1500,
+        version in any::<u16>(),
+        count in any::<u16>(),
+        corrupt in (0usize..1500, any::<u8>()),
+    ) {
+        let (packets, _) = packetize(&records, 3, 1000, 1_592_179_200, 7);
+        let mut collector = Collector::new_raw();
+        let mut decoded = Vec::new();
+        for p in &packets {
+            let wire = p.encode();
+            decoded.extend(ExportPacket::decode(wire.clone()).unwrap().records);
+            collector.ingest(wire).unwrap();
+        }
+        prop_assert_eq!(collector.records(), decoded);
+
+        let wire = packets[0].encode();
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut b = bytes::BytesMut::from(&wire[..]);
+            let at = at.min(b.len() - bytes.len());
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            b.freeze()
+        };
+        for bad in [
+            wire.slice(..cut.min(wire.len())),
+            patched(0, &version.to_be_bytes()),
+            patched(2, &count.to_be_bytes()),
+            patched(corrupt.0, &[corrupt.1]),
+        ] {
+            let mut c = Collector::new_raw();
+            match (c.ingest(bad.clone()), ExportPacket::decode(bad)) {
+                (Ok(()), Ok(packet)) => prop_assert_eq!(c.records(), packet.records),
+                (Err(got), Err(want)) => {
+                    prop_assert_eq!(got, want);
+                    prop_assert!(c.records().is_empty());
+                }
+                (got, want) => prop_assert!(false, "collector {:?}, decode {:?}", got, want),
+            }
         }
     }
 
@@ -178,7 +227,6 @@ proptest! {
 
     #[test]
     fn v5_decoder_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        use cwa_repro::netflow::v5::ExportPacket;
         let _ = ExportPacket::decode(bytes::Bytes::from(data));
     }
 

@@ -514,3 +514,49 @@ fn days_beyond_the_inf_horizon_are_rejected() {
         assert!(output.stdout.is_empty(), "{args:?}: printed a result");
     }
 }
+
+/// `dns` dates its rows by the calendar: past June 30 the days run on
+/// into July, and the default eleven days keep their June dates and
+/// column layout.
+#[test]
+fn dns_dates_follow_the_calendar() {
+    let dns = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_cwa-repro"))
+            .arg("dns")
+            .args(args)
+            .output()
+            .expect("cwa-repro runs");
+        assert!(output.status.success(), "dns {args:?}");
+        String::from_utf8(output.stdout).expect("utf-8 table")
+    };
+    let rows = |table: &str| table.lines().skip(1).map(str::to_owned).collect::<Vec<_>>();
+
+    let default = rows(&dns(&[]));
+    assert_eq!(default.len(), 11);
+    for (d, row) in default.iter().enumerate() {
+        let date = format!("{d:<4} Jun {:<3} ", 15 + d);
+        assert!(row.starts_with(&date), "day {d}: {row}");
+    }
+
+    let month = rows(&dns(&["--days", "30"]));
+    assert_eq!(month.len(), 30);
+    assert!(month[15].starts_with("15   Jun 30  "), "{}", month[15]);
+    assert!(month[16].starts_with("16   Jul 1   "), "{}", month[16]);
+    assert!(month[29].starts_with("29   Jul 14  "), "{}", month[29]);
+    assert!(!month.iter().any(|row| row.contains("Jun 31")));
+
+    // Past 2020 the labels carry the year and the date column widens
+    // to fit them, so every row's ranks still start under the header's.
+    let year = dns(&["--days", "201"]);
+    let header = year.lines().next().expect("header row");
+    assert!(header.starts_with("day  date       api_rank"), "{header}");
+    let rank_col = header.find("api_rank").expect("api_rank column");
+    let year = rows(&year);
+    assert_eq!(year.len(), 201);
+    assert!(year[199].starts_with("199  Dec 31     "), "{}", year[199]);
+    assert!(year[200].starts_with("200  Jan 1 2021 "), "{}", year[200]);
+    for row in &year {
+        assert!(row[..rank_col].ends_with(' '), "{row}");
+        assert!(!row[rank_col..].starts_with(' '), "{row}");
+    }
+}
