@@ -1,14 +1,17 @@
 //! The assembled country model.
 
-use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 use crate::district::{build_districts, District, DistrictId};
 use crate::state::FederalState;
 
 /// The full synthetic Germany: districts plus lookup structures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Germany {
     districts: Vec<District>,
+    /// [`Germany::nearest_in_state`] of every district, built on first
+    /// use.
+    nearest: OnceLock<Vec<DistrictId>>,
 }
 
 impl Germany {
@@ -16,6 +19,7 @@ impl Germany {
     pub fn build() -> Self {
         Germany {
             districts: build_districts(),
+            nearest: OnceLock::new(),
         }
     }
 
@@ -53,19 +57,39 @@ impl Germany {
 
     /// The geographically nearest other district within the same state
     /// (used by the geolocation error model: city-level errors usually
-    /// land nearby, per Poese et al.).
+    /// land nearby, per Poese et al.). Of equally near districts, the
+    /// first in id order. The answers for all districts are computed
+    /// together on the first call.
+    ///
+    /// # Panics
+    ///
+    /// If two distances within a state do not compare (a NaN coordinate
+    /// in any district).
     pub fn nearest_in_state(&self, id: DistrictId) -> DistrictId {
-        let d = self.district(id);
-        self.in_state(d.state)
-            .filter(|x| x.id != id)
-            .min_by(|x, y| {
-                let dx = haversine_km(d.lat, d.lon, x.lat, x.lon);
-                let dy = haversine_km(d.lat, d.lon, y.lat, y.lon);
-                dx.partial_cmp(&dy).expect("finite distances")
-            })
-            .map(|x| x.id)
-            // Single-district states (Berlin, Hamburg): fall back to self.
-            .unwrap_or(id)
+        self.nearest.get_or_init(|| {
+            self.districts
+                .iter()
+                .map(|d| self.scan_nearest_in_state(d))
+                .collect()
+        })[usize::from(id.0)]
+    }
+
+    /// [`Germany::nearest_in_state`] of `d` by one scan, one haversine
+    /// per candidate.
+    fn scan_nearest_in_state(&self, d: &District) -> DistrictId {
+        let mut nearest: Option<(f64, DistrictId)> = None;
+        for x in self.in_state(d.state).filter(|x| x.id != d.id) {
+            let dx = haversine_km(d.lat, d.lon, x.lat, x.lon);
+            let closer = match nearest {
+                None => true,
+                Some((best, _)) => best.partial_cmp(&dx).expect("finite distances").is_gt(),
+            };
+            if closer {
+                nearest = Some((dx, x.id));
+            }
+        }
+        // Single-district states (Berlin, Hamburg): fall back to self.
+        nearest.map_or(d.id, |(_, id)| id)
     }
 
     /// Number of districts.
@@ -134,6 +158,56 @@ mod tests {
         let nearest = g.nearest_in_state(gt);
         assert_ne!(nearest, gt);
         assert_eq!(g.district(nearest).state, g.district(gt).state);
+    }
+
+    #[test]
+    fn nearest_in_state_equals_the_pairwise_min_by() {
+        // The oracle: `min_by` over the state's other districts, two
+        // haversines per comparison, the first of equal minima.
+        let g = Germany::build();
+        for d in g.districts() {
+            let oracle = g
+                .in_state(d.state)
+                .filter(|x| x.id != d.id)
+                .min_by(|x, y| {
+                    let dx = haversine_km(d.lat, d.lon, x.lat, x.lon);
+                    let dy = haversine_km(d.lat, d.lon, y.lat, y.lon);
+                    dx.partial_cmp(&dy).expect("finite distances")
+                })
+                .map_or(d.id, |x| x.id);
+            assert_eq!(g.nearest_in_state(d.id), oracle, "{}", d.name);
+        }
+    }
+
+    #[test]
+    fn nearest_in_state_keeps_the_first_of_equal_minima() {
+        // Two candidates at one distance: the lower id wins, as with
+        // `min_by`.
+        let mut g = Germany::build();
+        let gt = g.by_name("Gütersloh").unwrap().id;
+        let nearest = g.nearest_in_state(gt);
+        let twin = g
+            .in_state(g.district(gt).state)
+            .map(|x| x.id)
+            .find(|&x| x != gt && x != nearest)
+            .unwrap();
+        let (lat, lon) = (g.district(nearest).lat, g.district(nearest).lon);
+        let slot = &mut g.districts[usize::from(twin.0)];
+        (slot.lat, slot.lon) = (lat, lon);
+        let fresh = Germany {
+            districts: g.districts.clone(),
+            nearest: OnceLock::new(),
+        };
+        assert_eq!(fresh.nearest_in_state(gt), nearest.min(twin));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite distances")]
+    fn nearest_in_state_rejects_a_nan_coordinate() {
+        let mut g = Germany::build();
+        let gt = g.by_name("Gütersloh").unwrap().id;
+        g.districts[usize::from(gt.0)].lat = f64::NAN;
+        g.nearest_in_state(gt);
     }
 
     #[test]

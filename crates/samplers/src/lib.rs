@@ -27,6 +27,13 @@
 //!   counts, without drawing the unseen ones. Built on [`erfc`] /
 //!   [`normal_cdf`], the truncated normals [`normal_above`] /
 //!   [`normal_below`], [`binomial_nonzero`] and [`sampled_pair`].
+//! * [`PacketTable`] — the thinning's per-packet-count constants
+//!   (`1 − qⁿ`, `qⁿ` and two restart bounds, `q = 1 − 1/N`) for every
+//!   count below [`PACKET_TABLE_LEN`], built once per sampling
+//!   interval. Each entry is computed by the function the samplers
+//!   evaluate inline, so [`PairThinning::thin_with`] and
+//!   [`PacketTable::sampled_pair`] make the same draws and return the
+//!   same values as [`PairThinning::thin`] and [`sampled_pair`].
 //!
 //! All samplers consume the RNG deterministically, so same-seed runs
 //! stay bit-identical; swapping them in *re-pins* every downstream
@@ -160,29 +167,28 @@ pub fn binomial<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
 /// Dispatch for `p ≤ 0.5`.
 fn binomial_half<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
     if n as f64 * p < BINOMIAL_INVERSION_CUTOFF {
-        binomial_binv(rng, n, p)
+        // BINV from q^n, no underflow while np is small.
+        let base = (n as f64 * (1.0 - p).ln()).exp();
+        binv_from(rng, n, p, base, binv_bound(n, p))
     } else {
         binomial_btpe(rng, n, p)
     }
 }
 
-/// BINV: invert one uniform through the pmf recursion
-/// `f(k+1) = f(k)·(n-k)p / ((k+1)q)`. Expected work is O(np)
-/// multiplications — for the 1-in-1000 packet-sampling case (np ≈
-/// 0.02) the loop body almost never runs at all.
-fn binomial_binv<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
-    // q^n, no underflow while np is small.
-    binv_from(rng, n, p, (n as f64 * (1.0 - p).ln()).exp())
+/// BINV's restart bound: the pmf mass beyond mean + 10σ is < 1e-20; a
+/// uniform pointing past it is float-tail noise, so redraw.
+fn binv_bound(n: u64, p: f64) -> u64 {
+    let np = n as f64 * p;
+    (np + 10.0 * (np * (1.0 - p) + 1.0).sqrt()).min(n as f64) as u64
 }
 
-/// BINV from a known `base = (1−p)^n`.
-fn binv_from<R: Rng>(rng: &mut R, n: u64, p: f64, base: f64) -> u64 {
-    let q = 1.0 - p;
-    let s = p / q;
-    // Restart bound: the pmf mass beyond mean + 10σ is < 1e-20; a
-    // uniform pointing past it is float-tail noise, so redraw.
-    let np = n as f64 * p;
-    let bound = (np + 10.0 * (np * q + 1.0).sqrt()).min(n as f64) as u64;
+/// BINV: invert one uniform through the pmf recursion
+/// `f(k+1) = f(k)·(n-k)p / ((k+1)q)`, from `base = (1−p)^n` and with
+/// the restart bound [`binv_bound`]. Expected work is O(np)
+/// multiplications — for the 1-in-1000 packet-sampling case (np ≈
+/// 0.02) the loop body almost never runs at all.
+fn binv_from<R: Rng>(rng: &mut R, n: u64, p: f64, base: f64, bound: u64) -> u64 {
+    let s = p / (1.0 - p);
     loop {
         let mut u: f64 = rng.gen();
         let mut k = 0u64;
@@ -418,11 +424,31 @@ pub fn binomial_nonzero<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
         n >= 1 && p > 0.0,
         "zero-truncated binomial needs n ≥ 1, p > 0"
     );
-    nonzero_given(rng, n, p, -(n as f64 * (-p).ln_1p()).exp_m1())
+    nonzero_given(rng, n, p, seen_mass(n, (-p).ln_1p()), nonzero_bound(n, p))
 }
 
-/// [`binomial_nonzero`] with its mass `1 − (1−p)ⁿ` already known.
-fn nonzero_given<R: Rng>(rng: &mut R, n: u64, p: f64, mass: f64) -> u64 {
+/// `1 − qⁿ = −expm1(n·ln q)` for `log_q = ln q = ln(1 − p)`: the chance
+/// that 1-in-N sampling keeps any of `n` packets.
+fn seen_mass(n: u64, log_q: f64) -> f64 {
+    -(n as f64 * log_q).exp_m1()
+}
+
+/// `qⁿ = exp(n·ln q)`: the chance that it keeps none of them.
+fn unseen_mass(n: u64, log_q: f64) -> f64 {
+    (n as f64 * log_q).exp()
+}
+
+/// The zero-truncated inversion's restart bound: as in BINV, a uniform
+/// pointing past mean + 10σ is float-tail noise.
+fn nonzero_bound(n: u64, p: f64) -> u64 {
+    let nf = n as f64;
+    let np = nf * p;
+    (1.0 + np + 10.0 * (np * (1.0 - p) + 1.0).sqrt()).min(nf) as u64
+}
+
+/// [`binomial_nonzero`] with its mass `1 − (1−p)ⁿ` and its restart
+/// bound [`nonzero_bound`] already known.
+fn nonzero_given<R: Rng>(rng: &mut R, n: u64, p: f64, mass: f64, bound: u64) -> u64 {
     if p >= 1.0 {
         return n;
     }
@@ -435,12 +461,8 @@ fn nonzero_given<R: Rng>(rng: &mut R, n: u64, p: f64, mass: f64) -> u64 {
             }
         }
     }
-    let nf = n as f64;
     let odds = p / (1.0 - p);
-    let first = nf * odds * q_n;
-    // As in BINV: a uniform pointing past mean + 10σ is float-tail noise.
-    let np = nf * p;
-    let bound = (1.0 + np + 10.0 * (np * (1.0 - p) + 1.0).sqrt()).min(nf) as u64;
+    let first = n as f64 * odds * q_n;
     loop {
         let mut u = rng.gen::<f64>() * mass;
         let mut i = 1u64;
@@ -456,13 +478,15 @@ fn nonzero_given<R: Rng>(rng: &mut R, n: u64, p: f64, mass: f64) -> u64 {
     }
 }
 
-/// [`binomial`] with `base = (1−p)ⁿ` already known: BINV starts from
-/// it wherever [`binomial`] would run BINV.
-fn binomial_given<R: Rng>(rng: &mut R, n: u64, p: f64, base: f64) -> u64 {
+/// [`binomial`] with BINV's start `(1−p)ⁿ` and restart bound supplied
+/// by `binv`, which runs only where [`binomial`] would run BINV: the
+/// same draws.
+fn binomial_given<R: Rng>(rng: &mut R, n: u64, p: f64, binv: impl FnOnce() -> (f64, u64)) -> u64 {
     if n == 0 || p <= 0.0 || p > 0.5 || n as f64 * p >= BINOMIAL_INVERSION_CUTOFF {
         return binomial(rng, n, p);
     }
-    binv_from(rng, n, p, base)
+    let (base, bound) = binv();
+    binv_from(rng, n, p, base, bound)
 }
 
 /// Draws what a 1-in-N sampler (`p = 1/N`, `log_q = ln(1 − p)`) keeps
@@ -474,17 +498,129 @@ fn binomial_given<R: Rng>(rng: &mut R, n: u64, p: f64, base: f64) -> u64 {
 /// zero-truncated and `u` unconditioned, else `d = 0` and `u` is
 /// zero-truncated. Requires `k ≥ 1`. At `p = 1` this returns
 /// `(k, k_up)` without a draw.
+///
+/// Every constant is computed inline; [`PacketTable::sampled_pair`]
+/// makes the same draws from tabled constants.
 pub fn sampled_pair<R: Rng>(rng: &mut R, k: u64, k_up: u64, p: f64, log_q: f64) -> (u64, u64) {
-    let seen = -((k + k_up) as f64 * log_q).exp_m1();
-    let down_seen = -(k as f64 * log_q).exp_m1();
-    if down_seen >= seen || rng.gen::<f64>() * seen < down_seen {
-        let d = nonzero_given(rng, k, p, down_seen);
-        (d, binomial_given(rng, k_up, p, (k_up as f64 * log_q).exp()))
-    } else {
-        (
-            0,
-            nonzero_given(rng, k_up, p, -(k_up as f64 * log_q).exp_m1()),
+    let table = PacketTable::inline(p, log_q);
+    table.sampled_pair(rng, k, k_up, table.seen(k + k_up))
+}
+
+/// Packet counts below which a [`PacketTable`] holds its constants.
+/// From it up they are computed inline: at 1:1000 that is ≈1 % of the
+/// generator's kept pairs (2.2 % of background pairs, 0.5 % of website
+/// pairs and almost no API pairs), all from the envelope's upper part.
+pub const PACKET_TABLE_LEN: u64 = 1024;
+
+/// The constants of one packet count `n` under 1-in-N sampling.
+#[derive(Debug, Clone, Copy)]
+struct PacketConstants {
+    /// `1 − qⁿ` ([`seen_mass`]).
+    seen: f64,
+    /// `qⁿ` ([`unseen_mass`]), BINV's start.
+    unseen: f64,
+    /// [`nonzero_bound`]`(n, p)`.
+    nonzero_bound: u64,
+    /// [`binv_bound`]`(n, p)`.
+    binv_bound: u64,
+}
+
+impl PacketConstants {
+    fn of(n: u64, p: f64, log_q: f64) -> Self {
+        PacketConstants {
+            seen: seen_mass(n, log_q),
+            unseen: unseen_mass(n, log_q),
+            nonzero_bound: nonzero_bound(n, p),
+            binv_bound: binv_bound(n, p),
+        }
+    }
+}
+
+/// The per-packet-count constants of 1-in-N sampling (`p = 1/N`,
+/// `q = 1 − p`), computed once per interval instead of once per drawn
+/// pair.
+///
+/// For each packet count `n` below [`PACKET_TABLE_LEN`] it holds
+/// `1 − qⁿ` (the chance a sampler sees any of `n` packets, and the
+/// zero-truncated binomial's mass), `qⁿ` (BINV's start) and the restart
+/// bounds of the zero-truncated inversion and of BINV, each computed by
+/// the very function [`sampled_pair`] evaluates inline, so every entry
+/// is bit-equal to it; from [`PACKET_TABLE_LEN`] up the constants are
+/// computed inline. [`PairThinning::thin_with`] and
+/// [`PacketTable::sampled_pair`] therefore make the same draws and
+/// return the same values as [`PairThinning::thin`] and
+/// [`sampled_pair`]. The table takes 32 KiB.
+#[derive(Debug, Clone)]
+pub struct PacketTable {
+    p: f64,
+    log_q: f64,
+    entries: Box<[PacketConstants]>,
+}
+
+impl PacketTable {
+    /// The table of 1-in-`interval` sampling (`interval` is clamped to
+    /// ≥ 1, as in [`PairThinning::new`]).
+    pub fn new(interval: u32) -> Self {
+        let p = 1.0 / f64::from(interval.max(1));
+        let log_q = (-p).ln_1p();
+        PacketTable {
+            p,
+            log_q,
+            entries: (0..PACKET_TABLE_LEN)
+                .map(|n| PacketConstants::of(n, p, log_q))
+                .collect(),
+        }
+    }
+
+    /// An empty table: every constant computed inline.
+    fn inline(p: f64, log_q: f64) -> Self {
+        PacketTable {
+            p,
+            log_q,
+            entries: Box::new([]),
+        }
+    }
+
+    /// The constants of `n` packets, if tabled.
+    fn entry(&self, n: u64) -> Option<&PacketConstants> {
+        usize::try_from(n).ok().and_then(|i| self.entries.get(i))
+    }
+
+    /// `1 − qⁿ`: the chance the sampler keeps any of `n` packets.
+    pub fn seen(&self, n: u64) -> f64 {
+        self.entry(n)
+            .map_or_else(|| seen_mass(n, self.log_q), |c| c.seen)
+    }
+
+    /// The zero-truncated inversion's restart bound for `n` packets.
+    fn nonzero_bound(&self, n: u64) -> u64 {
+        self.entry(n)
+            .map_or_else(|| nonzero_bound(n, self.p), |c| c.nonzero_bound)
+    }
+
+    /// BINV's start `qⁿ` and restart bound for `n` packets.
+    fn binv_start(&self, n: u64) -> (f64, u64) {
+        self.entry(n).map_or_else(
+            || (unseen_mass(n, self.log_q), binv_bound(n, self.p)),
+            |c| (c.unseen, c.binv_bound),
         )
+    }
+
+    /// [`sampled_pair`] with the pair's `seen = 1 − q^(k+k_up)` already
+    /// known ([`PacketTable::seen`]): the same draws and the same result.
+    pub fn sampled_pair<R: Rng>(&self, rng: &mut R, k: u64, k_up: u64, seen: f64) -> (u64, u64) {
+        let p = self.p;
+        let down_seen = self.seen(k);
+        if down_seen >= seen || rng.gen::<f64>() * seen < down_seen {
+            let d = nonzero_given(rng, k, p, down_seen, self.nonzero_bound(k));
+            (d, binomial_given(rng, k_up, p, || self.binv_start(k_up)))
+        } else {
+            let up_seen = self.seen(k_up);
+            (
+                0,
+                nonzero_given(rng, k_up, p, up_seen, self.nonzero_bound(k_up)),
+            )
+        }
     }
 }
 
@@ -535,6 +671,15 @@ pub struct SampledPair {
 ///
 /// At `N ≤ 5` the envelope is 1 (`x* ≤ 0`): every pair is a candidate,
 /// and at `N = 1` every pair is kept with all its packets.
+///
+/// Steps 3 and 4 need `1 − q^(k+k_up)`, `1 − qᵏ`, `q^(k_up)` and two
+/// restart bounds per candidate, all functions of integer packet counts
+/// and `p` alone. [`thin`](PairThinning::thin) computes them inline;
+/// [`thin_with`](PairThinning::thin_with) reads them from a
+/// [`PacketTable`] built once per interval, with the same draws and the
+/// same results. Both compute `s(k)` once per candidate and pass it on
+/// to the pair sampler, and both start the candidate count's BINV from
+/// `ln(1 − c)` kept here.
 #[derive(Debug, Clone, Copy)]
 pub struct PairThinning {
     mu: f64,
@@ -548,6 +693,8 @@ pub struct PairThinning {
     w_a: f64,
     w_ab: f64,
     c: f64,
+    /// `ln(1 − c)`, from which BINV starts the candidate count.
+    ln_1m_c: f64,
 }
 
 impl PairThinning {
@@ -569,12 +716,14 @@ impl PairThinning {
                 w_a: 0.0,
                 w_ab: 0.0,
                 c: 1.0,
+                ln_1m_c: f64::NEG_INFINITY,
             };
         }
         let z_star = (x_star.ln() - mu) / sigma;
         let w_a = 5.0 * p * normal_cdf(z_star);
         let w_b = 1.5 * p * (mu + 0.5 * sigma * sigma).exp() * normal_cdf(z_star - sigma);
         let w_c = normal_cdf(-z_star);
+        let c = w_a + w_b + w_c;
         PairThinning {
             mu,
             sigma,
@@ -583,7 +732,8 @@ impl PairThinning {
             z_star,
             w_a,
             w_ab: w_a + w_b,
-            c: w_a + w_b + w_c,
+            c,
+            ln_1m_c: (1.0 - c).ln(),
         }
     }
 
@@ -594,7 +744,7 @@ impl PairThinning {
 
     /// `s(k) = 1 − (1−p)^(k+k_up)`: the chance a `k`-packet pair is seen.
     pub fn seen_probability(&self, k: u64, k_up: u64) -> f64 {
-        -((k + k_up) as f64 * self.log_q).exp_m1()
+        seen_mass(k + k_up, self.log_q)
     }
 
     /// The envelope `b(x) = min(1, p·(1.5x + 5))`.
@@ -620,17 +770,18 @@ impl PairThinning {
     /// the kept pair with its sampled counts, or `None`.
     fn thin_candidate<R: Rng>(
         &self,
+        packets: &PacketTable,
         normals: &mut NormalCache,
         rng: &mut R,
     ) -> Option<SampledPair> {
         let x = self.candidate_size(normals, rng);
         let (k, k_up) = pair_packets(x);
-        let seen = self.seen_probability(k, k_up);
+        let seen = packets.seen(k + k_up);
         let envelope = self.envelope(x);
         if seen < envelope && rng.gen::<f64>() * envelope >= seen {
             return None;
         }
-        let (sampled, upstream_sampled) = sampled_pair(rng, k, k_up, self.p, self.log_q);
+        let (sampled, upstream_sampled) = packets.sampled_pair(rng, k, k_up, seen);
         Some(SampledPair {
             packets: k,
             upstream_packets: k_up,
@@ -640,17 +791,45 @@ impl PairThinning {
     }
 
     /// Thins `n` pairs: draws `m ~ Bin(n, c)` candidates and passes each
-    /// kept pair to `keep`, in draw order. Returns `m`.
+    /// kept pair to `keep`, in draw order. Returns `m`. Every constant
+    /// is computed inline (see [`thin_with`](PairThinning::thin_with)).
     pub fn thin<R: Rng>(
         &self,
         normals: &mut NormalCache,
         rng: &mut R,
         n: u64,
+        keep: impl FnMut(&mut R, SampledPair),
+    ) -> u64 {
+        let packets = PacketTable::inline(self.p, self.log_q);
+        self.thin_with(&packets, normals, rng, n, keep)
+    }
+
+    /// [`thin`](PairThinning::thin) with the per-packet-count constants
+    /// read from `packets`, a [`PacketTable`] of this thinning's
+    /// interval: the same draws and the same pairs.
+    ///
+    /// # Panics
+    ///
+    /// If `packets` was built for another sampling interval.
+    pub fn thin_with<R: Rng>(
+        &self,
+        packets: &PacketTable,
+        normals: &mut NormalCache,
+        rng: &mut R,
+        n: u64,
         mut keep: impl FnMut(&mut R, SampledPair),
     ) -> u64 {
-        let candidates = binomial(rng, n, self.c);
+        assert!(
+            packets.p == self.p,
+            "packet table of p = {} used to thin at p = {}",
+            packets.p,
+            self.p
+        );
+        let candidates = binomial_given(rng, n, self.c, || {
+            ((n as f64 * self.ln_1m_c).exp(), binv_bound(n, self.c))
+        });
         for _ in 0..candidates {
-            if let Some(pair) = self.thin_candidate(normals, rng) {
+            if let Some(pair) = self.thin_candidate(packets, normals, rng) {
                 keep(rng, pair);
             }
         }
@@ -1160,6 +1339,112 @@ mod tests {
         let mut a = ChaCha8Rng::seed_from_u64(54);
         assert_eq!(sampled_pair(&mut a, 9, 4, 1.0, f64::NEG_INFINITY), (9, 4));
         assert_eq!(a.gen::<u64>(), ChaCha8Rng::seed_from_u64(54).gen::<u64>());
+    }
+
+    #[test]
+    fn packet_table_entries_equal_their_inline_expressions() {
+        // The oracles are the expressions the pair sampler evaluated
+        // inline before the table, written out again here.
+        for interval in [1u32, 2, 7, 10, 100, 1000, 10_000] {
+            let table = PacketTable::new(interval);
+            let p = 1.0 / f64::from(interval);
+            let log_q = (-p).ln_1p();
+            let tabled = (0..PACKET_TABLE_LEN).chain([
+                PACKET_TABLE_LEN,
+                PACKET_TABLE_LEN + 1,
+                2 * PACKET_TABLE_LEN + 7,
+                1 << 20,
+            ]);
+            for n in tabled {
+                let nf = n as f64;
+                let np = nf * p;
+                let seen = -(nf * log_q).exp_m1();
+                let unseen = (nf * log_q).exp();
+                let nonzero = (1.0 + np + 10.0 * (np * (1.0 - p) + 1.0).sqrt()).min(nf) as u64;
+                let q = 1.0 - p;
+                let binv = (np + 10.0 * (np * q + 1.0).sqrt()).min(nf) as u64;
+                let what = format!("1:{interval}, n = {n}");
+                assert_eq!(table.seen(n).to_bits(), seen.to_bits(), "{what}");
+                let (start, bound) = table.binv_start(n);
+                assert_eq!(start.to_bits(), unseen.to_bits(), "{what}");
+                assert_eq!(bound, binv, "{what}");
+                assert_eq!(table.nonzero_bound(n), nonzero, "{what}");
+            }
+            assert_eq!(table.entries.len() as u64, PACKET_TABLE_LEN);
+        }
+    }
+
+    #[test]
+    fn tabled_pair_sampler_draws_like_the_inline_one() {
+        // Random (k, k_up, interval, seed): the same pair and the same
+        // next draw, tabled counts and counts past the table alike.
+        let mut meta = ChaCha8Rng::seed_from_u64(59);
+        let tables = [10u32, 100, 1000].map(|i| (i, PacketTable::new(i)));
+        let mut past_table = 0;
+        for _ in 0..120_000 {
+            let (interval, table) = &tables[map_bits_u32(meta.gen(), 3) as usize];
+            // Log-uniform over 1..2^12, so both ends are well covered.
+            let k = (2f64.powf(12.0 * meta.gen::<f64>()) as u64).max(1);
+            let k_up = u64::from(map_bits_u32(meta.gen(), k as u32 + 1));
+            past_table += u32::from(k + k_up >= PACKET_TABLE_LEN);
+            let seed = meta.gen::<u64>();
+            let p = 1.0 / f64::from(*interval);
+            let mut inline = ChaCha8Rng::seed_from_u64(seed);
+            let mut tabled = inline.clone();
+            let want = sampled_pair(&mut inline, k, k_up, p, (-p).ln_1p());
+            let got = table.sampled_pair(&mut tabled, k, k_up, table.seen(k + k_up));
+            assert_eq!(got, want, "1:{interval} k={k} k_up={k_up} seed {seed}");
+            assert_eq!(
+                tabled.gen::<u64>(),
+                inline.gen::<u64>(),
+                "1:{interval} k={k} k_up={k_up} seed {seed}: RNG streams aligned"
+            );
+        }
+        assert!(past_table > 10_000, "{past_table} pairs past the table");
+    }
+
+    #[test]
+    fn thinning_with_the_table_draws_like_the_inline_thinning() {
+        for (median, sigma, interval) in [
+            (16.0f64, 0.8f64, 1000u32),
+            (40.0, 0.8, 1000),
+            (20.0, 1.2, 100),
+            (24.0, 1.0, 10),
+            (16.0, 0.8, 3),
+        ] {
+            let t = PairThinning::new(median, sigma, interval);
+            let table = PacketTable::new(interval);
+            for (seed, n) in [(60u64, 1u64), (61, 37), (62, 900), (63, 40_000)] {
+                let run = |tabled: bool| {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    let mut normals = NormalCache::new();
+                    let mut kept = Vec::new();
+                    let keep = |_: &mut ChaCha8Rng, pair| kept.push(pair);
+                    let candidates = if tabled {
+                        t.thin_with(&table, &mut normals, &mut rng, n, keep)
+                    } else {
+                        t.thin(&mut normals, &mut rng, n, keep)
+                    };
+                    (candidates, kept, rng.gen::<u64>())
+                };
+                let inline = run(false);
+                assert!(inline.0 > 0 || n < 100, "1:{interval} n={n}: no candidate");
+                assert_eq!(run(true), inline, "median {median} 1:{interval} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packet table")]
+    fn thinning_rejects_a_table_of_another_interval() {
+        let mut rng = ChaCha8Rng::seed_from_u64(64);
+        PairThinning::new(16.0, 0.8, 1000).thin_with(
+            &PacketTable::new(100),
+            &mut NormalCache::new(),
+            &mut rng,
+            10,
+            |_, _| {},
+        );
     }
 
     /// P(k) for `k = max(round(X), 2)`, `X ~ LN(ln median, σ)`.

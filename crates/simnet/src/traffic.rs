@@ -29,8 +29,10 @@
 //! seen probability, sampled counts from the conditioned binomials),
 //! and only then places each kept pair in a cohort, in proportion to
 //! the cohorts' rates — exact, because the thinning depends only on
-//! kind and day. Every emitted [`FlowEvent`] carries its sampled
-//! packet count; routers account it and draw nothing.
+//! kind and day. So the three thinnings are built once per day, and
+//! their per-packet-count constants come from one [`PacketTable`] per
+//! model. Every emitted [`FlowEvent`] carries its sampled packet count;
+//! routers account it and draw nothing.
 //!
 //! **RNG layout.** One ChaCha8 stream per (district, hour): the key
 //! comes from the traffic seed, the stream id is `hour << 32 |
@@ -55,7 +57,7 @@ use cwa_epidemic::{ActivityModel, AdoptionCurve, Scenario};
 use cwa_geo::{AccessKind, AddressPlan, DistrictId, Germany, IspId};
 use cwa_netflow::flow::{FlowKey, Protocol};
 use cwa_obs::{Counter, Registry};
-use cwa_samplers::{map_bits_u32, poisson, NormalCache, PairThinning, SampledPair};
+use cwa_samplers::{map_bits_u32, poisson, NormalCache, PacketTable, PairThinning, SampledPair};
 
 use crate::cdn::CdnConfig;
 use crate::vantage::DEFAULT_SAMPLING_INTERVAL;
@@ -243,6 +245,11 @@ pub struct TrafficModel<'a> {
     /// Keyed from the seed, at block 0; cloned and pointed at one
     /// stream per (district, hour).
     streams: ChaCha8Rng,
+    /// The sampling interval's per-packet-count constants.
+    packets: PacketTable,
+    /// The three kinds' thinnings of the last generated day; a kind's
+    /// size law changes only from day to day.
+    thinning: Option<(u32, [PairThinning; 3])>,
     truth: GroundTruth,
     hours: u32,
     metrics: Option<TrafficMetrics>,
@@ -309,6 +316,8 @@ impl<'a> TrafficModel<'a> {
             members,
             export_extra_packets: Vec::new(),
             streams: ChaCha8Rng::seed_from_u64(cfg.seed),
+            packets: PacketTable::new(cfg.sampling_interval),
+            thinning: None,
             truth: GroundTruth::new(hours, days, germany.len()),
             hours,
             metrics: None,
@@ -357,6 +366,21 @@ impl<'a> TrafficModel<'a> {
         }
     }
 
+    /// The three kinds' thinnings on `day`, built once per day.
+    fn thinning_on(&mut self, day: u32) -> [PairThinning; 3] {
+        match self.thinning {
+            Some((built, thinning)) if built == day => thinning,
+            _ => {
+                let thinning = KINDS.map(|kind| {
+                    let (median, sigma) = self.size_law(kind, day);
+                    PairThinning::new(median, sigma, self.cfg.sampling_interval)
+                });
+                self.thinning = Some((day, thinning));
+                thinning
+            }
+        }
+    }
+
     /// Generates one hour of traffic, passing every flow event a router
     /// samples to `sink`. Call with `hour` strictly increasing from 0.
     pub fn generate_hour<F: FnMut(&FlowEvent)>(&mut self, hour: u32, sink: &mut F) {
@@ -371,10 +395,7 @@ impl<'a> TrafficModel<'a> {
         let api_national = self
             .activity
             .api_requests_per_user_hour(hod, national_media);
-        let thinning = KINDS.map(|kind| {
-            let (median, sigma) = self.size_law(kind, day);
-            PairThinning::new(median, sigma, self.cfg.sampling_interval)
-        });
+        let thinning = self.thinning_on(day);
 
         let mut tally = HourTally::default();
         let mut rates: Vec<[f64; 3]> = Vec::new();
@@ -430,7 +451,7 @@ impl<'a> TrafficModel<'a> {
                 tally.events += 2 * n;
                 let groups = &self.groups[group_range.clone()];
                 let weights = rates.iter().map(|r| r[ki]);
-                tally.candidates += thinning[ki].thin(&mut normals, &mut rng, n, |rng, pair| {
+                let keep = |rng: &mut ChaCha8Rng, pair| {
                     tally.kept += 1;
                     // The cohort, in proportion to rate (high 32 bits),
                     // and its allocation slot (low 32).
@@ -447,7 +468,9 @@ impl<'a> TrafficModel<'a> {
                         hour_start_ms,
                         sink,
                     );
-                });
+                };
+                tally.candidates +=
+                    thinning[ki].thin_with(&self.packets, &mut normals, &mut rng, n, keep);
             }
         }
         if let Some(m) = &self.metrics {

@@ -39,6 +39,7 @@ use cwa_netflow::anonymize::CryptoPan;
 use cwa_netflow::cache::{CacheStats, FlowCache, FlowCacheConfig};
 use cwa_netflow::collector::{Collector, CollectorMetrics, CollectorTrace};
 use cwa_netflow::flow::FlowRecord;
+use cwa_netflow::hash::KeyMap;
 use cwa_netflow::sink::FlowSink;
 use cwa_netflow::v5::packetize;
 use cwa_netflow::v9::{V9Decoder, V9Exporter};
@@ -368,10 +369,14 @@ pub struct VantagePoint {
     trace: Option<Arc<Tracer>>,
 }
 
-/// The (lossy) export transport between routers and collector.
+/// The (lossy) export transport between a shard's routers and its
+/// collector.
 struct Transport {
     loss_rate: f64,
-    rng: ChaCha8Rng,
+    /// One loss stream per router, in local router order, keyed by the
+    /// router's global id: which of a router's datagrams are lost does
+    /// not depend on how the fleet is sharded.
+    links: Vec<ChaCha8Rng>,
     /// Datagrams dropped by fault injection.
     pub dropped_datagrams: u64,
     /// v9 data sets skipped because their template was lost.
@@ -379,22 +384,31 @@ struct Transport {
 }
 
 impl Transport {
-    fn new(cfg: &VantageConfig) -> Self {
+    /// The transport of the routers with global ids `routers`.
+    fn new(cfg: &VantageConfig, routers: std::ops::Range<usize>) -> Self {
         use rand::SeedableRng as _;
+        let key = ChaCha8Rng::seed_from_u64(cfg.sampling_seed ^ 0x105E);
         Transport {
             loss_rate: cfg.export_loss_rate,
-            rng: ChaCha8Rng::seed_from_u64(cfg.sampling_seed ^ 0x105E),
+            links: routers
+                .map(|id| {
+                    let mut link = key.clone();
+                    link.set_stream(id as u64);
+                    link
+                })
+                .collect(),
             dropped_datagrams: 0,
             undecodable_datagrams: 0,
         }
     }
 
-    fn delivers(&mut self) -> bool {
+    /// Whether the next datagram of local router `router` arrives.
+    fn delivers(&mut self, router: usize) -> bool {
         use rand::Rng as _;
         if self.loss_rate <= 0.0 {
             return true;
         }
-        if self.rng.gen::<f64>() < self.loss_rate {
+        if self.links[router].gen::<f64>() < self.loss_rate {
             self.dropped_datagrams += 1;
             false
         } else {
@@ -452,7 +466,7 @@ impl VantagePoint {
                 plan_prefix_len,
                 format: cfg.format,
                 v9_decoder: V9Decoder::new(),
-                transport: Transport::new(&cfg),
+                transport: Transport::new(&cfg, next_router..next_router + size),
                 metrics: None,
                 trace: None,
             });
@@ -496,16 +510,18 @@ impl VantagePoint {
         self.collector.set_trace(CollectorTrace::new(tracer, buf));
     }
 
-    /// Feeds one wire datagram into the collector, decoding per the
-    /// configured format. Passes the (possibly lossy) transport first.
+    /// Feeds one wire datagram of local router `router` into the
+    /// collector, decoding per the configured format. Passes the
+    /// (possibly lossy) transport first.
     fn ingest_wire(
         collector: &mut Collector,
         v9_decoder: &mut V9Decoder,
         transport: &mut Transport,
+        router: usize,
         format: ExportFormat,
         wire: bytes::Bytes,
     ) {
-        if !transport.delivers() {
+        if !transport.delivers(router) {
             return;
         }
         match format {
@@ -543,9 +559,9 @@ impl VantagePoint {
         self.routers[local].observe(ev);
     }
 
-    /// Delivers one router's export round to the collector, traced as
-    /// one `collect.ingest` span.
-    fn ingest_round(&mut self, wires: Vec<bytes::Bytes>) {
+    /// Delivers local router `router`'s export round to the collector,
+    /// traced as one `collect.ingest` span.
+    fn ingest_round(&mut self, router: usize, wires: Vec<bytes::Bytes>) {
         if wires.is_empty() {
             return;
         }
@@ -553,7 +569,7 @@ impl VantagePoint {
             (&mut self.v9_decoder, &mut self.transport, self.format);
         self.collector.export_round(|collector| {
             for wire in wires {
-                Self::ingest_wire(collector, v9_decoder, transport, format, wire);
+                Self::ingest_wire(collector, v9_decoder, transport, router, format, wire);
             }
         });
     }
@@ -563,7 +579,7 @@ impl VantagePoint {
     pub fn end_of_hour(&mut self, hour: u32) {
         for i in 0..self.routers.len() {
             let wires = self.routers[i].end_of_hour(hour);
-            self.ingest_round(wires);
+            self.ingest_round(i, wires);
         }
     }
 
@@ -603,7 +619,7 @@ impl VantagePoint {
     pub fn finish_into(mut self, final_hour: u32, sink: &mut dyn FlowSink) -> VantageRunStats {
         for i in 0..self.routers.len() {
             let wires = self.routers[i].finish(final_hour);
-            self.ingest_round(wires);
+            self.ingest_round(i, wires);
         }
         let stats = VantageRunStats {
             cache: self.cache_stats(),
@@ -653,7 +669,7 @@ pub fn side_tables_with(
         (net, a.len.max(geodb.prefix_len))
     });
     let anon_networks = cryptopan.anonymize_prefixes(networks.clone());
-    let mut anon_of = HashMap::with_capacity(allocs.len());
+    let mut anon_of = KeyMap::with_capacity_and_hasher(allocs.len(), Default::default());
     let mut isp_table = HashMap::with_capacity(allocs.len());
     for ((alloc, (net, _)), anon) in allocs.iter().zip(networks).zip(anon_networks) {
         anon_of.insert(net, anon);

@@ -66,7 +66,7 @@ echo "==> sampler distribution smoke (exact Poisson/binomial/normal moments + ta
 # magnitude slower and the distributions cannot differ.
 cargo test -q -p cwa-samplers --release
 
-echo "==> driver smoke (claims pass; --streaming == --shards 2 == --live --shards 2)"
+echo "==> driver smoke (claims pass; --streaming == --shards 2 == --live --shards 2 == the pin)"
 # 0.02 is the smallest scale at which every cell clears its min_support
 # threshold (the full claim table evaluates). Below it, starved cells
 # degrade into per-claim Starved verdicts — exit 0 without --strict —
@@ -77,8 +77,12 @@ DRIVERS_DIR="$(mktemp -d /tmp/cwa-drivers.XXXXXX)"
 ./target/release/cwa-repro study --scale 0.02 --streaming --out "$DRIVERS_DIR/streaming" > /dev/null
 ./target/release/cwa-repro study --scale 0.02 --shards 2 --out "$DRIVERS_DIR/sharded" > /dev/null
 ./target/release/cwa-repro study --scale 0.02 --live --shards 2 --out "$DRIVERS_DIR/live" > /dev/null
-python3 - "$DRIVERS_DIR" <<'EOF'
-import json, os, sys
+# The streaming report is also pinned against the last accepted tree:
+# scripts/report.sha256 holds the SHA-256 of its canonical form. A
+# change that re-pins the output on purpose updates that file and says
+# so in CHANGES.md.
+python3 - "$DRIVERS_DIR" scripts/report.sha256 <<'EOF'
+import hashlib, json, os, sys
 def report(mode):
     doc = json.load(open(os.path.join(sys.argv[1], mode, "report.json")))
     del doc["manifest"]["phase_timings"]
@@ -87,6 +91,10 @@ streaming = report("streaming")
 for mode in ("sharded", "live"):
     assert report(mode) == streaming, f"{mode} report.json differs from --streaming"
 print("    --streaming, --shards 2 and --live --shards 2 wrote the same report.json")
+pinned = open(sys.argv[2]).read().split()[0]
+got = hashlib.sha256(streaming.encode()).hexdigest()
+assert got == pinned, f"report.json is {got}, pinned {pinned} ({sys.argv[2]})"
+print(f"    report.json matches the pinned {pinned[:16]}…")
 EOF
 rm -rf "$DRIVERS_DIR"
 # An unknown flag must exit non-zero, not be ignored.

@@ -15,7 +15,7 @@ use cwa_repro::core::study::persistence_len_for_scale;
 use cwa_repro::core::{Study, StudyConfig, StudyError};
 use cwa_repro::netflow::{CountingSink, FlowChunk, FlowRecord, FlowSink};
 use cwa_repro::obs::Registry;
-use cwa_repro::simnet::vantage::{VantageConfig, VantagePoint, VantageRunStats};
+use cwa_repro::simnet::vantage::{ExportFormat, VantageConfig, VantagePoint, VantageRunStats};
 use cwa_repro::simnet::{ShardKeyMode, SimConfig, Simulation};
 
 /// Strips the volatile timings and serializes — byte-level equality is
@@ -272,6 +272,42 @@ fn sharded_report_matches_streaming_for_all_shard_counts() {
                     "shard throughput counters partition the record stream"
                 );
             }
+        }
+    }
+}
+
+/// Under export loss each router's datagrams pass its own loss stream,
+/// keyed by the router's global id, so the same datagrams are lost at
+/// every shard count and the report does not depend on it, in v5 and in
+/// v9 (whose lost template announcements leave data undecodable).
+#[test]
+fn lossy_reports_do_not_depend_on_the_shard_count() {
+    for format in [ExportFormat::V5, ExportFormat::V9] {
+        let mut config = StudyConfig::test_small();
+        config.sim.vantage.format = format;
+        config.sim.vantage.export_loss_rate = 0.05;
+        let lossless = Study::new(StudyConfig::test_small())
+            .run_streaming()
+            .expect("small study produces matching flows");
+        let one = Study::new(config)
+            .run_sharded(1)
+            .expect("small study produces matching flows");
+        assert!(
+            one.total_records < lossless.total_records,
+            "{format:?}: loss shows ({} of {} records)",
+            one.total_records,
+            lossless.total_records
+        );
+        let one = canonical_json(&one);
+        for shards in [2usize, 4] {
+            let sharded = Study::new(config)
+                .run_sharded(shards)
+                .expect("small study produces matching flows");
+            assert_eq!(
+                one,
+                canonical_json(&sharded),
+                "{format:?} at loss 0.05: {shards} shards == 1 shard"
+            );
         }
     }
 }
