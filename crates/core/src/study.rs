@@ -908,16 +908,15 @@ impl Study {
         let mailbox = live.and_then(|opts| opts.publish.as_ref());
 
         let started = Instant::now();
-        let prepared = self.simulation().prepare();
+        let mut prepared = self.simulation().prepare();
         let mut timings: Vec<PhaseTiming> = Vec::new();
         let (products, truth, final_snapshot) = {
             let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
-            let pipeline = geolocation(
-                &prepared.germany,
-                &prepared.geodb,
-                &prepared.isp_table,
-                prefix_len,
-            );
+            // The pipeline's prefix table is all the analysis reads of
+            // the side tables: free them before the traffic starts.
+            let (geodb, isp_table) = prepared.take_side_tables();
+            let pipeline = geolocation(&prepared.germany, &geodb, &isp_table, prefix_len);
+            drop((geodb, isp_table));
             let resolver = isp_resolver(&pipeline);
             let publisher = mailbox.map(|live| LivePublisher {
                 study: self,

@@ -86,18 +86,52 @@ impl GeoEntry {
 }
 
 /// The geolocation database, keyed by `/len` prefix network address.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The entries sit in one vector sorted by prefix network, 32 bytes
+/// each, and [`lookup`](GeoDb::lookup) binary-searches it. Only set-up
+/// and tests look entries up: the analysis folds the whole DB into its
+/// own prefix table once.
+///
+/// Each prefix network appears once. [`build`](GeoDb::build) panics if
+/// two allocations share a network, and the rekeys panic if the
+/// transformation maps two prefixes onto one, which a prefix-preserving
+/// anonymization never does. Plan networks are distinct, so a duplicate
+/// means a bug, and keeping either entry silently would hide it.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GeoDb {
     /// Prefix length the DB is keyed on.
     pub prefix_len: u8,
-    entries: HashMap<u32, GeoEntry>,
+    entries: Vec<(u32, GeoEntry)>,
+}
+
+/// Sorts a prefix table by network.
+///
+/// # Panics
+///
+/// If a network appears twice; `what` names the table in the message.
+pub(crate) fn sort_unique<V>(entries: &mut [(u32, V)], what: &str) {
+    entries.sort_unstable_by_key(|&(net, _)| net);
+    if let Some(pair) = entries.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+        panic!(
+            "{what}: prefix network {} appears twice",
+            Ipv4Addr::from(pair[0].0)
+        );
+    }
+}
+
+/// The value under `network` in a table sorted by [`sort_unique`].
+pub(crate) fn find<V>(entries: &[(u32, V)], network: u32) -> Option<&V> {
+    entries
+        .binary_search_by_key(&network, |&(net, _)| net)
+        .ok()
+        .map(|i| &entries[i].1)
 }
 
 impl GeoDb {
     /// Builds the database over an address plan.
     pub fn build(germany: &Germany, plan: &AddressPlan, config: GeoDbConfig) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let mut entries = HashMap::with_capacity(plan.allocations().len());
+        let mut entries = Vec::with_capacity(plan.allocations().len());
 
         // Largest city per state (the "collapse" target of gross errors).
         let mut biggest: HashMap<crate::state::FederalState, DistrictId> = HashMap::new();
@@ -120,7 +154,7 @@ impl GeoDb {
                 truth
             };
             let d = germany.district(located);
-            entries.insert(
+            entries.push((
                 mask(alloc.network, alloc.len),
                 GeoEntry {
                     located,
@@ -128,8 +162,9 @@ impl GeoDb {
                     lat: d.lat,
                     lon: d.lon,
                 },
-            );
+            ));
         }
+        sort_unique(&mut entries, "geo DB");
         GeoDb {
             prefix_len: plan.config.prefix_len,
             entries,
@@ -138,18 +173,18 @@ impl GeoDb {
 
     /// Looks up an address.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<GeoEntry> {
-        self.entries.get(&mask(addr, self.prefix_len)).copied()
+        self.lookup_prefix(mask(addr, self.prefix_len))
     }
 
     /// Looks up by pre-masked prefix network value.
     pub fn lookup_prefix(&self, network: u32) -> Option<GeoEntry> {
-        self.entries.get(&network).copied()
+        find(&self.entries, network).copied()
     }
 
-    /// Every entry with its prefix network value, in no particular
+    /// Every entry with its prefix network value, in ascending prefix
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &GeoEntry)> {
-        self.entries.iter().map(|(&net, entry)| (net, entry))
+        self.entries.iter().map(|(net, entry)| (*net, entry))
     }
 
     /// Number of prefixes in the DB.
@@ -167,7 +202,7 @@ impl GeoDb {
         if self.entries.is_empty() {
             return 1.0;
         }
-        let ok = self.entries.values().filter(|e| e.is_correct()).count();
+        let ok = self.entries.iter().filter(|(_, e)| e.is_correct()).count();
         ok as f64 / self.entries.len() as f64
     }
 
@@ -175,20 +210,25 @@ impl GeoDb {
     /// Crypto-PAn — producing the side table the measurement operator
     /// hands to analysts along with anonymized traces. (Prefix-preserving
     /// anonymization maps each `/len` prefix onto a unique anonymized
-    /// `/len` prefix, so the table stays well-defined.)
+    /// `/len` prefix, so the table stays well-defined.) A copy of this
+    /// DB through [`into_rekeyed`](GeoDb::into_rekeyed).
     pub fn rekeyed<F: Fn(Ipv4Addr) -> Ipv4Addr>(&self, f: F) -> GeoDb {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(&net, &entry)| {
-                let anon = f(Ipv4Addr::from(net));
-                (mask(anon, self.prefix_len), entry)
-            })
-            .collect();
-        GeoDb {
-            prefix_len: self.prefix_len,
-            entries,
+        self.clone().into_rekeyed(f)
+    }
+
+    /// [`rekeyed`](GeoDb::rekeyed) in place: calls `f` once per entry,
+    /// in ascending prefix order, masks each result to the DB's prefix
+    /// length and re-sorts, so no second table is built.
+    ///
+    /// # Panics
+    ///
+    /// If `f` maps two prefixes onto one `/len` prefix.
+    pub fn into_rekeyed<F: FnMut(Ipv4Addr) -> Ipv4Addr>(mut self, mut f: F) -> GeoDb {
+        for (net, _) in &mut self.entries {
+            *net = mask(f(Ipv4Addr::from(*net)), self.prefix_len);
         }
+        sort_unique(&mut self.entries, "re-keyed geo DB");
+        self
     }
 }
 
@@ -306,6 +346,95 @@ mod tests {
             let via = rekeyed.lookup(xform(a.network)).unwrap();
             assert_eq!(orig, via);
         }
+    }
+
+    /// The construction the sorted vector replaced: the same draws, into
+    /// a hash map keyed by prefix network.
+    fn hash_map_build(
+        germany: &Germany,
+        plan: &AddressPlan,
+        config: GeoDbConfig,
+    ) -> HashMap<u32, GeoEntry> {
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut biggest: HashMap<crate::state::FederalState, DistrictId> = HashMap::new();
+        for d in germany.districts() {
+            let cur = biggest.entry(d.state).or_insert(d.id);
+            if germany.district(*cur).population < d.population {
+                *cur = d.id;
+            }
+        }
+        let mut entries = HashMap::new();
+        for alloc in plan.allocations() {
+            let truth = alloc.district;
+            let located = if rng.gen::<f64>() < config.city_error_rate {
+                if rng.gen::<f64>() < config.nearby_error_fraction {
+                    germany.nearest_in_state(truth)
+                } else {
+                    biggest[&germany.district(truth).state]
+                }
+            } else {
+                truth
+            };
+            let d = germany.district(located);
+            let entry = GeoEntry {
+                located,
+                truth,
+                lat: d.lat,
+                lon: d.lon,
+            };
+            entries.insert(mask(alloc.network, alloc.len), entry);
+        }
+        entries
+    }
+
+    #[test]
+    fn sorted_storage_answers_as_the_hash_map_did() {
+        let g = Germany::build();
+        let plan = AddressPlan::build(&g, AddressPlanConfig::default());
+        let db = GeoDb::build(&g, &plan, GeoDbConfig::default());
+        let oracle = hash_map_build(&g, &plan, GeoDbConfig::default());
+        let len = db.prefix_len;
+
+        assert_eq!(db.len(), oracle.len());
+        let ok = oracle.values().filter(|e| e.is_correct()).count();
+        assert_eq!(db.accuracy(), ok as f64 / oracle.len() as f64);
+        let listed: HashMap<u32, GeoEntry> = db.iter().map(|(net, e)| (net, *e)).collect();
+        assert!(listed == oracle, "iter lists the map's entries");
+        assert!(
+            db.iter().zip(db.iter().skip(1)).all(|(a, b)| a.0 < b.0),
+            "iter ascends"
+        );
+
+        let expect = |addr: Ipv4Addr| oracle.get(&mask(addr, len)).copied();
+        for alloc in plan.allocations() {
+            for addr in [alloc.network, alloc.host(1)] {
+                assert_eq!(db.lookup(addr), expect(addr), "{addr}");
+                assert_eq!(db.lookup_prefix(mask(addr, len)), expect(addr), "{addr}");
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut misses = 0;
+        while misses < 2_000 {
+            let addr = Ipv4Addr::from(rng.gen::<u32>());
+            assert_eq!(db.lookup(addr), expect(addr), "{addr}");
+            if expect(addr).is_none() {
+                assert_eq!(db.lookup_prefix(mask(addr, len)), None, "{addr}");
+                misses += 1;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "t: prefix network 0.0.0.2 appears twice")]
+    fn a_repeated_network_panics() {
+        sort_unique(&mut [(2, 'a'), (1, 'b'), (2, 'c')], "t");
+    }
+
+    #[test]
+    #[should_panic(expected = "re-keyed geo DB: prefix network 0.0.0.0 appears twice")]
+    fn a_rekey_that_merges_prefixes_panics() {
+        let (_, _, db) = setup();
+        db.rekeyed(|_| Ipv4Addr::UNSPECIFIED);
     }
 
     #[test]

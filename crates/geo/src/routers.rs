@@ -60,8 +60,9 @@ pub struct RouterInfo {
 pub struct RouterMap {
     /// One router per district that hosts any.
     routers: Vec<RouterInfo>,
-    /// Ground-truth-ISP prefix network → index into `routers`.
-    by_prefix: HashMap<u32, usize>,
+    /// Ground-truth-ISP prefix network → index into `routers`, sorted by
+    /// network as [`GeoDb`](crate::GeoDb)'s entries are.
+    by_prefix: Vec<(u32, u32)>,
 }
 
 impl RouterMap {
@@ -91,7 +92,7 @@ impl RouterMap {
             })
         };
 
-        let mut by_prefix = HashMap::new();
+        let mut by_prefix = Vec::new();
         for alloc in plan.allocations().iter().filter(|a| a.isp == gt_isp) {
             let home = alloc.district;
             let urban = germany.district(home).urban;
@@ -106,15 +107,16 @@ impl RouterMap {
                 home
             };
             let idx = router_for(serving, germany);
-            by_prefix.insert(u32::from(alloc.network), idx);
+            by_prefix.push((u32::from(alloc.network), idx as u32));
         }
+        crate::geodb::sort_unique(&mut by_prefix, "router map");
 
         RouterMap { routers, by_prefix }
     }
 
     /// The serving router of a ground-truth-ISP prefix network.
     pub fn router_of(&self, network: u32) -> Option<&RouterInfo> {
-        self.by_prefix.get(&network).map(|&i| &self.routers[i])
+        crate::geodb::find(&self.by_prefix, network).map(|&i| &self.routers[i as usize])
     }
 
     /// All routers.
@@ -141,7 +143,7 @@ impl RouterMap {
         let off = self
             .by_prefix
             .iter()
-            .filter(|(&net, &idx)| home.get(&net) != Some(&self.routers[idx].district))
+            .filter(|&&(net, idx)| home.get(&net) != Some(&self.routers[idx as usize].district))
             .count();
         off as f64 / self.by_prefix.len() as f64
     }
@@ -253,6 +255,59 @@ mod tests {
         let a = RouterMap::build(&g, &plan, RouterMapConfig::default());
         let b = RouterMap::build(&g, &plan, RouterMapConfig::default());
         assert_eq!(a.routers(), b.routers());
+    }
+
+    /// The construction the sorted vector replaced: the same draws, into
+    /// a hash map from prefix network to serving district.
+    fn hash_map_build(
+        germany: &Germany,
+        plan: &AddressPlan,
+        config: RouterMapConfig,
+    ) -> HashMap<u32, DistrictId> {
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let gt_isp = plan
+            .isps
+            .iter()
+            .find(|i| i.ground_truth_routers)
+            .unwrap()
+            .id;
+        let mut serving = HashMap::new();
+        for alloc in plan.allocations().iter().filter(|a| a.isp == gt_isp) {
+            let home = alloc.district;
+            let aggregation_prob = match germany.district(home).urban {
+                UrbanClass::Rural => config.rural_aggregation_prob,
+                UrbanClass::Suburban => config.suburban_aggregation_prob,
+                _ => 0.0,
+            };
+            let district = if aggregation_prob > 0.0 && rng.gen::<f64>() < aggregation_prob {
+                germany.nearest_in_state(home)
+            } else {
+                home
+            };
+            serving.insert(u32::from(alloc.network), district);
+        }
+        serving
+    }
+
+    #[test]
+    fn sorted_storage_answers_as_the_hash_map_did() {
+        let g = Germany::build();
+        let plan = AddressPlan::build(&g, AddressPlanConfig::default());
+        let map = RouterMap::build(&g, &plan, RouterMapConfig::default());
+        let oracle = hash_map_build(&g, &plan, RouterMapConfig::default());
+        assert_eq!(map.prefix_count(), oracle.len());
+        for alloc in plan.allocations() {
+            let net = u32::from(alloc.network);
+            assert_eq!(
+                map.router_of(net).map(|r| r.district),
+                oracle.get(&net).copied(),
+                "{}",
+                alloc.network
+            );
+        }
+        let gt = plan.isps.iter().find(|i| i.ground_truth_routers).unwrap();
+        let outside = u32::from(gt.base) - (1 << 10);
+        assert!(map.router_of(outside).is_none());
     }
 
     #[test]

@@ -173,6 +173,27 @@ impl Default for HeartbeatConfig {
     }
 }
 
+/// Sets the gauges `process.rss_kib` and `process.peak_rss_kib` to the
+/// process's resident set size and its peak so far, in KiB, read from
+/// `VmRSS` and `VmHWM` in `/proc/self/status`. Where that file cannot be
+/// read (off Linux) the gauges stay unset. The heartbeat calls this
+/// before every sample.
+pub fn publish_process_memory(registry: &Registry) {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return;
+    };
+    for (field, name) in [("VmRSS:", names::RSS_KIB), ("VmHWM:", names::PEAK_RSS_KIB)] {
+        let kib = status
+            .lines()
+            .find_map(|line| line.strip_prefix(field))
+            .and_then(|rest| rest.trim().strip_suffix("kB"))
+            .and_then(|value| value.trim().parse::<i64>().ok());
+        if let Some(kib) = kib {
+            registry.gauge(name).set(kib);
+        }
+    }
+}
+
 /// Shared stop flag: a mutex-guarded bool with a condvar so the
 /// sampler thread can sleep its full interval yet wake immediately on
 /// [`Heartbeat::stop`].
@@ -247,6 +268,7 @@ impl Heartbeat {
         epoch: Instant,
         jsonl: Option<&mut BufWriter<File>>,
     ) {
+        publish_process_memory(registry);
         let sample = HeartbeatSample {
             t_ns: epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             values: registry.sample(),
@@ -459,6 +481,36 @@ mod tests {
             .copied()
             .expect("producer gauge registered");
         assert!(published > 0, "counter was rising, got {published}/s");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn sampler_publishes_process_memory() {
+        let reg = Arc::new(Registry::new());
+        let hb = Heartbeat::start(
+            Arc::clone(&reg),
+            HeartbeatConfig {
+                interval: Duration::from_millis(5),
+                capacity: 64,
+                jsonl: None,
+            },
+        )
+        .expect("sampler starts");
+        let ring = hb.ring();
+        hb.stop();
+        let ring = ring.lock().unwrap();
+        assert!(ring.total() >= 2, "got {} samples", ring.total());
+        let (first, last) = (ring.oldest().unwrap(), ring.latest().unwrap());
+        for sample in [first, last] {
+            let rss = sample.value(names::RSS_KIB);
+            let peak = sample.value(names::PEAK_RSS_KIB);
+            assert!(rss > 0, "rss {rss} KiB");
+            assert!(peak >= rss, "peak {peak} KiB below rss {rss} KiB");
+        }
+        assert!(
+            last.value(names::PEAK_RSS_KIB) >= first.value(names::PEAK_RSS_KIB),
+            "the peak never falls"
+        );
     }
 
     #[test]

@@ -82,6 +82,11 @@ pub mod names {
     pub const DAYS_TOTAL: &str = "sim.progress.days_total";
     /// 1 once the study's report has been assembled.
     pub const DONE: &str = "sim.progress.done";
+    /// The process's resident set size in KiB (`VmRSS`), set by
+    /// [`crate::heartbeat::publish_process_memory`].
+    pub const RSS_KIB: &str = "process.rss_kib";
+    /// The process's peak resident set size in KiB (`VmHWM`).
+    pub const PEAK_RSS_KIB: &str = "process.peak_rss_kib";
 }
 
 /// Everything a scrape needs: the live registry, the heartbeat ring

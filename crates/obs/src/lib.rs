@@ -34,7 +34,9 @@ pub mod http;
 pub mod live;
 pub mod trace;
 
-pub use heartbeat::{Heartbeat, HeartbeatConfig, HeartbeatRing, HeartbeatSample};
+pub use heartbeat::{
+    publish_process_memory, Heartbeat, HeartbeatConfig, HeartbeatRing, HeartbeatSample,
+};
 pub use http::{TelemetryServer, TelemetryState};
 pub use live::{LiveFigure, LiveSnapshot};
 pub use trace::{NameId, StageLog, TraceBuf, TraceSpan, Tracer};

@@ -25,7 +25,7 @@ use crate::cdn::{CdnConfig, CdnMigration};
 use crate::dns::{run_dns_study, DnsStudy, TopListModel};
 use crate::traffic::{GroundTruth, TrafficConfig, TrafficModel};
 use crate::vantage::{
-    side_tables_with, IspSideEntry, ShardKeyMode, VantageConfig, VantagePoint, VantageRunStats,
+    side_tables_from, IspSideEntry, ShardKeyMode, VantageConfig, VantagePoint, VantageRunStats,
 };
 
 /// Which scenario variant to simulate.
@@ -341,7 +341,8 @@ impl Simulation {
             },
         );
         let cryptopan = CryptoPan::new(&cfg.vantage.anon_key);
-        let (geodb_anon, isp_table) = side_tables_with(&cryptopan, &plan, &geodb, Some(&routers));
+        let (geodb, isp_table) = side_tables_from(&cryptopan, &plan, geodb, Some(&routers));
+        drop(routers);
         // Daily export size: the real file the app fetches, sized by the
         // day's published key count via the actual wire format.
         let mut size_rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xE47);
@@ -359,7 +360,7 @@ impl Simulation {
             chunk_capacity: self.chunk_capacity,
             germany,
             plan,
-            geodb: geodb_anon,
+            geodb,
             isp_table,
             scenario,
             downloads: adoption,
@@ -378,7 +379,9 @@ impl Simulation {
 /// The side tables (`geodb`, `isp_table`) are available *before* the
 /// traffic run, which is what lets a streaming study construct its
 /// analysis consumers up front and fuse simulate + analyze into one
-/// pass.
+/// pass. A driver that folds them into its own lookup structure takes
+/// them with [`take_side_tables`](PreparedSim::take_side_tables) and
+/// frees them before the traffic starts.
 pub struct PreparedSim {
     /// The configuration used.
     pub config: SimConfig,
@@ -408,6 +411,19 @@ pub struct PreparedSim {
 }
 
 impl PreparedSim {
+    /// Hands the side tables over by value and leaves empty ones in
+    /// their place, so the caller decides how long they live. The
+    /// traffic run does not read them; [`into_output`] then carries
+    /// empty tables.
+    ///
+    /// [`into_output`]: PreparedSim::into_output
+    pub fn take_side_tables(&mut self) -> (GeoDb, HashMap<u32, IspSideEntry>) {
+        (
+            std::mem::take(&mut self.geodb),
+            std::mem::take(&mut self.isp_table),
+        )
+    }
+
     /// Generates the traffic and streams every collected, anonymized
     /// record into `sink`, in chunks of one export hour — the collector
     /// never holds more than one chunk. Calls `sink.finish()` after the
@@ -487,6 +503,7 @@ impl PreparedSim {
                 total.cache.expired_flush += c.expired_flush;
                 total.dropped_datagrams += stats.dropped_datagrams;
                 total.undecodable_datagrams += stats.undecodable_datagrams;
+                total.lost_records += stats.lost_records;
             }
             publish_vantage_counters(registry, &total);
         }
@@ -571,6 +588,9 @@ fn publish_vantage_counters(registry: &cwa_obs::Registry, stats: &VantageRunStat
     registry
         .counter("simnet.transport.undecodable_datagrams")
         .add(stats.undecodable_datagrams);
+    registry
+        .counter("simnet.transport.lost_records")
+        .add(stats.lost_records);
 }
 
 #[cfg(test)]
@@ -634,6 +654,37 @@ mod tests {
             (frac - 1.0).abs() < 1e-9,
             "every CDN-flow client must resolve via the side table: {frac}"
         );
+    }
+
+    #[test]
+    fn prepare_hands_over_the_tables_of_side_tables_with() {
+        use cwa_geo::{RouterMap, RouterMapConfig};
+        let cfg = SimConfig::default();
+        let mut prepared = Simulation::new(cfg).prepare();
+        let geodb = GeoDb::build(
+            &prepared.germany,
+            &prepared.plan,
+            GeoDbConfig {
+                seed: cfg.seed ^ 0x9E0,
+                ..cfg.geodb
+            },
+        );
+        let routers = RouterMap::build(
+            &prepared.germany,
+            &prepared.plan,
+            RouterMapConfig {
+                seed: cfg.seed ^ 0xB46,
+                ..RouterMapConfig::default()
+            },
+        );
+        let cryptopan = CryptoPan::new(&cfg.vantage.anon_key);
+        let (geo, isp) =
+            crate::vantage::side_tables_with(&cryptopan, &prepared.plan, &geodb, Some(&routers));
+
+        let (taken_geo, taken_isp) = prepared.take_side_tables();
+        assert!(taken_geo == geo, "geo DB");
+        assert!(taken_isp == isp, "ISP side table");
+        assert!(prepared.geodb.is_empty() && prepared.isp_table.is_empty());
     }
 
     #[test]

@@ -39,7 +39,6 @@ use cwa_netflow::anonymize::CryptoPan;
 use cwa_netflow::cache::{CacheStats, FlowCache, FlowCacheConfig};
 use cwa_netflow::collector::{Collector, CollectorMetrics, CollectorTrace};
 use cwa_netflow::flow::FlowRecord;
-use cwa_netflow::hash::KeyMap;
 use cwa_netflow::sink::FlowSink;
 use cwa_netflow::v5::packetize;
 use cwa_netflow::v9::{V9Decoder, V9Exporter};
@@ -186,18 +185,29 @@ impl Router {
     /// End-of-hour sweep; returns this router's export datagrams as
     /// wire bytes.
     pub fn end_of_hour(&mut self, hour: u32) -> Vec<bytes::Bytes> {
+        Datagram::wires(self.sweep(hour))
+    }
+
+    /// Final flush; returns the remaining export datagrams.
+    pub fn finish(&mut self, hour: u32) -> Vec<bytes::Bytes> {
+        Datagram::wires(self.flush(hour))
+    }
+
+    /// [`end_of_hour`](Router::end_of_hour), with each datagram's record
+    /// count.
+    fn sweep(&mut self, hour: u32) -> Vec<Datagram> {
         let now_ms = u64::from(hour + 1) * 3_600_000;
         self.cache.sweep(now_ms);
         self.export(hour)
     }
 
-    /// Final flush; returns the remaining export datagrams.
-    pub fn finish(&mut self, hour: u32) -> Vec<bytes::Bytes> {
+    /// [`finish`](Router::finish), with each datagram's record count.
+    fn flush(&mut self, hour: u32) -> Vec<Datagram> {
         self.cache.flush();
         self.export(hour)
     }
 
-    fn export(&mut self, hour: u32) -> Vec<bytes::Bytes> {
+    fn export(&mut self, hour: u32) -> Vec<Datagram> {
         let expired = self.cache.take_expired();
         let unix_secs = (STUDY_EPOCH_UNIX + u64::from(hour + 1) * 3600) as u32;
         match self.format {
@@ -213,7 +223,13 @@ impl Router {
                     self.sequence,
                 );
                 self.sequence = next;
-                packets.into_iter().map(|p| p.encode()).collect()
+                packets
+                    .into_iter()
+                    .map(|p| Datagram {
+                        records: p.records.len() as u64,
+                        wire: p.encode(),
+                    })
+                    .collect()
             }
             ExportFormat::V9 => {
                 // v9 datagrams carry up to ~24 of our records within a
@@ -225,9 +241,13 @@ impl Router {
                 }
                 expired
                     .chunks(24)
-                    .map(|chunk| {
-                        self.v9
-                            .export(chunk, unix_secs, (u64::from(hour) * 3_600_000) as u32)
+                    .map(|chunk| Datagram {
+                        wire: self.v9.export(
+                            chunk,
+                            unix_secs,
+                            (u64::from(hour) * 3_600_000) as u32,
+                        ),
+                        records: chunk.len() as u64,
                     })
                     .collect()
             }
@@ -237,6 +257,20 @@ impl Router {
     /// The router's cache statistics.
     pub fn stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+}
+
+/// One export datagram as it leaves a router: its wire bytes and the
+/// number of flow records they carry, which the transport counts as
+/// lost when the datagram never decodes.
+struct Datagram {
+    wire: bytes::Bytes,
+    records: u64,
+}
+
+impl Datagram {
+    fn wires(datagrams: Vec<Datagram>) -> Vec<bytes::Bytes> {
+        datagrams.into_iter().map(|d| d.wire).collect()
     }
 }
 
@@ -336,6 +370,9 @@ pub struct VantageRunStats {
     pub dropped_datagrams: u64,
     /// v9 data sets undecodable because their template was lost.
     pub undecodable_datagrams: u64,
+    /// Flow records inside the dropped and the undecodable datagrams:
+    /// the routers' evictions are the collector's records plus these.
+    pub lost_records: u64,
     /// High-water mark of records resident in the collector at once.
     /// Under chunked emission (hourly drains to a [`FlowSink`]) this is
     /// one chunk; under batch collection it is the total record count.
@@ -381,6 +418,8 @@ struct Transport {
     pub dropped_datagrams: u64,
     /// v9 data sets skipped because their template was lost.
     pub undecodable_datagrams: u64,
+    /// Flow records inside the dropped and the skipped datagrams.
+    pub lost_records: u64,
 }
 
 impl Transport {
@@ -399,17 +438,20 @@ impl Transport {
                 .collect(),
             dropped_datagrams: 0,
             undecodable_datagrams: 0,
+            lost_records: 0,
         }
     }
 
-    /// Whether the next datagram of local router `router` arrives.
-    fn delivers(&mut self, router: usize) -> bool {
+    /// Whether the next datagram of local router `router`, carrying
+    /// `records` flow records, arrives.
+    fn delivers(&mut self, router: usize, records: u64) -> bool {
         use rand::Rng as _;
         if self.loss_rate <= 0.0 {
             return true;
         }
         if self.links[router].gen::<f64>() < self.loss_rate {
             self.dropped_datagrams += 1;
+            self.lost_records += records;
             false
         } else {
             true
@@ -519,11 +561,12 @@ impl VantagePoint {
         transport: &mut Transport,
         router: usize,
         format: ExportFormat,
-        wire: bytes::Bytes,
+        datagram: Datagram,
     ) {
-        if !transport.delivers(router) {
+        if !transport.delivers(router, datagram.records) {
             return;
         }
+        let wire = datagram.wire;
         match format {
             ExportFormat::V5 => {
                 collector
@@ -539,6 +582,7 @@ impl VantagePoint {
                         // The template announcement was lost; data sets
                         // stay undecodable until the next re-announcement.
                         transport.undecodable_datagrams += 1;
+                        transport.lost_records += datagram.records;
                         collector.note_decode_error();
                     }
                     Err(e) => panic!("self-produced v9 datagram invalid: {e}"),
@@ -561,15 +605,15 @@ impl VantagePoint {
 
     /// Delivers local router `router`'s export round to the collector,
     /// traced as one `collect.ingest` span.
-    fn ingest_round(&mut self, router: usize, wires: Vec<bytes::Bytes>) {
-        if wires.is_empty() {
+    fn ingest_round(&mut self, router: usize, datagrams: Vec<Datagram>) {
+        if datagrams.is_empty() {
             return;
         }
         let (v9_decoder, transport, format) =
             (&mut self.v9_decoder, &mut self.transport, self.format);
         self.collector.export_round(|collector| {
-            for wire in wires {
-                Self::ingest_wire(collector, v9_decoder, transport, router, format, wire);
+            for datagram in datagrams {
+                Self::ingest_wire(collector, v9_decoder, transport, router, format, datagram);
             }
         });
     }
@@ -578,8 +622,8 @@ impl VantagePoint {
     /// the collector's record order deterministic).
     pub fn end_of_hour(&mut self, hour: u32) {
         for i in 0..self.routers.len() {
-            let wires = self.routers[i].end_of_hour(hour);
-            self.ingest_round(i, wires);
+            let datagrams = self.routers[i].sweep(hour);
+            self.ingest_round(i, datagrams);
         }
     }
 
@@ -618,13 +662,14 @@ impl VantagePoint {
     /// are included).
     pub fn finish_into(mut self, final_hour: u32, sink: &mut dyn FlowSink) -> VantageRunStats {
         for i in 0..self.routers.len() {
-            let wires = self.routers[i].finish(final_hour);
-            self.ingest_round(i, wires);
+            let datagrams = self.routers[i].flush(final_hour);
+            self.ingest_round(i, datagrams);
         }
         let stats = VantageRunStats {
             cache: self.cache_stats(),
             dropped_datagrams: self.transport.dropped_datagrams,
             undecodable_datagrams: self.transport.undecodable_datagrams,
+            lost_records: self.transport.lost_records,
             peak_resident_records: self.collector.peak_resident_records() as u64,
         };
         self.collector.drain_into(sink);
@@ -652,33 +697,52 @@ impl VantagePoint {
 /// router's district, which for rural prefixes may be the neighbouring
 /// district — the imprecision §3 of the paper warns about.
 ///
-/// One Crypto-PAn walk per allocation network serves both tables. It
-/// goes only as deep as the longer of the allocation's mask and the geo
-/// DB's, and the sorted allocations share their leading flips
-/// ([`CryptoPan::anonymize_prefixes`]). Geo DB keys outside the plan, if
-/// any, go through a full [`CryptoPan::anonymize`].
+/// [`side_tables_from`] on a copy of `geodb`.
 pub fn side_tables_with(
     cryptopan: &CryptoPan,
     plan: &AddressPlan,
     geodb: &GeoDb,
     routers: Option<&cwa_geo::RouterMap>,
 ) -> (GeoDb, HashMap<u32, IspSideEntry>) {
+    side_tables_from(cryptopan, plan, geodb.clone(), routers)
+}
+
+/// [`side_tables_with`], re-keying the clear geo DB in place
+/// ([`GeoDb::into_rekeyed`]), so set-up never holds the clear and the
+/// anonymized DB at once.
+///
+/// One Crypto-PAn walk per allocation network serves both tables. It
+/// goes only as deep as the longer of the allocation's mask and the geo
+/// DB's, and the sorted allocations share their leading flips
+/// ([`CryptoPan::anonymize_prefixes`]). The geo DB's keys come in the
+/// same ascending order, so one merge pass pairs each key with its
+/// allocation's walk. A key the merge does not find, if any, goes
+/// through a full [`CryptoPan::anonymize`].
+pub fn side_tables_from(
+    cryptopan: &CryptoPan,
+    plan: &AddressPlan,
+    geodb: GeoDb,
+    routers: Option<&cwa_geo::RouterMap>,
+) -> (GeoDb, HashMap<u32, IspSideEntry>) {
     let allocs = plan.allocations();
-    let networks = allocs.iter().map(|a| {
-        let net = cwa_geo::geodb::mask(a.network, a.len);
-        (net, a.len.max(geodb.prefix_len))
-    });
+    let geo_len = geodb.prefix_len;
+    let networks = allocs
+        .iter()
+        .map(|a| (cwa_geo::geodb::mask(a.network, a.len), a.len.max(geo_len)));
     let anon_networks = cryptopan.anonymize_prefixes(networks.clone());
-    let mut anon_of = KeyMap::with_capacity_and_hasher(allocs.len(), Default::default());
     let mut isp_table = HashMap::with_capacity(allocs.len());
-    for ((alloc, (net, _)), anon) in allocs.iter().zip(networks).zip(anon_networks) {
-        anon_of.insert(net, anon);
+    for (alloc, &anon) in allocs.iter().zip(&anon_networks) {
         let anon_net = cwa_geo::geodb::mask(Ipv4Addr::from(anon), alloc.len);
         isp_table.insert(anon_net, isp_side_entry(plan, alloc, routers));
     }
-    let geodb_anon = geodb.rekeyed(|a| match anon_of.get(&u32::from(a)) {
-        Some(&anon) => Ipv4Addr::from(anon),
-        None => cryptopan.anonymize(a),
+    let mut walks = networks.map(|(net, _)| net).zip(anon_networks).peekable();
+    let geodb_anon = geodb.into_rekeyed(|a| {
+        let key = u32::from(a);
+        while walks.next_if(|&(net, _)| net < key).is_some() {}
+        match walks.peek() {
+            Some(&(net, anon)) if net == key => Ipv4Addr::from(anon),
+            _ => cryptopan.anonymize(a),
+        }
     });
     (geodb_anon, isp_table)
 }
@@ -1194,6 +1258,66 @@ mod tests {
                 assert!(isp == isp_oracle, "/{len}: ISP table differs");
             }
         }
+    }
+
+    #[test]
+    fn rekeys_under_cryptopan_equal_the_hash_map_rekey() {
+        use cwa_geo::{AddressPlanConfig, GeoDbConfig, GeoEntry, Germany};
+        let g = Germany::build();
+        let plan = AddressPlan::build(&g, AddressPlanConfig::default());
+        let geodb = GeoDb::build(&g, &plan, GeoDbConfig::default());
+        let cp = CryptoPan::new(&VantageConfig::default().anon_key);
+        let anonymize = |a: Ipv4Addr| cp.anonymize(a);
+
+        let copy = geodb.rekeyed(anonymize);
+        let in_place = geodb.clone().into_rekeyed(anonymize);
+        assert!(copy == in_place, "rekeyed and into_rekeyed differ");
+
+        // The hash-map rekey: every key through a full walk, collected.
+        let oracle: HashMap<u32, GeoEntry> = geodb
+            .iter()
+            .map(|(net, e)| {
+                let anon = cp.anonymize(Ipv4Addr::from(net));
+                (cwa_geo::geodb::mask(anon, geodb.prefix_len), *e)
+            })
+            .collect();
+        let listed: HashMap<u32, GeoEntry> = copy.iter().map(|(net, e)| (net, *e)).collect();
+        assert_eq!(copy.len(), oracle.len());
+        assert!(listed == oracle, "re-keyed entries differ");
+        for (&net, entry) in &oracle {
+            assert_eq!(copy.lookup_prefix(net), Some(*entry));
+        }
+    }
+
+    /// Under v9 loss every evicted record is either collected or counted
+    /// lost: inside a dropped datagram, or inside one that arrived while
+    /// its router's template was still unknown.
+    #[test]
+    fn lost_records_close_the_v9_count_under_template_loss() {
+        let mut v = VantagePoint::new(
+            VantageConfig {
+                format: ExportFormat::V9,
+                sampling_interval: 1,
+                export_loss_rate: 0.5,
+                ..VantageConfig::default()
+            },
+            vec![(Ipv4Addr::new(81, 200, 16, 0), 22)],
+            22,
+        );
+        for hour in 0..6u32 {
+            for i in 0..400u32 {
+                let start_ms = u64::from(hour) * 3_600_000 + u64::from(i);
+                v.observe(&event(Ipv4Addr::from(0x5400_0000 + (i << 10)), 3, start_ms));
+            }
+            v.end_of_hour(hour);
+        }
+        let mut records = Vec::new();
+        let stats = v.finish_into(5, &mut records);
+        let c = stats.cache;
+        let evicted = c.expired_inactive + c.expired_active + c.expired_emergency + c.expired_flush;
+        assert!(stats.dropped_datagrams > 0, "nothing dropped");
+        assert!(stats.undecodable_datagrams > 0, "no template was lost");
+        assert_eq!(records.len() as u64 + stats.lost_records, evicted);
     }
 
     #[test]

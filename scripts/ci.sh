@@ -202,13 +202,21 @@ import json, sys
 lines = [l for l in open(sys.argv[1]) if l.strip()]
 assert len(lines) >= 3, f"heartbeat wrote only {len(lines)} samples"
 last_ts = 0
+last_peak = 0
 for line in lines:
     doc = json.loads(line)
     assert doc["schema"] == "cwa-obs/v1", doc.get("schema")
     assert doc["ts_ms"] >= last_ts, "timestamps regressed"
     last_ts = doc["ts_ms"]
+    # Every sample carries the process's memory, and the peak never falls.
+    rss = doc["metrics"].get("process.rss_kib", {}).get("value", 0)
+    assert rss > 0, f"heartbeat sample without a positive process.rss_kib: {rss}"
+    peak = doc["metrics"].get("process.peak_rss_kib", {}).get("value", 0)
+    assert peak >= last_peak, f"process.peak_rss_kib fell: {last_peak} -> {peak}"
+    last_peak = peak
 assert "sim.progress.done" in lines[-1], "final sample lacks completion gauge"
-print(f"    {len(lines)} append-valid heartbeat samples; scrape endpoints answered live")
+print(f"    {len(lines)} append-valid heartbeat samples, each with process memory "
+      f"(peak {last_peak} KiB); scrape endpoints answered live")
 EOF
 rm -f "$HB_JSONL" "$TELEM_LOG"
 

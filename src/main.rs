@@ -549,6 +549,7 @@ fn study(args: &[String], _words: &[String]) -> ExitCode {
     }
 
     if let (Some(path), Some(registry)) = (&metrics_path, &registry) {
+        cwa_obs::publish_process_memory(registry);
         let snapshot = if path.ends_with(".prom") {
             registry.to_prometheus()
         } else {

@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use cwa_repro::core::{LiveOptions, Study, StudyConfig};
 use cwa_repro::obs::{Registry, Tracer};
+use cwa_repro::simnet::ExportFormat;
 
 #[test]
 fn metrics_snapshot_covers_pipeline_and_reports_match() {
@@ -302,18 +303,24 @@ fn cryptopan_block_counter_is_bounded_and_deterministic() {
 }
 
 /// Records are conserved hop by hop, read off one registry: every cache
-/// eviction is a record the collector stored or one its sequence check
-/// counted lost, every stored record reaches its shard's sink, and every
-/// record the §2 filter matched reaches every consumer. Without export
-/// loss the first identity is exact. With loss it is a bound: sequence
-/// accounting sees a lost datagram only from the gap before the next
-/// datagram of the same engine, so records in an engine's last
-/// datagrams can be lost unseen.
+/// eviction is a record the collector stored or one the transport lost
+/// (inside a dropped datagram, or a v9 datagram whose template was
+/// lost), every stored record reaches its shard's sink, and every record
+/// the §2 filter matched reaches every consumer. The collector's own v5
+/// sequence check is a lower bound on the loss: it sees a lost datagram
+/// only from the gap before the next datagram of the same engine, so
+/// records in an engine's last datagrams can be lost unseen.
 #[test]
 fn records_are_conserved_hop_by_hop() {
-    for loss in [0.0, 0.05] {
+    let cases = [
+        (ExportFormat::V5, 0.0),
+        (ExportFormat::V5, 0.05),
+        (ExportFormat::V9, 0.05),
+    ];
+    for (format, loss) in cases {
         for shards in [1, 2, 4] {
             let mut config = StudyConfig::test_small();
+            config.sim.vantage.format = format;
             config.sim.vantage.export_loss_rate = loss;
             let registry = Arc::new(Registry::new());
             Study::new(config)
@@ -321,7 +328,7 @@ fn records_are_conserved_hop_by_hop() {
                 .run_sharded(shards)
                 .expect("small study produces matching flows");
             let count = |name: &str| registry.counter(name).get();
-            let what = format!("loss {loss}, {shards} shard(s)");
+            let what = format!("{format:?}, loss {loss}, {shards} shard(s)");
 
             let evictions = count("simnet.cache.evictions");
             let expired: u64 = ["active", "inactive", "emergency", "flush"]
@@ -332,10 +339,18 @@ fn records_are_conserved_hop_by_hop() {
             assert_eq!(evictions, expired, "{what}: evictions by cause");
 
             let records = count("netflow.collector.records");
-            let seen = records + count("netflow.collector.sequence_lost");
+            let lost = count("simnet.transport.lost_records");
+            assert_eq!(
+                records + lost,
+                evictions,
+                "{what}: stored + lost in transport = evicted"
+            );
+            let sequence_lost = count("netflow.collector.sequence_lost");
+            let seen = records + sequence_lost;
             let dropped = count("simnet.transport.dropped_datagrams");
             if loss == 0.0 {
                 assert_eq!(dropped, 0, "{what}");
+                assert_eq!(lost, 0, "{what}");
                 assert_eq!(seen, evictions, "{what}: stored + lost = evicted");
             } else {
                 assert!(dropped > 0, "{what}: nothing dropped");
@@ -343,6 +358,10 @@ fn records_are_conserved_hop_by_hop() {
                 assert!(
                     seen <= evictions,
                     "{what}: {seen} seen, {evictions} evicted"
+                );
+                assert!(
+                    sequence_lost <= lost,
+                    "{what}: the sequence check saw {sequence_lost} of {lost} lost"
                 );
             }
 

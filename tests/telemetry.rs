@@ -441,6 +441,32 @@ fn scrape_cli_stops_quietly_when_its_reader_closes_the_pipe() {
     }
 }
 
+/// A `study --metrics` snapshot carries the process's memory: the peak
+/// resident set size, read from `/proc/self/status` just before the
+/// snapshot is written.
+#[cfg(target_os = "linux")]
+#[test]
+fn metrics_snapshot_carries_the_peak_rss() {
+    let path = std::env::temp_dir().join(format!("cwa-telemetry-rss-{}.json", std::process::id()));
+    let status = Command::new(env!("CARGO_BIN_EXE_cwa-repro"))
+        .args(["study", "--scale", "0.02", "--streaming", "--metrics"])
+        .arg(&path)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("cwa-repro runs");
+    assert!(status.success(), "{status:?}");
+    let text = std::fs::read_to_string(&path).expect("snapshot written");
+    let _ = std::fs::remove_file(&path);
+    let doc: serde_json::Value = serde_json::from_str(&text).expect("snapshot parses");
+    let peak = doc
+        .get("metrics")
+        .and_then(|m| m.get("process.peak_rss_kib"))
+        .and_then(|g| json_f64(g, "value"))
+        .expect("snapshot carries process.peak_rss_kib");
+    assert!(peak > 0.0, "peak RSS {peak} KiB");
+}
+
 /// Progress lines go to stderr, and a reader of stderr may stop early
 /// too (`study 2>&1 >/dev/null | head -n 1`): the study reads its first
 /// line, then writes "done in …" into the closed pipe. It drops that
