@@ -41,8 +41,8 @@
 //! exits without writing the file.
 //!
 //! Plain `harness = false` binary with manual timing: each measurement
-//! is a full simulate+analyze run, so Criterion's sampling machinery
-//! would only add noise-floor theater. Results are printed and written
+//! is a full simulate+analyze run, so a statistics harness's sampling
+//! machinery would only add noise-floor theater. Results are printed and written
 //! to `BENCH_fullscale.json` at the workspace root.
 
 use std::hint::black_box;

@@ -1,6 +1,6 @@
 //! **Sharded vs. one-shard streaming pipeline** — wall time of
-//! `Study::run_sharded(n)` (router fleet split across `n` crossbeam
-//! workers, each filtering and analyzing its own record partition,
+//! `Study::run_sharded(n)` (router fleet split across `n` scoped worker
+//! threads, each filtering and analyzing its own record partition,
 //! partials merged at the end) against the `Study::run_streaming`
 //! baseline, at two scales. The baseline is itself the one-shard case
 //! of `Study::run_sharded`: the calling thread generates while one worker

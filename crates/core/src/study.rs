@@ -1,10 +1,10 @@
 //! The study runner: simulate → analyze → evaluate.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -351,10 +351,10 @@ enum Publish<'w, F> {
     /// One shard: publish the view itself after every export hour, from
     /// the shard's worker.
     Inline(&'w LivePublisher<'w>),
-    /// One of n shards: deposit a clone of the view at every day
-    /// boundary for the publisher thread to merge. The sink's own state
-    /// is untouched, so the end-of-run merge cannot observe it.
-    Deposit(Arc<Mutex<VecDeque<ShardDeposit<'w, F>>>>),
+    /// One of n shards: send a clone of the view at every day boundary
+    /// to the publisher thread, which merges. The sink's own state is
+    /// untouched, so the end-of-run merge cannot observe it.
+    Deposit(Sender<ShardDeposit<'w, F>>),
 }
 
 /// The one filter-and-consume sink behind every streaming run: the §2
@@ -445,19 +445,18 @@ where
             Publish::Off => {}
             Publish::Inline(publisher) => publisher.tick(view, &self.counts),
             // Every shard checkpoints the same hours in lockstep, so the
-            // fronts of all deposit queues carry the same `hours_seen`,
+            // k-th deposits of all shards carry the same `hours_seen`,
             // exactly what `absorb` requires. The post-finish checkpoint
             // lands at `hours + 1`, never on a day boundary, so each
-            // shard deposits exactly `days` times.
-            Publish::Deposit(queue) => {
+            // shard deposits exactly `days` times. A send fails only if
+            // the publisher thread stopped early, on a panic that
+            // `drive` reports.
+            Publish::Deposit(tx) => {
                 if view.hours_seen() % 24 == 0 {
-                    queue
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push_back(ShardDeposit {
-                            view: WindowedView::clone(view),
-                            counts: self.counts.clone(),
-                        });
+                    let _ = tx.send(ShardDeposit {
+                        view: WindowedView::clone(view),
+                        counts: self.counts.clone(),
+                    });
                 }
             }
         }
@@ -524,7 +523,7 @@ impl<'a> ReportContext<'a> {
     }
 }
 
-/// One shard's day-boundary snapshot, queued for interim merging.
+/// One shard's day-boundary snapshot, sent for interim merging.
 struct ShardDeposit<'w, F> {
     view: WindowedView<'w, F>,
     counts: StreamCounts,
@@ -577,39 +576,34 @@ impl LivePublisher<'_> {
     }
 }
 
-/// Pops one aligned day-boundary deposit per shard (when every shard
-/// has one queued), merges them in shard order, and publishes the
-/// merged interim state. Returns whether a merge happened.
-fn publish_front_deposits<F>(
-    queues: &[Arc<Mutex<VecDeque<ShardDeposit<'_, F>>>>],
+/// The live publisher of an n-shard run, on its own thread: for each
+/// of the `days` day boundaries, receives one deposit from every shard
+/// in shard order, merges them and publishes the merged interim state.
+///
+/// It counts days rather than waiting for the senders to drop: they
+/// live in the sinks the traffic run hands back, which drop only after
+/// this thread has been joined. A closed channel means a shard worker
+/// died; the driver reports its panic.
+fn publish_merged_deposits<F>(
+    deposits: &[Receiver<ShardDeposit<'_, F>>],
+    days: u32,
     publisher: &LivePublisher<'_>,
-) -> bool
-where
+) where
     F: Fn(Ipv4Addr) -> Option<u8>,
 {
-    // Lock all queues up front (fixed order; the workers each touch
-    // only their own queue, so this cannot deadlock) and only consume
-    // when every shard has a deposit — the fronts then carry the same
-    // `hours_seen`, which is what `absorb` asserts.
-    let mut guards: Vec<_> = queues
-        .iter()
-        .map(|q| q.lock().unwrap_or_else(|e| e.into_inner()))
-        .collect();
-    if guards.iter().any(|g| g.is_empty()) {
-        return false;
+    for _ in 0..days {
+        let Ok(mut merged) = deposits[0].recv() else {
+            return;
+        };
+        for rx in &deposits[1..] {
+            let Ok(part) = rx.recv() else {
+                return;
+            };
+            merged.view.absorb(&part.view);
+            merged.counts.absorb(&part.counts);
+        }
+        publisher.tick(&merged.view, &merged.counts);
     }
-    let mut parts: Vec<ShardDeposit<'_, F>> = guards
-        .iter_mut()
-        .map(|g| g.pop_front().expect("checked non-empty"))
-        .collect();
-    drop(guards);
-    let mut merged = parts.remove(0);
-    for part in &parts {
-        merged.view.absorb(&part.view);
-        merged.counts.absorb(&part.counts);
-    }
-    publisher.tick(&merged.view, &merged.counts);
-    true
 }
 
 impl Study {
@@ -923,9 +917,7 @@ impl Study {
                 ctx: ReportContext::from_prepared(&prepared),
                 live: Arc::clone(live),
             });
-            let queues: Vec<_> = (0..shards)
-                .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-                .collect();
+            let mut deposits = Vec::new();
             let sinks: Vec<StudySink<'_, _>> = (0..shards)
                 .map(|i| {
                     let consumers = match live {
@@ -970,31 +962,24 @@ impl Study {
                         publish: match &publisher {
                             None => Publish::Off,
                             Some(p) if shards == 1 => Publish::Inline(p),
-                            Some(_) => Publish::Deposit(Arc::clone(&queues[i])),
+                            Some(_) => {
+                                let (tx, rx) = channel();
+                                deposits.push(rx);
+                                Publish::Deposit(tx)
+                            }
                         },
                     }
                 })
                 .collect();
 
-            let stop = AtomicBool::new(false);
             let (truth, results) = std::thread::scope(|scope| {
-                // One shard publishes from its worker; n > 1 deposit
-                // day-boundary snapshots for this thread to merge.
-                let pump = publisher.as_ref().filter(|_| shards > 1).map(|p| {
-                    scope.spawn(|| loop {
-                        if !publish_front_deposits(&queues, p) {
-                            // Empty after the run ended means fully
-                            // drained: every shard deposits the same
-                            // number of day-boundary snapshots.
-                            if stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                    })
-                });
+                // One shard publishes from its worker; n > 1 send
+                // day-boundary snapshots to this thread to merge.
+                let pump = publisher
+                    .as_ref()
+                    .filter(|_| shards > 1)
+                    .map(|p| scope.spawn(move || publish_merged_deposits(&deposits, days, p)));
                 let out = prepared.run_traffic_sharded(ShardKeyMode::Common, sinks);
-                stop.store(true, Ordering::Release);
                 if let Some(handle) = pump {
                     handle.join().expect("live publisher thread");
                 }
@@ -1114,22 +1099,6 @@ impl Study {
         sim.adoption_through_july();
         self.record_phase(&mut timings, "analysis.adoption", t.elapsed());
 
-        if std::env::var_os("CWA_DEBUG_SUPPORT").is_some() {
-            let s = Support::of(&products, sim.germany);
-            eprintln!(
-                "SUPPORT scale={} matching={} day0={} prefixes={} geo10={} geo1={} \
-                 national_pre={} guetersloh_pre={} berlin_pre={}",
-                sim.config.scale,
-                products.matching_flows,
-                s.day0_flows,
-                s.prefixes,
-                s.geo10_flows,
-                s.geo1_flows,
-                s.national_pre,
-                s.guetersloh_pre,
-                s.berlin_pre
-            );
-        }
         let claims = self.claim_table(sim, &products, products.matching_flows);
         let measured = |id: ClaimId| {
             claims

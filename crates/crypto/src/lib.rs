@@ -14,7 +14,7 @@
 //! ## Why from scratch?
 //!
 //! The reproduction environment provides a fixed offline crate set
-//! (`rand`, `proptest`, `criterion`, …) with no crypto crates.
+//! (`rand`, `proptest`, `serde`, …) with no crypto crates.
 //! Crypto-PAn anonymization (the paper's traces are prefix-preserving
 //! anonymized) requires AES and the config hash requires SHA-256, so we
 //! implement both here with official test vectors.

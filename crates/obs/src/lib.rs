@@ -592,20 +592,19 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_increments_from_crossbeam_workers() {
+    fn concurrent_increments_from_scoped_workers() {
         let reg = Registry::new();
         let counter = reg.counter("parallel.incs");
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
                 let c = Arc::clone(&counter);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..10_000 {
                         c.inc();
                     }
                 });
             }
-        })
-        .expect("no worker panicked");
+        });
         assert_eq!(counter.get(), 80_000);
     }
 }

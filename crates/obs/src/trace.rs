@@ -500,10 +500,10 @@ mod tests {
     #[test]
     fn concurrent_writers_use_private_buffers() {
         let tracer = Arc::new(Tracer::new());
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..4u32 {
                 let t = Arc::clone(&tracer);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let buf = t.thread(w, 1, "worker");
                     let n = t.name("work");
                     for i in 0..1000 {
@@ -511,8 +511,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("no worker panicked");
+        });
         let json = tracer.to_chrome_json();
         let doc: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         // 4 thread_name metadata + 4000 events.

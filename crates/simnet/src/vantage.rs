@@ -11,7 +11,7 @@
 //! generator emits only the flows a router samples, each carrying its
 //! sampled packet count (see [`crate::traffic`]). A [`Router`] accounts
 //! exactly that count and draws nothing, so the fleet can be driven as
-//! a whole or split into shards with one crossbeam worker each
+//! a whole or split into shards with one scoped worker thread each
 //! ([`run_sharded_into`]) and every router sees the same events and
 //! produces the same records either way (a property the test suite
 //! asserts).
@@ -28,6 +28,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 
 use rand_chacha::ChaCha8Rng;
@@ -791,7 +792,7 @@ const SHARD_CHANNEL_CAP: usize = 64;
 /// `sim.shard.NN.send_block_ns` and as one `send_block` span per export
 /// hour on the shard's feed track.
 struct Feed {
-    tx: crossbeam::channel::Sender<ShardMsg>,
+    tx: SyncSender<ShardMsg>,
     batch: Vec<FlowEvent>,
     depth: Option<Arc<cwa_obs::Gauge>>,
     send_block: Option<Arc<Counter>>,
@@ -821,15 +822,10 @@ impl Feed {
     }
 
     /// Sends one message, accounting time blocked on a full channel.
-    /// Untraced and unmetered feeds take the plain blocking path.
     fn send(&mut self, msg: ShardMsg) {
-        if self.trace.is_none() && self.send_block.is_none() {
-            self.tx.send(msg).expect("worker alive");
-            return;
-        }
         match self.tx.try_send(msg) {
             Ok(()) => {}
-            Err(crossbeam::channel::TrySendError::Full(msg)) => {
+            Err(TrySendError::Full(msg)) => {
                 let start = std::time::Instant::now();
                 self.tx.send(msg).expect("worker alive");
                 let blocked = start.elapsed().as_nanos() as u64;
@@ -838,7 +834,7 @@ impl Feed {
                     c.add(blocked);
                 }
             }
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
+            Err(TrySendError::Disconnected(_)) => {
                 panic!("worker alive");
             }
         }
@@ -858,7 +854,7 @@ impl Feed {
 }
 
 /// Drives a traffic generator through a vantage fleet split into
-/// shards: one crossbeam worker per shard runs that shard's routers,
+/// shards: one scoped worker thread per shard runs that shard's routers,
 /// collector and sink, fed event batches over a bounded channel by the
 /// calling thread, which only generates. With one shard the worker runs
 /// the whole fleet, and the caller generates hour h+1 while the worker
@@ -923,12 +919,12 @@ pub fn run_sharded_into<S: FlowSink + Send>(
         ThreadTrace::new(t, 0, 0, "generator")
     });
 
-    let results = crossbeam::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let mut feeds = Vec::with_capacity(n_shards);
         let mut handles = Vec::with_capacity(n_shards);
         for (i, (mut vp, mut sink)) in shards.into_iter().enumerate() {
             let pid = (i + 1) as u32;
-            let (tx, rx) = crossbeam::channel::bounded::<ShardMsg>(SHARD_CHANNEL_CAP);
+            let (tx, rx) = sync_channel::<ShardMsg>(SHARD_CHANNEL_CAP);
             let depth = gauge(i, "channel_depth");
             feeds.push(Feed {
                 tx,
@@ -953,7 +949,7 @@ pub fn run_sharded_into<S: FlowSink + Send>(
             if let (Some(t), Some(tr)) = (&tracer, &worker_tr) {
                 vp.trace_collector_onto(t, Arc::clone(&tr.buf));
             }
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut vp = Some(vp);
                 let mut stats = VantageRunStats::default();
                 let timed_idle = worker_tr.is_some() || idle_counter.is_some();
@@ -1063,8 +1059,7 @@ pub fn run_sharded_into<S: FlowSink + Send>(
             .into_iter()
             .map(|h| h.join().expect("shard worker panicked"))
             .collect::<Vec<(S, VantageRunStats)>>()
-    })
-    .expect("no shard worker panicked");
+    });
 
     for (i, (_, stats)) in results.iter().enumerate() {
         if let Some(g) = gauge(i, "peak_resident_records") {

@@ -1,11 +1,11 @@
-//! Prints the per-claim verdict table across a ladder of scales, plus
-//! (with `CWA_DEBUG_SUPPORT=1`) the raw per-cell observation counts
-//! the starvation checks read. The `min_support` thresholds in
-//! `cwa-core/src/study.rs` were tuned with this tool — re-run it after
-//! changing the simulation's traffic volume to re-derive them:
+//! Prints the per-claim verdict table across a ladder of scales: at
+//! which scale each claim's input cell starves. The `min_support`
+//! thresholds in `cwa-core/src/study.rs` were tuned with this tool —
+//! re-run it after changing the simulation's traffic volume to
+//! re-derive them:
 //!
 //! ```sh
-//! CWA_DEBUG_SUPPORT=1 cargo run --release --example support_probe
+//! cargo run --release --example support_probe
 //! ```
 
 use cwa_repro::core::study::persistence_len_for_scale;

@@ -41,6 +41,45 @@ for root in crates/*/src/lib.rs crates/*/src/main.rs vendor/*/src/lib.rs src/lib
 done
 echo "    one unsafe block, allowed in cwa-crypto alone; the other $ROOTS crate roots forbid unsafe_code"
 
+echo "==> dependency edges (every [dependencies] entry of the root and crates/* has a user)"
+# An edge no source names still builds, and it pins its crate in every
+# lock file. An entry passes when a Rust file under its crate's src/ or
+# benches/ names it as a path (`name::` or `use name`). The exceptions
+# are unused edges that perfbench/Cargo.lock pins (ci.sh builds
+# perfbench --locked); an exception that gains a user or leaves its
+# manifest fails too, so the list cannot outlive the edges.
+python3 - <<'EOF'
+import pathlib, re, sys, tomllib
+# Pinned by perfbench/Cargo.lock; goes with ROADMAP item 6's benchmark PR.
+PINNED = {
+    ("cwa-analysis", "cwa-obs"),
+    ("cwa-core", "cwa-exposure"),
+    ("cwa-core", "rand"),
+    ("cwa-core", "rand_chacha"),
+    ("cwa-exposure", "cwa-crypto"),
+    ("cwa-simnet", "cwa-crypto"),
+    ("cwa-simnet", "crossbeam"),
+    ("cwa-simnet", "parking_lot"),
+}
+unused = set()
+edges = 0
+for manifest in [pathlib.Path("Cargo.toml"), *sorted(pathlib.Path("crates").glob("*/Cargo.toml"))]:
+    doc = tomllib.loads(manifest.read_text())
+    crate = doc["package"]["name"]
+    sources = [p for d in ("src", "benches") for p in sorted((manifest.parent / d).rglob("*.rs"))]
+    text = "\n".join(p.read_text() for p in sources)
+    for dep in doc.get("dependencies", {}):
+        edges += 1
+        ident = re.escape(dep.replace("-", "_"))
+        if not re.search(rf"\b{ident}::|\buse\s+{ident}\b", text):
+            unused.add((crate, dep))
+failures = [f"{c} -> {d}: no source in its src/ or benches/ names it" for c, d in sorted(unused - PINNED)]
+failures += [f"{c} -> {d}: listed as pinned, but it has a user or is gone" for c, d in sorted(PINNED - unused)]
+if failures:
+    sys.exit("\n".join(f"    FAIL: {f}" for f in failures))
+print(f"    {edges - len(unused)} of {edges} edges have a user; {len(unused)} pinned by perfbench/Cargo.lock")
+EOF
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -1395,12 +1395,14 @@ fn dns(args: &[String], _words: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The DNS study is part of the world `prepare` builds from its own
+    // seeded stream; no traffic is generated.
     let out = Simulation::new(SimConfig {
         days,
         scale: 0.001,
         ..SimConfig::test_small()
     })
-    .run();
+    .prepare();
     let fmt_rank = |r: u64| {
         if r > 1_000_000_000_000 {
             "—".to_owned()

@@ -176,8 +176,8 @@ fn window_verdicts_share_the_report_claim_code() {
 /// The sharded live driver publishes merged interim state once per
 /// simulated day: mid-run envelopes are well-formed and advance
 /// monotonically, and the publish count is exactly `days` interim
-/// reports plus the final one (the deposit queues drain fully before
-/// the end-of-run publication).
+/// reports plus the final one (the publisher thread merges every
+/// shard's day-boundary deposits before the end-of-run publication).
 #[test]
 fn sharded_replay_publishes_interim_merged_documents() {
     let config = StudyConfig::test_small();

@@ -309,7 +309,8 @@ fn cryptopan_block_counter_is_bounded_and_deterministic() {
 /// the §2 filter matched reaches every consumer. The collector's own v5
 /// sequence check is a lower bound on the loss: it sees a lost datagram
 /// only from the gap before the next datagram of the same engine, so
-/// records in an engine's last datagrams can be lost unseen.
+/// records in an engine's last datagrams can be lost unseen. The live
+/// driver, whose sinks feed a windowed view, conserves them the same way.
 #[test]
 fn records_are_conserved_hop_by_hop() {
     let cases = [
@@ -317,18 +318,27 @@ fn records_are_conserved_hop_by_hop() {
         (ExportFormat::V5, 0.05),
         (ExportFormat::V9, 0.05),
     ];
+    // (live driver?, shards)
+    let runs = [(false, 1), (false, 2), (false, 4), (true, 1), (true, 2)];
     for (format, loss) in cases {
-        for shards in [1, 2, 4] {
+        for (live, shards) in runs {
             let mut config = StudyConfig::test_small();
             config.sim.vantage.format = format;
             config.sim.vantage.export_loss_rate = loss;
             let registry = Arc::new(Registry::new());
-            Study::new(config)
-                .with_metrics(Arc::clone(&registry))
-                .run_sharded(shards)
-                .expect("small study produces matching flows");
+            let study = Study::new(config).with_metrics(Arc::clone(&registry));
+            if live {
+                study.run_live(&LiveOptions {
+                    shards,
+                    ..LiveOptions::default()
+                })
+            } else {
+                study.run_sharded(shards)
+            }
+            .expect("small study produces matching flows");
             let count = |name: &str| registry.counter(name).get();
-            let what = format!("{format:?}, loss {loss}, {shards} shard(s)");
+            let driver = if live { "live" } else { "sharded" };
+            let what = format!("{format:?}, loss {loss}, {driver}, {shards} shard(s)");
 
             let evictions = count("simnet.cache.evictions");
             let expired: u64 = ["active", "inactive", "emergency", "flush"]
